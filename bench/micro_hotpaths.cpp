@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
+#include "fabric/types.hpp"
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
 #include "routing/config.hpp"
@@ -25,12 +26,47 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int i = 0; i < 64; ++i) {
       (void)q.push(t + static_cast<std::uint64_t>((i * 37) % 64), [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    while (!q.empty()) {
+      auto ev = q.pop();
+      benchmark::DoNotOptimize(ev.time);
+    }
     t += 64;
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueuePushPop);
+
+// The same cycle with the capture of Channel::launch's per-packet event
+// (`[this, deliver, pkt]`), which pins sim::Callback's inline buffer: if the
+// capture ever outgrows it, every push here allocates and this slows down.
+void BM_EventQueuePushPopPacket(benchmark::State& state) {
+  static_assert(sizeof(void*) + sizeof(std::uint64_t) +
+                    sizeof(fabric::detail::Packet) <=
+                sim::Callback::kInlineSize);
+  sim::EventQueue q;
+  std::uint64_t t = 0;
+  std::uint64_t delivered = 0;
+  auto transfer = std::make_shared<fabric::detail::Transfer>();
+  transfer->total_packets = 64;
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      fabric::detail::Packet pkt;
+      pkt.transfer = transfer;
+      pkt.index = i;
+      pkt.bytes = 4096;
+      const bool deliver = (i & 7) != 0;
+      (void)q.push(t + (i * 37) % 64,
+                   [self = &delivered, deliver, pkt = std::move(pkt)] {
+                     if (deliver) *self += pkt.bytes;
+                   });
+    }
+    while (!q.empty()) q.pop().fn();
+    t += 64;
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_EventQueuePushPopPacket);
 
 void BM_SimulationDelayChain(benchmark::State& state) {
   for (auto _ : state) {

@@ -161,16 +161,17 @@ void Channel::set_pause_upstream(bool pause) {
   }
   if (upstreams_ == nullptr) return;
   // The pause frame travels one hop upstream: every channel feeding this
-  // port's switch gates (or resumes) its arbitration after the wire delay.
-  for (Channel* up : *upstreams_) {
-    sim_.schedule_in(config_.propagation_delay, [up, pause] {
+  // port's switch gates (or resumes) its arbitration after the wire delay,
+  // in feeder order, as one event.
+  sim_.schedule_in(config_.propagation_delay, [this, pause] {
+    for (Channel* up : *upstreams_) {
       if (pause) {
         up->pause();
       } else {
         up->resume();
       }
-    });
-  }
+    }
+  });
 }
 
 void Channel::check_xoff() {
@@ -260,15 +261,15 @@ void Channel::set_pause_upstream_vl(std::uint8_t vl, bool pause) {
   // The pause frame carries the class bitmap: every feeder gates (or
   // resumes) this lane only — other lanes keep flowing through it.
   const auto mask = static_cast<std::uint8_t>(1u << vl);
-  for (Channel* up : *upstreams_) {
-    sim_.schedule_in(config_.propagation_delay, [up, mask, pause] {
+  sim_.schedule_in(config_.propagation_delay, [this, mask, pause] {
+    for (Channel* up : *upstreams_) {
       if (pause) {
         up->pause_vls(mask);
       } else {
         up->resume_vls(mask);
       }
-    });
-  }
+    }
+  });
 }
 
 void Channel::check_xoff_vl(std::uint8_t vl) {
@@ -288,8 +289,10 @@ void Channel::check_xon_vl(std::uint8_t vl) {
 }
 
 Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
-  for (auto& f : flows_) {
-    if (f.qp == qp && f.vl == vl) return f;
+  const std::size_t key = std::size_t{qp} * qos::kMaxVls + vl;
+  if (key >= flow_index_.size()) flow_index_.resize(key + 1, 0);
+  if (const std::uint32_t pos = flow_index_[key]; pos != 0) {
+    return flows_[pos - 1];
   }
   Flow nf;
   nf.qp = qp;
@@ -308,6 +311,7 @@ Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
     break;
   }
   flows_.push_back(nf);
+  flow_index_[key] = static_cast<std::uint32_t>(flows_.size());
   return flows_.back();
 }
 
@@ -463,6 +467,7 @@ void Channel::enqueue(detail::Packet pkt) {
   backlog_bytes_ += pkt.bytes;
   if (pool_ != nullptr) pool_->acquire(pkt.bytes);
   flow_for(pkt.transfer->src_qp->num()).packets.push_back(std::move(pkt));
+  ++backlog_pkts_;
   // XOFF is evaluated on the post-admission occupancy (this packet counts).
   if (pfc_on_ && !pfc_asserted_) check_xoff();
   if (!busy_ && pause_refs_ == 0) try_start();
@@ -523,17 +528,12 @@ void Channel::enqueue_qos(detail::Packet pkt) {
   ++vl_backlog_pkts_[vl];
   if (pool_ != nullptr) pool_->acquire(pkt.bytes);
   flow_for(pkt.transfer->src_qp->num(), vl).packets.push_back(std::move(pkt));
+  ++backlog_pkts_;
   // Per-priority XOFF on the post-admission occupancy of this lane only.
   if (pfc_on_ && !vl_xoff_[vl]) check_xoff_vl(vl);
   // A lane-paused port may still transmit other lanes, so the egress gate is
   // evaluated inside try_start_qos(), not here.
   if (!busy_) try_start();
-}
-
-std::uint64_t Channel::backlog_packets() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& f : flows_) n += f.packets.size();
-  return n;
 }
 
 void Channel::arm_rate_timer() {
@@ -553,6 +553,7 @@ void Channel::arm_rate_timer() {
 void Channel::launch(Flow& f, std::size_t pos, std::size_t& cursor) {
   detail::Packet pkt = std::move(f.packets.front());
   f.packets.pop_front();
+  --backlog_pkts_;
   backlog_bytes_ -= std::min<std::uint64_t>(backlog_bytes_, pkt.bytes);
   if (qos_on_) {
     auto& vbytes = vl_backlog_bytes_[f.vl];
@@ -629,8 +630,8 @@ void Channel::launch(Flow& f, std::size_t pos, std::size_t& cursor) {
     busy_ = false;
     if (deliver) {
       sim_.schedule_in(config_.propagation_delay,
-                       [sink = sink_, pkt = std::move(pkt)]() mutable {
-                         sink(std::move(pkt));
+                       [this, pkt = std::move(pkt)]() mutable {
+                         sink_(std::move(pkt));
                        });
     }
     try_start();

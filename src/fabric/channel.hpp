@@ -121,7 +121,9 @@ class Channel {
 
   [[nodiscard]] bool busy() const noexcept { return busy_; }
   /// Packets queued but not yet on the wire.
-  [[nodiscard]] std::uint64_t backlog_packets() const noexcept;
+  [[nodiscard]] std::uint64_t backlog_packets() const noexcept {
+    return backlog_pkts_;
+  }
   [[nodiscard]] std::uint64_t packets_sent() const noexcept {
     return packets_sent_;
   }
@@ -277,6 +279,10 @@ class Channel {
   std::function<void(detail::Packet)> sink_;
 
   std::vector<Flow> flows_;    // stable per-QP state, created on first use
+  // flows_ position + 1 of flow (qp, vl) at qp * kMaxVls + vl; 0 = none yet.
+  // QpNums are allocated densely per fabric, so the table stays small.
+  std::vector<std::uint32_t> flow_index_;
+  std::uint64_t backlog_pkts_ = 0;  // packets across all flows' queues
   std::size_t rr_cursor_ = 0;  // round-robin position in flows_
   bool busy_ = false;
   std::uint64_t packets_sent_ = 0;

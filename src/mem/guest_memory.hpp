@@ -7,6 +7,10 @@
 // mapping API — the simulation equivalent of Xen's xc_map_foreign_range.
 // Foreign mapping must be explicitly enabled per-memory, mirroring the
 // hypervisor privilege check.
+//
+// The address space is one anonymous private mapping, so it is backed
+// lazily like real guest RAM: untouched pages read as zero and cost no
+// resident memory until something writes them.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,31 +41,28 @@ class ForeignMapDenied : public std::runtime_error {
 
 class GuestMemory {
  public:
-  explicit GuestMemory(std::size_t pages)
-      : bytes_(pages * kPageSize, std::byte{0}) {
-    if (pages == 0) {
-      throw std::invalid_argument("GuestMemory: need at least one page");
-    }
-  }
+  explicit GuestMemory(std::size_t pages);
+  ~GuestMemory();
+  GuestMemory(const GuestMemory&) = delete;
+  GuestMemory& operator=(const GuestMemory&) = delete;
 
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return bytes_.size();
-  }
+  [[nodiscard]] std::size_t size_bytes() const noexcept { return size_; }
   [[nodiscard]] std::size_t page_count() const noexcept {
-    return bytes_.size() / kPageSize;
+    return size_ / kPageSize;
   }
 
   /// Copy bytes into guest memory. Throws BadGuestAccess on overflow.
   void write(GuestAddr addr, std::span<const std::byte> data) {
     check_range(addr, data.size());
-    std::memcpy(bytes_.data() + addr, data.data(), data.size());
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (!data.empty()) std::memcpy(bytes_ + addr, data.data(), data.size());
     if (dirty_tracking_) mark_dirty(addr, data.size());
   }
 
   /// Copy bytes out of guest memory. Throws BadGuestAccess on overflow.
   void read(GuestAddr addr, std::span<std::byte> out) const {
     check_range(addr, out.size());
-    std::memcpy(out.data(), bytes_.data() + addr, out.size());
+    if (!out.empty()) std::memcpy(out.data(), bytes_ + addr, out.size());
   }
 
   /// Write a trivially-copyable object at `addr`.
@@ -69,7 +70,7 @@ class GuestMemory {
   void write_obj(GuestAddr addr, const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_range(addr, sizeof(T));
-    std::memcpy(bytes_.data() + addr, &value, sizeof(T));
+    std::memcpy(bytes_ + addr, &value, sizeof(T));
     if (dirty_tracking_) mark_dirty(addr, sizeof(T));
   }
 
@@ -79,14 +80,14 @@ class GuestMemory {
     static_assert(std::is_trivially_copyable_v<T>);
     check_range(addr, sizeof(T));
     T value;
-    std::memcpy(&value, bytes_.data() + addr, sizeof(T));
+    std::memcpy(&value, bytes_ + addr, sizeof(T));
     return value;
   }
 
   /// Zero a byte range.
   void zero(GuestAddr addr, std::size_t len) {
     check_range(addr, len);
-    std::memset(bytes_.data() + addr, 0, len);
+    std::memset(bytes_ + addr, 0, len);
     if (dirty_tracking_) mark_dirty(addr, len);
   }
 
@@ -147,12 +148,12 @@ class GuestMemory {
       throw BadGuestAccess("map_foreign_range: address not page-aligned");
     }
     check_range(addr, len);
-    return std::span<const std::byte>(bytes_.data() + addr, len);
+    return std::span<const std::byte>(bytes_ + addr, len);
   }
 
  private:
   void check_range(GuestAddr addr, std::size_t len) const {
-    if (addr > bytes_.size() || len > bytes_.size() - addr) {
+    if (addr > size_ || len > size_ - addr) {
       throw BadGuestAccess("guest memory access out of bounds");
     }
   }
@@ -164,7 +165,8 @@ class GuestMemory {
     for (std::size_t p = first; p <= last; ++p) dirty_[p] = true;
   }
 
-  std::vector<std::byte> bytes_;
+  std::size_t size_;
+  std::byte* bytes_;  // mmap'd, size_ bytes
   bool foreign_mappable_ = false;
   bool dirty_tracking_ = false;
   std::vector<bool> dirty_;  // page-granular write log (empty when disabled)

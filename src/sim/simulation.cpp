@@ -11,7 +11,7 @@ Simulation::~Simulation() {
   }
 }
 
-EventHandle Simulation::schedule_at(SimTime t, std::function<void()> fn) {
+EventHandle Simulation::schedule_at(SimTime t, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Simulation::schedule_at: time is in the past");
   }
@@ -48,10 +48,10 @@ void Simulation::rethrow_pending_error() {
 
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  assert(ev->time >= now_);
-  now_ = ev->time;
-  ev->fn();
+  Event ev = queue_.pop();
+  assert(ev.time >= now_);
+  now_ = ev.time;
+  ev.fn();
   ++events_processed_;
   rethrow_pending_error();
   return true;

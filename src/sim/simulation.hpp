@@ -9,7 +9,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -34,10 +33,10 @@ class Simulation {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedule a callback at absolute time `t` (must be >= now()).
-  EventHandle schedule_at(SimTime t, std::function<void()> fn);
+  EventHandle schedule_at(SimTime t, Callback fn);
 
   /// Schedule a callback `dt` from now.
-  EventHandle schedule_in(SimDuration dt, std::function<void()> fn) {
+  EventHandle schedule_in(SimDuration dt, Callback fn) {
     return schedule_at(now_ + dt, std::move(fn));
   }
 

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 namespace resex::mem {
 namespace {
@@ -22,6 +23,59 @@ TEST(GuestMemory, StartsZeroed) {
   GuestMemory m(1);
   EXPECT_EQ(m.read_obj<std::uint64_t>(0), 0u);
   EXPECT_EQ(m.read_obj<std::uint64_t>(kPageSize - 8), 0u);
+}
+
+TEST(GuestMemory, UntouchedPagesReadZero) {
+  // A full-size guest (2048 pages) that is never written reads zero
+  // everywhere, including pages past the first.
+  GuestMemory m(2048);
+  std::array<std::byte, 64> out{};
+  out.fill(std::byte{0xff});
+  m.read(1000 * kPageSize + 128, out);
+  for (const std::byte b : out) EXPECT_EQ(b, std::byte{0});
+  EXPECT_EQ(m.read_obj<std::uint64_t>(m.size_bytes() - 8), 0u);
+}
+
+TEST(GuestMemory, LastByteRoundTrip) {
+  GuestMemory m(3);
+  const GuestAddr last = m.size_bytes() - 1;
+  m.write_obj<std::uint8_t>(last, 0x5a);
+  EXPECT_EQ(m.read_obj<std::uint8_t>(last), 0x5a);
+  std::array<std::byte, 1> out{};
+  m.read(last, out);
+  EXPECT_EQ(out[0], std::byte{0x5a});
+  EXPECT_THROW(m.write_obj<std::uint16_t>(last, 1), BadGuestAccess);
+}
+
+TEST(GuestMemory, ForeignMapOfUntouchedRingReadsZeros) {
+  GuestMemory m(64);
+  m.set_foreign_mappable(true);
+  GuestAllocator alloc(m);
+  const GuestAddr ring = alloc.allocate_pages(4);
+  auto view = m.map_foreign_range(ring, 4 * kPageSize);
+  ASSERT_EQ(view.size(), 4 * kPageSize);
+  for (const std::byte b : view) ASSERT_EQ(b, std::byte{0});
+}
+
+TEST(GuestMemory, DirtyTrackingMarksWrittenPagesOnly) {
+  GuestMemory m(16);
+  m.write_obj<std::uint32_t>(2 * kPageSize, 1);  // before tracking: clean
+  m.set_dirty_tracking(true);
+  EXPECT_EQ(m.dirty_page_count(), 0u);
+  m.write_obj<std::uint32_t>(3 * kPageSize + 8, 7);
+  // A write straddling a page boundary dirties both pages.
+  m.write_obj<std::uint64_t>(6 * kPageSize - 4, 9);
+  m.zero(15 * kPageSize, 1);
+  (void)m.read_obj<std::uint32_t>(9 * kPageSize);  // reads never dirty
+  EXPECT_EQ(m.dirty_page_count(), 4u);
+  EXPECT_EQ(m.collect_dirty_pages(), (std::vector<std::size_t>{3, 5, 6, 15}));
+  EXPECT_EQ(m.dirty_page_count(), 0u);
+  m.write_obj<std::uint32_t>(0, 1);
+  EXPECT_EQ(m.collect_dirty_pages(), (std::vector<std::size_t>{0}));
+  m.set_dirty_tracking(false);
+  m.write_obj<std::uint32_t>(kPageSize, 1);
+  EXPECT_EQ(m.dirty_page_count(), 0u);
+  EXPECT_TRUE(m.collect_dirty_pages().empty());
 }
 
 TEST(GuestMemory, WriteReadRoundTrip) {
@@ -44,6 +98,15 @@ TEST(GuestMemory, ObjectRoundTrip) {
   const auto p = m.read_obj<Packed>(8);
   EXPECT_EQ(p.a, 7u);
   EXPECT_EQ(p.b, 9u);
+}
+
+TEST(GuestMemory, EmptyAccessesAreNoOps) {
+  GuestMemory m(1);
+  m.set_dirty_tracking(true);
+  m.write(kPageSize, std::span<const std::byte>{});
+  m.read(0, std::span<std::byte>{});
+  EXPECT_EQ(m.dirty_page_count(), 0u);
+  EXPECT_THROW(m.read(kPageSize + 1, std::span<std::byte>{}), BadGuestAccess);
 }
 
 TEST(GuestMemory, OutOfBoundsThrows) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace resex::sim {
 namespace {
@@ -19,7 +25,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   (void)q.push(30, [&] { order.push_back(3); });
   (void)q.push(10, [&] { order.push_back(1); });
   (void)q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop()->fn();
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -29,7 +35,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 16; ++i) {
     (void)q.push(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop()->fn();
+  while (!q.empty()) q.pop().fn();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
@@ -59,7 +65,7 @@ TEST(EventQueue, CancelMiddleEventSkipsOnlyIt) {
   EventHandle h = q.push(2, [&] { order.push_back(2); });
   (void)q.push(3, [&] { order.push_back(3); });
   h.cancel();
-  while (!q.empty()) q.pop()->fn();
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -71,12 +77,173 @@ TEST(EventQueue, DefaultHandleIsInert) {
 
 TEST(EventQueue, HandleNotPendingAfterPop) {
   EventQueue q;
-  EventHandle h = q.push(1, [] {});
+  int runs = 0;
+  EventHandle h = q.push(1, [&] { ++runs; });
   auto ev = q.pop();
-  ev->fn();
-  // The state is still alive through `ev`, but cancelling now is harmless.
+  // Popped means no longer pending, even while the callback is still owned
+  // by `ev` and has not run yet; cancelling now is harmless.
+  EXPECT_FALSE(h.pending());
   h.cancel();
+  ev.fn();
+  EXPECT_EQ(runs, 1);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, StaleHandleCannotCancelReusedSlot) {
+  EventQueue q;
+  EventHandle stale = q.push(1, [] {});
+  q.pop().fn();
+  // The freed slot is reused by the next push; the old handle must not reach
+  // the new event.
+  bool ran = false;
+  EventHandle fresh = q.push(2, [&] { ran = true; });
+  stale.cancel();
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  ASSERT_FALSE(q.empty());
+  q.pop().fn();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, StaleHandleOfCancelledEventCannotCancelReusedSlot) {
+  EventQueue q;
+  EventHandle stale = q.push(1, [] {});
+  stale.cancel();
+  EXPECT_TRUE(q.empty());  // prunes the cancelled record, freeing its slot
+  bool ran = false;
+  EventHandle fresh = q.push(2, [&] { ran = true; });
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  ASSERT_FALSE(q.empty());
+  q.pop().fn();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
+  // Reference model: the live (time, seq) keys in a sorted set. The queue
+  // must pop exactly the reference minimum, every time.
+  EventQueue q;
+  std::set<std::pair<SimTime, std::uint64_t>> ref;
+  std::vector<std::pair<EventHandle, std::pair<SimTime, std::uint64_t>>>
+      handles;
+  std::pair<SimTime, std::uint64_t> fired{};
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  Rng rng(7);
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t r = rng.uniform_u64(10);
+    if (r < 5) {
+      // Few distinct times, so same-instant FIFO ties are common.
+      const SimTime t = now + rng.uniform_u64(8);
+      const auto key = std::make_pair(t, seq++);
+      handles.emplace_back(q.push(t, [&fired, key] { fired = key; }), key);
+      ref.insert(key);
+    } else if (r < 7 && !handles.empty()) {
+      const auto i = static_cast<std::size_t>(rng.uniform_u64(handles.size()));
+      auto& [h, key] = handles[i];
+      EXPECT_EQ(h.pending(), ref.count(key) == 1);
+      h.cancel();
+      EXPECT_FALSE(h.pending());
+      ref.erase(key);
+    } else {
+      EXPECT_EQ(q.empty(), ref.empty());
+      if (ref.empty()) continue;
+      EXPECT_EQ(q.next_time(), ref.begin()->first);
+      auto ev = q.pop();
+      ev.fn();
+      ASSERT_EQ(fired, *ref.begin());
+      EXPECT_EQ(ev.time, fired.first);
+      now = ev.time;
+      ref.erase(ref.begin());
+    }
+  }
+  while (!ref.empty()) {
+    ASSERT_FALSE(q.empty());
+    q.pop().fn();
+    ASSERT_EQ(fired, *ref.begin());
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+/// Counts live copies and calls of a capture, to check that a callback runs
+/// once and its captured state is destroyed exactly once.
+struct Tally {
+  int calls = 0;
+  int alive = 0;
+};
+
+struct Probe {
+  explicit Probe(Tally* t) : tally(t) { ++tally->alive; }
+  Probe(const Probe& o) : tally(o.tally) { ++tally->alive; }
+  Probe(Probe&& o) noexcept : tally(o.tally) { ++tally->alive; }
+  Probe& operator=(const Probe&) = delete;
+  ~Probe() { --tally->alive; }
+  Tally* tally;
+};
+
+TEST(EventQueue, OversizedCaptureRunsOnceAndIsDestroyedOnce) {
+  Tally tally;
+  {
+    EventQueue q;
+    std::array<std::uint64_t, 16> big{};  // 128 bytes: heap fallback
+    big[15] = 42;
+    static_assert(sizeof(big) > Callback::kInlineSize);
+    (void)q.push(1, [probe = Probe(&tally), big] {
+      probe.tally->calls += static_cast<int>(big[15] / 42);
+    });
+    EXPECT_EQ(tally.alive, 1);
+    q.pop().fn();
+    EXPECT_EQ(tally.calls, 1);
+    EXPECT_EQ(tally.alive, 0);
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_EQ(tally.alive, 0);
+}
+
+TEST(EventQueue, MoveOnlyCaptureRunsOnceAndIsDestroyedOnce) {
+  Tally tally;
+  {
+    EventQueue q;
+    auto owned = std::make_unique<Probe>(&tally);
+    (void)q.push(1, [p = std::move(owned)] { ++p->tally->calls; });
+    EXPECT_EQ(tally.alive, 1);
+    q.pop().fn();
+    EXPECT_EQ(tally.calls, 1);
+    EXPECT_EQ(tally.alive, 0);
+  }
+  EXPECT_EQ(tally.alive, 0);
+}
+
+TEST(EventQueue, CancelledAndUnpoppedCapturesAreDestroyed) {
+  Tally tally;
+  {
+    EventQueue q;
+    EventHandle h = q.push(1, [p = Probe(&tally)] { ++p.tally->calls; });
+    (void)q.push(2, [p = Probe(&tally)] { ++p.tally->calls; });
+    EXPECT_EQ(tally.alive, 2);
+    h.cancel();
+    EXPECT_FALSE(q.empty());  // prunes the cancelled head
+    EXPECT_EQ(tally.alive, 1);
+  }
+  // The queue died with one event still pending: its capture died with it.
+  EXPECT_EQ(tally.calls, 0);
+  EXPECT_EQ(tally.alive, 0);
+}
+
+TEST(Callback, PacketSizedCaptureFitsInline) {
+  // A `[this, flag, 40-byte packet]` capture, the shape of a channel's
+  // per-packet event, must not allocate.
+  struct PacketLike {
+    std::shared_ptr<int> transfer;
+    std::uint64_t a, b, c;
+  };
+  static_assert(sizeof(PacketLike) == 40);
+  void* self = nullptr;
+  bool flag = true;
+  PacketLike pkt{};
+  auto fn = [self, flag, pkt] { (void)self, (void)flag, (void)pkt; };
+  static_assert(sizeof(fn) <= Callback::kInlineSize);
 }
 
 TEST(EventQueue, SizeTracksLiveEvents) {
