@@ -211,7 +211,8 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
   return {static_cast<double>(victim_latency.count()),
           victim_latency.median(),
           victim_latency.percentile(99.0),
-          sim.metrics().counter("fabric.buf_drops").value(),
+          static_cast<double>(
+              sim.metrics().counter("fabric.buf_drops").value()),
           static_cast<double>(
               sim.metrics().counter("fabric.pfc_pauses").value()),
           bulk_mbps,
@@ -307,7 +308,8 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
   return {static_cast<double>(victim_latency.count()),
           victim_latency.median(),
           victim_latency.percentile(99.0),
-          sim.metrics().counter("fabric.buf_drops").value(),
+          static_cast<double>(
+              sim.metrics().counter("fabric.buf_drops").value()),
           static_cast<double>(
               sim.metrics().counter("fabric.pfc_pauses").value()),
           bulk_mbps,

@@ -36,9 +36,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
-// The same cycle with the capture of Channel::launch's per-packet event
-// (`[this, deliver, pkt]`), which pins sim::Callback's inline buffer: if the
-// capture ever outgrows it, every push here allocates and this slows down.
+// The same cycle with a 56-byte `[self, flag, packet]` capture, larger than
+// the largest capture left on the hot path (Hca::complete_send's
+// `[cq, cqe]`, 40 B). It pins sim::Callback's inline buffer: if the capture
+// ever outgrows it, every push here allocates and this slows down.
 void BM_EventQueuePushPopPacket(benchmark::State& state) {
   static_assert(sizeof(void*) + sizeof(std::uint64_t) +
                     sizeof(fabric::detail::Packet) <=
@@ -67,6 +68,36 @@ void BM_EventQueuePushPopPacket(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueuePushPopPacket);
+
+// The RTO pattern of a reliable transfer: arm a far timer, run a few near
+// events (its packets), then cancel the timer once the transfer completes,
+// long before it would fire. A queue that kept cancelled timers until their
+// time came would carry kRto / kNear = 250k of them here.
+void BM_EventQueueTimerChurn(benchmark::State& state) {
+  constexpr std::uint64_t kRto = 1'000'000;  // 1 ms, in ns
+  constexpr int kNear = 4;
+  sim::EventQueue q;
+  std::uint64_t t = 0;
+  // A standing population of other live timers that never come due here.
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    (void)q.push(~std::uint64_t{0} - i, [] {});
+  }
+  for (auto _ : state) {
+    sim::EventHandle rto = q.push(t + kRto, [] {});
+    for (int i = 0; i < kNear; ++i) {
+      (void)q.push(t + static_cast<std::uint64_t>(i) + 1, [] {});
+    }
+    for (int i = 0; i < kNear; ++i) {
+      auto ev = q.pop();
+      benchmark::DoNotOptimize(ev.time);
+    }
+    rto.cancel();
+    t += kNear;
+  }
+  state.counters["depth"] = static_cast<double>(q.size());
+  state.SetItemsProcessed(state.iterations() * (kNear + 1));
+}
+BENCHMARK(BM_EventQueueTimerChurn);
 
 void BM_SimulationDelayChain(benchmark::State& state) {
   for (auto _ : state) {

@@ -625,17 +625,23 @@ void Channel::launch(Flow& f, std::size_t pos, std::size_t& cursor) {
     sim_.tracer().counter(name_.c_str(), "backlog",
                           static_cast<double>(backlog_packets()));
   }
-  const bool deliver = fate != PacketFate::kDrop;
-  sim_.schedule_in(tx, [this, deliver, pkt = std::move(pkt)]() mutable {
-    busy_ = false;
-    if (deliver) {
-      sim_.schedule_in(config_.propagation_delay,
-                       [this, pkt = std::move(pkt)]() mutable {
-                         sink_(std::move(pkt));
-                       });
-    }
-    try_start();
-  });
+  // The packet waits in the in-flight FIFO, not in the events: they carry
+  // only `this`.
+  tx_delivers_ = fate != PacketFate::kDrop;
+  if (tx_delivers_) in_flight_.push_back(std::move(pkt));
+  sim_.schedule_in(tx, [this] { on_tx_done(); });
+}
+
+void Channel::on_tx_done() {
+  busy_ = false;
+  if (tx_delivers_) {
+    sim_.schedule_in(config_.propagation_delay, [this] {
+      detail::Packet pkt = std::move(in_flight_.front());
+      in_flight_.pop_front();
+      sink_(std::move(pkt));
+    });
+  }
+  try_start();
 }
 
 void Channel::try_start() {

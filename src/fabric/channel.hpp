@@ -239,6 +239,10 @@ class Channel {
   /// (the legacy port cursor or the winning lane's cursor) with the WRR
   /// grant bookkeeping. Shared by both egress paths.
   void launch(Flow& f, std::size_t pos, std::size_t& cursor);
+  /// The packet on the wire finished serializing: free the transmitter,
+  /// schedule the packet's delivery unless it was dropped, and arbitrate
+  /// the next one.
+  void on_tx_done();
   /// VL-aware admission path. Replaces the body of enqueue() while qos is on.
   void enqueue_qos(detail::Packet pkt);
   /// Current occupancy in this port's accounting unit (bytes or packets).
@@ -285,6 +289,11 @@ class Channel {
   std::uint64_t backlog_pkts_ = 0;  // packets across all flows' queues
   std::size_t rr_cursor_ = 0;  // round-robin position in flows_
   bool busy_ = false;
+  bool tx_delivers_ = false;  // the packet on the wire reaches the sink
+  // Launched packets that will reach the sink, in launch order. Every
+  // delivery trails its tx-complete by the same propagation delay, so
+  // deliveries fire in launch order and each pops the front.
+  std::deque<detail::Packet> in_flight_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   sim::SimDuration busy_time_ = 0;

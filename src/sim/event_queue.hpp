@@ -7,14 +7,15 @@
 //
 // Storage is pooled, so a steady-state push/pop allocates nothing:
 //  * each event's callback lives in a slot of a free-listed vector, reused
-//    as soon as the event is popped;
-//  * the heap is a 4-ary min-heap of flat (time, seq, slot) keys, so sifting
-//    never touches the callbacks;
-//  * an EventHandle is (queue, slot, generation). Popping or discarding an
+//    as soon as its event is popped or cancel() removes it;
+//  * the heap is an indexed 4-ary min-heap of flat (time, seq, slot) keys:
+//    sifting never touches the callbacks, and each slot records where its
+//    key sits so the key can be removed from the middle;
+//  * an EventHandle is (queue, slot, generation). Popping or cancelling an
 //    event bumps its slot's generation, so a handle to an event that already
 //    left the queue can never reach the slot's next occupant.
-// Cancellation is lazy and O(1): it flags the slot, and the queue discards
-// the key when it reaches the top.
+// Cancellation is eager and O(log n): the key leaves the heap and the
+// capture is destroyed at cancel(), so the heap holds live events only.
 
 #include <cstddef>
 #include <cstdint>
@@ -133,10 +134,12 @@ class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevent the event from firing. Safe to call multiple times.
+  /// Prevent the event from firing and destroy its capture now. Safe to
+  /// call multiple times.
   void cancel();
 
-  /// True if the event is still pending (scheduled and not cancelled).
+  /// True if the event is still pending: pushed, not yet popped, and not
+  /// removed by cancel().
   [[nodiscard]] bool pending() const;
 
  private:
@@ -169,40 +172,47 @@ class EventQueue {
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
+      fns_.emplace_back();
     } else {
       slot = free_.back();
       free_.pop_back();
     }
-    Slot& s = slots_[slot];
-    s.fn = std::move(fn);
-    heap_.push_back(Key{t, next_seq_++, slot});
-    sift_up(heap_.size() - 1);
-    return EventHandle{this, slot, s.gen};
+    fns_[slot] = std::move(fn);
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{t, next_seq_++, slot});
+    return EventHandle{this, slot, slots_[slot].gen};
   }
 
-  /// True if no non-cancelled events remain. Prunes cancelled heads.
-  [[nodiscard]] bool empty() {
-    prune();
-    return heap_.empty();
-  }
+  /// True if no events are pending.
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time() {
-    prune();
+  [[nodiscard]] SimTime next_time() const noexcept {
     return heap_.front().time;
+  }
+
+  /// If the earliest pending event is due at or before `limit`, move it into
+  /// `out` and return true; otherwise leave `out` alone and return false.
+  bool pop_due(SimTime limit, Event& out) {
+    if (heap_.empty() || heap_.front().time > limit) return false;
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    out.time = top.time;
+    out.fn = std::move(fns_[top.slot]);
+    release(top.slot);
+    return true;
   }
 
   /// Remove and return the earliest pending event. Precondition: !empty().
   [[nodiscard]] Event pop() {
-    prune();
-    const Key top = remove_top();
-    Event ev{top.time, std::move(slots_[top.slot].fn)};
-    release(top.slot);
+    Event ev;
+    pop_due(~SimTime{0}, ev);
     return ev;
   }
 
-  /// Number of events pushed and not yet popped (including cancelled ones
-  /// still sitting in the heap).
+  /// Number of pending events.
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
  private:
@@ -214,9 +224,8 @@ class EventQueue {
     std::uint32_t slot;
   };
   struct Slot {
-    Callback fn;
     std::uint32_t gen = 0;
-    bool cancelled = false;
+    std::uint32_t pos = 0;  // index of the slot's key in heap_ while pending
   };
 
   static constexpr std::size_t kArity = 4;
@@ -225,20 +234,25 @@ class EventQueue {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i) noexcept {
-    const Key k = heap_[i];
+  void place(std::size_t i, const Key& k) noexcept {
+    heap_[i] = k;
+    slots_[k.slot].pos = static_cast<std::uint32_t>(i);
+  }
+
+  /// Put `k` into the hole at `i` and move it up to its place.
+  void sift_up(std::size_t i, const Key& k) noexcept {
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (!before(k, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      place(i, heap_[parent]);
       i = parent;
     }
-    heap_[i] = k;
+    place(i, k);
   }
 
-  void sift_down(std::size_t i) noexcept {
+  /// Put `k` into the hole at `i` and move it down to its place.
+  void sift_down(std::size_t i, const Key& k) noexcept {
     const std::size_t n = heap_.size();
-    const Key k = heap_[i];
     for (;;) {
       const std::size_t first = i * kArity + 1;
       if (first >= n) break;
@@ -248,50 +262,46 @@ class EventQueue {
         if (before(heap_[c], heap_[best])) best = c;
       }
       if (!before(heap_[best], k)) break;
-      heap_[i] = heap_[best];
+      place(i, heap_[best]);
       i = best;
     }
-    heap_[i] = k;
+    place(i, k);
   }
 
-  Key remove_top() noexcept {
-    const Key top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    return top;
-  }
-
-  /// Return a slot to the free list; its generation moves on, so every
-  /// handle to the departed event goes stale.
+  /// Return a slot, whose callback has been moved out, to the free list;
+  /// its generation moves on, so every handle to the departed event goes
+  /// stale.
   void release(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    ++s.gen;
-    s.cancelled = false;
+    ++slots_[slot].gen;
     free_.push_back(slot);
-  }
-
-  void prune() {
-    while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
-      const std::uint32_t slot = remove_top().slot;
-      // Free the slot before the callback dies: its destructor may run
-      // arbitrary code (release captured state) that schedules again.
-      Callback dead = std::move(slots_[slot].fn);
-      release(slot);
-    }
   }
 
   [[nodiscard]] bool is_pending(std::uint32_t slot,
                                 std::uint32_t gen) const noexcept {
-    return slots_[slot].gen == gen && !slots_[slot].cancelled;
+    return slots_[slot].gen == gen;
   }
 
-  void cancel(std::uint32_t slot, std::uint32_t gen) noexcept {
-    if (slots_[slot].gen == gen) slots_[slot].cancelled = true;
+  void cancel(std::uint32_t slot, std::uint32_t gen) {
+    if (slots_[slot].gen != gen) return;
+    const std::size_t i = slots_[slot].pos;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+      if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+        sift_up(i, last);
+      } else {
+        sift_down(i, last);
+      }
+    }
+    // The queue is consistent before the capture dies: its destructor may
+    // run arbitrary code (release captured state) that cancels or pushes.
+    Callback dead = std::move(fns_[slot]);
+    release(slot);
   }
 
   std::vector<Key> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Slot> slots_;  // per-slot bookkeeping, parallel to fns_
+  std::vector<Callback> fns_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
 };

@@ -46,26 +46,29 @@ void Simulation::rethrow_pending_error() {
   }
 }
 
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  Event ev = queue_.pop();
-  assert(ev.time >= now_);
-  now_ = ev.time;
-  ev.fn();
-  ++events_processed_;
-  rethrow_pending_error();
-  return true;
+std::uint64_t Simulation::dispatch(SimTime limit, std::uint64_t budget) {
+  std::uint64_t ran = 0;
+  while (ran < budget) {
+    // A fresh Event per turn: the callback's capture dies before the next
+    // event is popped.
+    Event ev;
+    if (!queue_.pop_due(limit, ev)) break;
+    assert(ev.time >= now_);
+    now_ = ev.time;
+    ev.fn();
+    ++events_processed_;
+    ++ran;
+    rethrow_pending_error();
+  }
+  return ran;
 }
 
-void Simulation::run() {
-  while (step()) {
-  }
-}
+bool Simulation::step() { return dispatch(kForever, 1) == 1; }
+
+void Simulation::run() { dispatch(kForever, ~std::uint64_t{0}); }
 
 void Simulation::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    step();
-  }
+  dispatch(t, ~std::uint64_t{0});
   if (t > now_) now_ = t;
 }
 

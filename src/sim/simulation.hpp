@@ -107,6 +107,13 @@ class Simulation {
 
   void rethrow_pending_error();
 
+  static constexpr SimTime kForever = ~SimTime{0};
+
+  /// The one dispatch loop behind run(), run_until() and step(): run events
+  /// due at or before `limit`, at most `budget` of them, and return how many
+  /// ran.
+  std::uint64_t dispatch(SimTime limit, std::uint64_t budget);
+
   SimTime now_ = 0;  // must precede tracer_, which captures &now_
   EventQueue queue_;
   obs::Tracer tracer_{&now_};

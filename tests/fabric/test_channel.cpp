@@ -356,5 +356,51 @@ TEST_F(ChannelFixture, ZeroLengthMessageStillCostsAPacket) {
   EXPECT_EQ(delivered[0].first, 1u + 200u);
 }
 
+/// Drops every third packet it is asked about.
+struct DropEveryThird : FaultHook {
+  PacketFate on_transmit(const Channel& /*channel*/,
+                         const detail::Packet& /*pkt*/) override {
+    return ++seen % 3 == 0 ? PacketFate::kDrop : PacketFate::kDeliver;
+  }
+  std::uint32_t seen = 0;
+};
+
+TEST_F(ChannelFixture, InFlightFifoDeliversSurvivorsInLaunchOrder) {
+  // 64-byte packets serialize in 64 ns against 200 ns of propagation, so
+  // several launched packets are in flight at once.
+  constexpr std::uint32_t kBytes = 64;
+  constexpr std::uint32_t kPackets = 30;
+  ASSERT_LT(cfg.serialization_time(kBytes), cfg.propagation_delay);
+  DropEveryThird hook;
+  chan.set_fault_hook(&hook);
+  struct Arrival {
+    sim::SimTime at;
+    std::uint32_t index;
+    std::uint64_t psn;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<Arrival> got;
+  chan.set_sink([&](detail::Packet p) {
+    got.push_back({world.sim.now(), p.index, p.psn});
+  });
+  auto t = make_transfer(*ep_a.qp, kPackets * kBytes);
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    chan.enqueue(detail::Packet{t, i, kBytes, 1000 + i});
+  }
+  world.sim.run();
+
+  // Packet i goes on the wire at i * 64 ns (a dropped one still takes its
+  // serialization time) and, unless dropped, lands 200 ns after it leaves.
+  std::vector<Arrival> want;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    if ((i + 1) % 3 == 0) continue;
+    want.push_back({(i + 1) * sim::SimTime{kBytes} + cfg.propagation_delay,
+                    i, 1000u + i});
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(chan.packets_dropped(), kPackets / 3);
+  EXPECT_EQ(chan.packets_sent(), kPackets);
+}
+
 }  // namespace
 }  // namespace resex::fabric

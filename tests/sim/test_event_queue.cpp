@@ -109,7 +109,7 @@ TEST(EventQueue, StaleHandleOfCancelledEventCannotCancelReusedSlot) {
   EventQueue q;
   EventHandle stale = q.push(1, [] {});
   stale.cancel();
-  EXPECT_TRUE(q.empty());  // prunes the cancelled record, freeing its slot
+  EXPECT_TRUE(q.empty());  // cancel() freed the slot at once
   bool ran = false;
   EventHandle fresh = q.push(2, [&] { ran = true; });
   stale.cancel();
@@ -121,7 +121,8 @@ TEST(EventQueue, StaleHandleOfCancelledEventCannotCancelReusedSlot) {
 
 TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
   // Reference model: the live (time, seq) keys in a sorted set. The queue
-  // must pop exactly the reference minimum, every time.
+  // must pop exactly the reference minimum, every time, and its size must
+  // match the reference's after every operation.
   EventQueue q;
   std::set<std::pair<SimTime, std::uint64_t>> ref;
   std::vector<std::pair<EventHandle, std::pair<SimTime, std::uint64_t>>>
@@ -138,6 +139,7 @@ TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
       const auto key = std::make_pair(t, seq++);
       handles.emplace_back(q.push(t, [&fired, key] { fired = key; }), key);
       ref.insert(key);
+      ASSERT_EQ(q.size(), ref.size());
     } else if (r < 7 && !handles.empty()) {
       const auto i = static_cast<std::size_t>(rng.uniform_u64(handles.size()));
       auto& [h, key] = handles[i];
@@ -145,6 +147,7 @@ TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
       h.cancel();
       EXPECT_FALSE(h.pending());
       ref.erase(key);
+      ASSERT_EQ(q.size(), ref.size());
     } else {
       EXPECT_EQ(q.empty(), ref.empty());
       if (ref.empty()) continue;
@@ -155,6 +158,7 @@ TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
       EXPECT_EQ(ev.time, fired.first);
       now = ev.time;
       ref.erase(ref.begin());
+      ASSERT_EQ(q.size(), ref.size());
     }
   }
   while (!ref.empty()) {
@@ -162,6 +166,7 @@ TEST(EventQueue, RandomPushCancelPopMatchesSortedReference) {
     q.pop().fn();
     ASSERT_EQ(fired, *ref.begin());
     ref.erase(ref.begin());
+    ASSERT_EQ(q.size(), ref.size());
   }
   EXPECT_TRUE(q.empty());
 }
@@ -223,8 +228,9 @@ TEST(EventQueue, CancelledAndUnpoppedCapturesAreDestroyed) {
     (void)q.push(2, [p = Probe(&tally)] { ++p.tally->calls; });
     EXPECT_EQ(tally.alive, 2);
     h.cancel();
-    EXPECT_FALSE(q.empty());  // prunes the cancelled head
+    // Eager cancellation: the capture dies inside cancel() itself.
     EXPECT_EQ(tally.alive, 1);
+    EXPECT_EQ(q.size(), 1u);
   }
   // The queue died with one event still pending: its capture died with it.
   EXPECT_EQ(tally.calls, 0);
@@ -232,8 +238,9 @@ TEST(EventQueue, CancelledAndUnpoppedCapturesAreDestroyed) {
 }
 
 TEST(Callback, PacketSizedCaptureFitsInline) {
-  // A `[this, flag, 40-byte packet]` capture, the shape of a channel's
-  // per-packet event, must not allocate.
+  // The largest capture left on the hot path is Hca::complete_send's
+  // `[cq, cqe]` (40 B); this `[this, flag, 40-byte packet]` shape is larger
+  // still, and must not allocate either.
   struct PacketLike {
     std::shared_ptr<int> transfer;
     std::uint64_t a, b, c;
@@ -252,10 +259,63 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   (void)q.push(2, [] {});
   EXPECT_EQ(q.size(), 2u);
   h1.cancel();
-  // Lazy cancellation: size may still count the cancelled record until the
-  // queue touches the head.
-  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  h1.cancel();  // a second cancel changes nothing
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 2u);
   (void)q.pop();
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+/// Cancels `target` when destroyed: a capture whose destructor re-enters
+/// the queue.
+struct CancelOnDestroy {
+  explicit CancelOnDestroy(EventHandle* t) : target(t) {}
+  CancelOnDestroy(CancelOnDestroy&& o) noexcept
+      : target(std::exchange(o.target, nullptr)) {}
+  CancelOnDestroy(const CancelOnDestroy&) = delete;
+  CancelOnDestroy& operator=(const CancelOnDestroy&) = delete;
+  ~CancelOnDestroy() {
+    if (target != nullptr) target->cancel();
+  }
+  EventHandle* target;
+};
+
+TEST(EventQueue, CaptureDestructorMayCancelAnotherEvent) {
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle victim;
+  (void)q.push(1, [&] { order.push_back(1); });
+  EventHandle outer =
+      q.push(2, [&order, c = CancelOnDestroy(&victim)] { order.push_back(2); });
+  victim = q.push(3, [&] { order.push_back(3); });
+  (void)q.push(4, [&] { order.push_back(4); });
+  ASSERT_EQ(q.size(), 4u);
+  // Cancelling `outer` destroys its capture, which cancels `victim` from
+  // inside the first cancel().
+  outer.cancel();
+  EXPECT_FALSE(outer.pending());
+  EXPECT_FALSE(victim.pending());
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+}
+
+TEST(EventQueue, CallbackCancellingItsOwnHandleIsANoOp) {
+  EventQueue q;
+  int runs = 0;
+  EventHandle self;
+  self = q.push(1, [&] {
+    ++runs;
+    EXPECT_FALSE(self.pending());
+    self.cancel();
+  });
+  (void)q.push(2, [&] { ++runs; });
+  q.pop().fn();
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().fn();
+  EXPECT_EQ(runs, 2);
   EXPECT_TRUE(q.empty());
 }
 

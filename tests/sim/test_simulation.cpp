@@ -65,6 +65,46 @@ TEST(Simulation, RunUntilLeavesLaterEventsPending) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulation, RunLeavesClockAtLastEvent) {
+  Simulation sim;
+  sim.schedule_at(4_us, [] {});
+  sim.schedule_at(9_us, [] {});
+  sim.run();
+  EXPECT_EQ(sim.now(), 9_us);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(Simulation, RunUntilRunsEventScheduledAtTheLimit) {
+  Simulation sim;
+  std::vector<SimTime> times;
+  sim.schedule_at(1_us, [&] {
+    times.push_back(sim.now());
+    // Due exactly at the limit, scheduled from inside run_until: it runs.
+    sim.schedule_at(5_us, [&] { times.push_back(sim.now()); });
+    sim.schedule_at(6_us, [&] { times.push_back(sim.now()); });
+  });
+  sim.run_until(5_us);
+  EXPECT_EQ(times, (std::vector<SimTime>{1_us, 5_us}));
+  EXPECT_EQ(sim.now(), 5_us);
+  sim.run_until(8_us);
+  EXPECT_EQ(times, (std::vector<SimTime>{1_us, 5_us, 6_us}));
+  EXPECT_EQ(sim.now(), 8_us);
+}
+
+TEST(Simulation, StepRunsOneEventAtATime) {
+  Simulation sim;
+  int fired = 0;
+  sim.schedule_at(2_us, [&] { ++fired; });
+  sim.schedule_at(3_us, [&] { ++fired; });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 2_us);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), 3_us);
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(fired, 2);
+}
+
 TEST(Simulation, RunForAdvancesRelative) {
   Simulation sim;
   sim.run_for(2_us);
