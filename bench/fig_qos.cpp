@@ -48,68 +48,11 @@
 namespace {
 
 using namespace resex;
+using namespace resex::bench;
 using namespace resex::sim::literals;
 
-constexpr std::uint32_t kWriteBytes = 64 * 1024;
-constexpr sim::SimDuration kWarmup = 100_ms;
 constexpr sim::SimDuration kMeasure = 300_ms;
 constexpr sim::SimDuration kDrain = 50_ms;
-
-/// One guest with a verbs context and a single registered buffer (mirrors
-/// fig_pfc's endpoint bundle; benches cannot link the test tree).
-struct Endpoint {
-  hv::Domain* domain = nullptr;
-  std::unique_ptr<fabric::Verbs> verbs;
-  std::uint32_t pd = 0;
-  fabric::CompletionQueue* send_cq = nullptr;
-  fabric::CompletionQueue* recv_cq = nullptr;
-  fabric::QueuePair* qp = nullptr;
-  mem::GuestAddr buf = 0;
-  mem::RegisteredRegion mr;
-};
-
-Endpoint make_endpoint(hv::Node& node, fabric::Hca& hca,
-                       const std::string& name, std::size_t buf_bytes) {
-  Endpoint ep;
-  ep.domain = &node.create_domain({.name = name, .mem_pages = 2048});
-  ep.verbs = std::make_unique<fabric::Verbs>(hca, *ep.domain);
-  ep.pd = hca.alloc_pd(*ep.domain);
-  ep.send_cq = &hca.create_cq(*ep.domain, 1024);
-  ep.recv_cq = &hca.create_cq(*ep.domain, 1024);
-  ep.qp = &hca.create_qp(*ep.domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  ep.buf = ep.domain->allocator().allocate(buf_bytes, mem::kPageSize);
-  ep.mr = hca.reg_mr(ep.pd, *ep.domain, ep.buf, buf_bytes,
-                     mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
-                         mem::Access::kRemoteRead);
-  return ep;
-}
-
-/// Closed-loop writer: 64KB RDMA writes back to back, per-write latency
-/// sampled from the send CQE (post -> completion, i.e. last byte ACKed).
-sim::Task sender_loop(sim::Simulation& sim, Endpoint& ep,
-                      mem::GuestAddr remote_addr, std::uint32_t rkey,
-                      sim::SimDuration start_jitter, sim::SimTime end,
-                      sim::Samples& latency_us) {
-  co_await sim.delay(start_jitter);
-  std::uint64_t wr_id = 0;
-  while (sim.now() < end) {
-    const sim::SimTime t0 = sim.now();
-    fabric::SendWr wr;
-    wr.wr_id = ++wr_id;
-    wr.opcode = fabric::Opcode::kRdmaWrite;
-    wr.local_addr = ep.buf;
-    wr.lkey = ep.mr.lkey;
-    wr.length = kWriteBytes;
-    wr.remote_addr = remote_addr;
-    wr.rkey = rkey;
-    co_await ep.verbs->post_send(*ep.qp, std::move(wr));
-    const fabric::Cqe cqe = co_await ep.verbs->next_cqe(*ep.send_cq);
-    if (cqe.status != 0) co_return;  // QP errored out (retry exhaustion)
-    if (sim.now() >= kWarmup) {
-      latency_us.add(static_cast<double>(sim.now() - t0) / 1e3);
-    }
-  }
-}
 
 /// Two-class fabric: SL0 (latency) -> VL0 on the high-priority arbitration
 /// table, SL1 (bulk) -> VL1 — the QosConfig defaults.
@@ -319,7 +262,6 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace resex::bench;
 
   const auto opts = parse_cli(argc, argv);
   const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;

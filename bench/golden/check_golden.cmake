@@ -1,8 +1,9 @@
-# Runs one bench at its default arguments and compares its stdout byte for
-# byte with the checked-in golden file. Used by the `golden` ctests:
+# Runs one bench (at its default arguments, or with the space-separated
+# ARGS) and compares its stdout byte for byte with the checked-in golden
+# file. Used by the `golden` ctests:
 #
 #   cmake -DBENCH=<binary> -DGOLDEN=<expected.txt> -DACTUAL=<out.txt> \
-#         -P check_golden.cmake
+#         [-DARGS="--jobs 1"] -P check_golden.cmake
 #
 # On a mismatch the actual output stays at ACTUAL for inspection.
 
@@ -14,7 +15,9 @@ endforeach()
 
 get_filename_component(actual_dir "${ACTUAL}" DIRECTORY)
 file(MAKE_DIRECTORY "${actual_dir}")
-execute_process(COMMAND "${BENCH}" OUTPUT_FILE "${ACTUAL}" RESULT_VARIABLE rc)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BENCH}" ${args} OUTPUT_FILE "${ACTUAL}"
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} failed: ${rc}")
 endif()

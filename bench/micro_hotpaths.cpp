@@ -6,9 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
+#include "fabric/channel.hpp"
+#include "fabric/hca.hpp"
 #include "fabric/types.hpp"
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
+#include "hv/node.hpp"
 #include "routing/config.hpp"
 #include "routing/table.hpp"
 #include "sim/rng.hpp"
@@ -111,6 +114,48 @@ void BM_SimulationDelayChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulationDelayChain);
+
+// The Channel datapath on one hop: enqueue, arbitration, launch,
+// tx-complete and delivery into the sink, for 64 MTU packets of two
+// interleaved QPs per iteration. Arg = lanes: 1 is the default single-lane
+// port (per-QP WRR only), 2 puts the QPs on separate lanes behind the VL
+// arbiter.
+void BM_ChannelPacketCycle(benchmark::State& state) {
+  const auto lanes = static_cast<std::uint8_t>(state.range(0));
+  sim::Simulation sim;
+  fabric::FabricConfig cfg;
+  if (lanes > 1) {
+    cfg.qos_enabled = true;
+    cfg.num_vls = lanes;
+  }
+  fabric::Fabric fab(sim, cfg);
+  hv::Node node{sim, "A", 8};
+  fabric::Hca& hca = fab.add_node(node);
+  hv::Domain& dom = node.create_domain({.name = "vm", .mem_pages = 2048});
+  const std::uint32_t pd = hca.alloc_pd(dom);
+  fabric::CompletionQueue& cq = hca.create_cq(dom, 16);
+  std::shared_ptr<fabric::detail::Transfer> transfers[2];
+  for (std::uint8_t i = 0; i < 2; ++i) {
+    transfers[i] = std::make_shared<fabric::detail::Transfer>();
+    transfers[i]->src_qp = &hca.create_qp(dom, pd, cq, cq);
+    transfers[i]->vl = static_cast<std::uint8_t>(i % lanes);
+  }
+  fabric::Channel chan(sim, cfg, "bench");
+  std::uint64_t delivered = 0;
+  chan.set_sink([&delivered](fabric::detail::Packet pkt) {
+    delivered += pkt.bytes;
+  });
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      chan.enqueue(fabric::detail::Packet{transfers[i % 2], i / 2,
+                                          cfg.mtu_bytes});
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_ChannelPacketCycle)->Arg(1)->Arg(2);
 
 void BM_RngNextU64(benchmark::State& state) {
   sim::Rng rng(1);

@@ -9,11 +9,15 @@ namespace resex::fabric {
 
 Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
                  std::string name)
-    : sim_(sim), config_(config), name_(std::move(name)) {
-  if (config_.qos_enabled) {
-    qos_on_ = true;
+    : sim_(sim),
+      config_(config),
+      name_(std::move(name)),
+      lanes_(config.qos_enabled
+                 ? std::clamp<std::uint8_t>(config.num_vls, 1, qos::kMaxVls)
+                 : 1) {
+  if (lanes_ > 1) {
     qos::VlArbiterConfig acfg;
-    acfg.num_vls = config_.num_vls;
+    acfg.num_vls = lanes_;
     acfg.high_mask = config_.vl_high_mask;
     acfg.hi_limit = config_.vl_hi_limit;
     for (std::size_t vl = 0; vl < qos::kMaxVls; ++vl) {
@@ -57,16 +61,12 @@ void Channel::configure_switch_port(SwitchBufferPool* pool,
   const std::uint64_t unit = byte_mode_ ? config_.mtu_bytes : 1;
   ecn_configured_ = config_.ecn_kmax_pkts > 0;
   if (ecn_configured_) {
-    ecn_marker_ = EcnMarker(config_.ecn_kmin_pkts * unit,
-                            config_.ecn_kmax_pkts * unit);
-    if (qos_on_) {
-      // One marker per lane: each VL queue ramps against its own occupancy
-      // with the same configured thresholds, so marking on a hot bulk lane
-      // never taxes an idle latency lane.
-      for (std::size_t vl = 0; vl < qos::kMaxVls; ++vl) {
-        vl_ecn_[vl] = EcnMarker(config_.ecn_kmin_pkts * unit,
-                                config_.ecn_kmax_pkts * unit);
-      }
+    // One marker per lane: each lane ramps against its own occupancy with
+    // the same configured thresholds, so marking on a hot bulk lane never
+    // taxes an idle latency lane.
+    for (std::size_t vl = 0; vl < lanes_; ++vl) {
+      vl_ecn_[vl] = EcnMarker(config_.ecn_kmin_pkts * unit,
+                              config_.ecn_kmax_pkts * unit);
     }
   }
   // Fabric-wide aggregates plus per-port gauges, registered only when
@@ -77,7 +77,7 @@ void Channel::configure_switch_port(SwitchBufferPool* pool,
   occupancy_hist_ = &metrics.histogram(byte_mode_
                                            ? "fabric.port_occupancy_bytes"
                                            : "fabric.port_occupancy_pkts");
-  if (qos_on_) {
+  if (lanes_ > 1) {
     // Per-lane occupancy seen by each arrival, fabric-wide: the isolation
     // signal (latency-lane occupancy staying flat under a bulk storm).
     vl_occupancy_hist_ = &metrics.histogram("fabric.vl_occupancy");
@@ -102,7 +102,11 @@ std::uint64_t Channel::occupancy_units() const noexcept {
   return byte_mode_ ? backlog_bytes_ : backlog_packets();
 }
 
-std::uint64_t Channel::capacity_units() {
+std::uint64_t Channel::vl_occupancy_units(std::uint8_t vl) const noexcept {
+  return byte_mode_ ? vl_backlog_bytes_[vl] : vl_backlog_pkts_[vl];
+}
+
+std::uint64_t Channel::vl_capacity_units() {
   std::uint64_t cap = 0;
   if (pool_ != nullptr) {
     // The shared pool's dynamic threshold replaces any fixed per-port cap.
@@ -118,100 +122,30 @@ std::uint64_t Channel::capacity_units() {
       cap = byte_mode_ ? std::uint64_t{squeeze} * config_.mtu_bytes : squeeze;
     }
   }
-  return cap;
-}
-
-sim::SimDuration Channel::paused_time() const noexcept {
-  sim::SimDuration total = paused_time_;
-  if (pause_refs_ > 0) total += sim_.now() - paused_since_;
-  return total;
-}
-
-void Channel::pause() {
-  if (pause_refs_++ == 0) paused_since_ = sim_.now();
-}
-
-void Channel::resume() {
-  if (pause_refs_ == 0) return;
-  if (--pause_refs_ > 0) return;
-  const sim::SimDuration dur = sim_.now() - paused_since_;
-  paused_time_ += dur;
-  // Lazily resolved: host uplinks are pause targets without ever having been
-  // configured as switch ports, and only PFC runs reach this path.
-  if (pause_dur_hist_ == nullptr) {
-    pause_dur_hist_ = &sim_.metrics().histogram("fabric.pause_duration_ns");
-  }
-  pause_dur_hist_->observe(static_cast<std::uint64_t>(dur));
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().complete("fabric.paused", "congestion", paused_since_, dur);
-  }
-  if (!busy_) try_start();
-}
-
-void Channel::set_pause_upstream(bool pause) {
-  pfc_asserted_ = pause;
-  if (pause) {
-    ++pauses_sent_;
-    if (pauses_total_ != nullptr) pauses_total_->add();
-  }
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().instant(
-        pause ? "fabric.pause" : "fabric.resume", "congestion",
-        {"occ", static_cast<double>(occupancy_units())});
-  }
-  if (upstreams_ == nullptr) return;
-  // The pause frame travels one hop upstream: every channel feeding this
-  // port's switch gates (or resumes) its arbitration after the wire delay,
-  // in feeder order, as one event.
-  sim_.schedule_in(config_.propagation_delay, [this, pause] {
-    for (Channel* up : *upstreams_) {
-      if (pause) {
-        up->pause();
-      } else {
-        up->resume();
-      }
-    }
-  });
-}
-
-void Channel::check_xoff() {
-  const std::uint64_t cap = capacity_units();
-  if (cap == 0) return;
-  auto xoff = static_cast<std::uint64_t>(
-      config_.pfc_xoff * static_cast<double>(cap));
-  if (xoff == 0) xoff = 1;
-  if (occupancy_units() >= xoff) set_pause_upstream(true);
-}
-
-void Channel::check_xon() {
-  const std::uint64_t cap = capacity_units();
-  const auto xon = static_cast<std::uint64_t>(
-      config_.pfc_xon * static_cast<double>(cap));
-  if (occupancy_units() <= xon) set_pause_upstream(false);
-}
-
-// --- QoS: per-lane buffering, pausing and accounting -------------------------
-
-std::uint64_t Channel::vl_occupancy_units(std::uint8_t vl) const noexcept {
-  return byte_mode_ ? vl_backlog_bytes_[vl] : vl_backlog_pkts_[vl];
-}
-
-std::uint64_t Channel::vl_capacity_units() {
-  std::uint64_t cap = capacity_units();
-  // The Choudhury-Hahne threshold is a per-queue bound and each VL queue is
-  // its own queue against the shared free pool, so the pool threshold is not
-  // divided; fixed per-port caps (and fault squeezes) are partitioned
-  // statically across the configured lanes.
+  // The pool threshold is already per queue; a fixed cap is partitioned.
   if (pool_ == nullptr && cap > 0) {
-    cap = std::max<std::uint64_t>(cap / config_.num_vls, 1);
+    cap = std::max<std::uint64_t>(cap / lanes_, 1);
   }
   return cap;
+}
+
+bool Channel::paused() const noexcept {
+  return std::any_of(vl_pause_refs_.begin(), vl_pause_refs_.end(),
+                     [](std::uint32_t refs) { return refs > 0; });
 }
 
 sim::SimDuration Channel::vl_paused_time(std::uint8_t vl) const noexcept {
   if (vl >= qos::kMaxVls) return 0;
   sim::SimDuration total = vl_paused_time_[vl];
   if (vl_pause_refs_[vl] > 0) total += sim_.now() - vl_paused_since_[vl];
+  return total;
+}
+
+sim::SimDuration Channel::paused_time() const noexcept {
+  sim::SimDuration total = 0;
+  for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
+    total += vl_paused_time(vl);
+  }
   return total;
 }
 
@@ -230,13 +164,16 @@ void Channel::resume_vls(std::uint8_t mask) {
     if (--vl_pause_refs_[vl] > 0) continue;
     const sim::SimDuration dur = sim_.now() - vl_paused_since_[vl];
     vl_paused_time_[vl] += dur;
+    // Lazily resolved: host uplinks are pause targets without ever having
+    // been configured as switch ports, and only PFC runs reach this path.
     if (pause_dur_hist_ == nullptr) {
       pause_dur_hist_ = &sim_.metrics().histogram("fabric.pause_duration_ns");
     }
     pause_dur_hist_->observe(static_cast<std::uint64_t>(dur));
     if (sim_.tracer().enabled()) {
-      sim_.tracer().complete("fabric.vl_paused", "qos", vl_paused_since_[vl],
-                             dur);
+      sim_.tracer().complete("fabric.paused", "congestion",
+                             vl_paused_since_[vl], dur,
+                             {"vl", static_cast<double>(vl)});
     }
     freed = true;
   }
@@ -245,7 +182,7 @@ void Channel::resume_vls(std::uint8_t mask) {
   if (freed && !busy_) try_start();
 }
 
-void Channel::set_pause_upstream_vl(std::uint8_t vl, bool pause) {
+void Channel::set_pause_upstream(std::uint8_t vl, bool pause) {
   vl_xoff_[vl] = pause;
   if (pause) {
     ++pauses_sent_;
@@ -254,12 +191,13 @@ void Channel::set_pause_upstream_vl(std::uint8_t vl, bool pause) {
   if (sim_.tracer().enabled()) {
     sim_.tracer().instant(
         pause ? "fabric.pause" : "fabric.resume", "congestion",
-        {"vl", static_cast<double>(vl)},
-        {"occ", static_cast<double>(vl_occupancy_units(vl))});
+        {"occ", static_cast<double>(vl_occupancy_units(vl))},
+        {"vl", static_cast<double>(vl)});
   }
   if (upstreams_ == nullptr) return;
-  // The pause frame carries the class bitmap: every feeder gates (or
-  // resumes) this lane only — other lanes keep flowing through it.
+  // The pause frame travels one hop upstream carrying the class bitmap:
+  // every channel feeding this port's switch gates (or resumes) this lane
+  // only after the wire delay, in feeder order, as one event.
   const auto mask = static_cast<std::uint8_t>(1u << vl);
   sim_.schedule_in(config_.propagation_delay, [this, mask, pause] {
     for (Channel* up : *upstreams_) {
@@ -272,20 +210,20 @@ void Channel::set_pause_upstream_vl(std::uint8_t vl, bool pause) {
   });
 }
 
-void Channel::check_xoff_vl(std::uint8_t vl) {
+void Channel::check_xoff(std::uint8_t vl) {
   const std::uint64_t cap = vl_capacity_units();
   if (cap == 0) return;
   auto xoff = static_cast<std::uint64_t>(
       config_.pfc_xoff * static_cast<double>(cap));
   if (xoff == 0) xoff = 1;
-  if (vl_occupancy_units(vl) >= xoff) set_pause_upstream_vl(vl, true);
+  if (vl_occupancy_units(vl) >= xoff) set_pause_upstream(vl, true);
 }
 
-void Channel::check_xon_vl(std::uint8_t vl) {
+void Channel::check_xon(std::uint8_t vl) {
   const std::uint64_t cap = vl_capacity_units();
   const auto xon = static_cast<std::uint64_t>(
       config_.pfc_xon * static_cast<double>(cap));
-  if (vl_occupancy_units(vl) <= xon) set_pause_upstream_vl(vl, false);
+  if (vl_occupancy_units(vl) <= xon) set_pause_upstream(vl, false);
 }
 
 Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
@@ -407,21 +345,26 @@ void Channel::enqueue(detail::Packet pkt) {
   if (!sink_) {
     throw std::logic_error("Channel '" + name_ + "': no sink connected");
   }
-  if (qos_on_) {
-    enqueue_qos(std::move(pkt));
-    return;
-  }
+  // The HCA resolved SL->VL at transfer start; clamp defensively so a stale
+  // transfer can never index past the configured lanes.
+  const std::uint8_t vl = pkt.transfer->vl < lanes_ ? pkt.transfer->vl : 0;
   if (switch_port_ && (config_.congestion_enabled() || fault_hook_ != nullptr)) {
-    // Finite egress buffer: the packet currently serializing occupies the
-    // wire, not the buffer, so capacity is checked against the backlog only.
-    // A fault-injected buffer squeeze (shared-buffer pressure from outside
-    // the simulated world) overrides the configured capacity.
-    const std::uint64_t occupancy = occupancy_units();
-    const std::uint64_t capacity = capacity_units();
+    // Finite egress buffer, admitted per lane: this packet competes for
+    // buffer against its own class only. The packet currently serializing
+    // occupies the wire, not the buffer, so capacity is checked against the
+    // backlog only. A fault-injected buffer squeeze (shared-buffer pressure
+    // from outside the simulated world) overrides the configured capacity.
+    const std::uint64_t occupancy = vl_occupancy_units(vl);
+    const std::uint64_t capacity = vl_capacity_units();
     // Every arrival observes the occupancy it found, admitted or not: a
-    // histogram over accepted packets only is biased low under loss.
+    // histogram over accepted packets only is biased low under loss. The
+    // port histogram records the total backlog, the lane histogram what
+    // this arrival's class saw.
     if (occupancy_hist_ != nullptr) {
-      occupancy_hist_->observe(occupancy);
+      occupancy_hist_->observe(occupancy_units());
+    }
+    if (vl_occupancy_hist_ != nullptr) {
+      vl_occupancy_hist_->observe(occupancy);
     }
     if (capacity > 0 && occupancy >= capacity) {
       ++buf_drops_;
@@ -437,14 +380,15 @@ void Channel::enqueue(detail::Packet pkt) {
         sim_.tracer().instant(
             "fabric.buf_drop", "congestion",
             {"qp", static_cast<double>(pkt.transfer->src_qp->num())},
-            {"occ", static_cast<double>(occupancy)});
+            {"occ", static_cast<double>(occupancy)},
+            {"vl", static_cast<double>(vl)});
       }
       return;  // tail-drop: the RC machinery recovers via NAK/RTO
     }
     // Marking is gated on a *configured* marker: a squeeze fault on a
     // non-congestion run must drop, never mark — there is no controller to
     // react and the default-constructed marker has no thresholds.
-    if (ecn_configured_ && !pkt.ecn && ecn_marker_.on_enqueue(occupancy)) {
+    if (ecn_configured_ && !pkt.ecn && vl_ecn_[vl].on_enqueue(occupancy)) {
       pkt.ecn = true;
       ++ecn_marks_;
       if (ecn_marks_total_ != nullptr) ecn_marks_total_->add();
@@ -452,66 +396,8 @@ void Channel::enqueue(detail::Packet pkt) {
         sim_.tracer().instant(
             "fabric.ecn_mark", "congestion",
             {"qp", static_cast<double>(pkt.transfer->src_qp->num())},
-            {"occ", static_cast<double>(occupancy)});
-      }
-    }
-  }
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().instant(
-        "pkt.enqueue", "fabric",
-        {"qp", static_cast<double>(pkt.transfer->src_qp->num())},
-        {"bytes", static_cast<double>(pkt.bytes)});
-    sim_.tracer().counter(name_.c_str(), "backlog",
-                          static_cast<double>(backlog_packets() + 1));
-  }
-  backlog_bytes_ += pkt.bytes;
-  if (pool_ != nullptr) pool_->acquire(pkt.bytes);
-  flow_for(pkt.transfer->src_qp->num()).packets.push_back(std::move(pkt));
-  ++backlog_pkts_;
-  // XOFF is evaluated on the post-admission occupancy (this packet counts).
-  if (pfc_on_ && !pfc_asserted_) check_xoff();
-  if (!busy_ && pause_refs_ == 0) try_start();
-}
-
-void Channel::enqueue_qos(detail::Packet pkt) {
-  // The HCA resolved SL->VL at transfer start; clamp defensively so a stale
-  // transfer can never index past the configured lanes.
-  const std::uint8_t vl =
-      pkt.transfer->vl < config_.num_vls ? pkt.transfer->vl : 0;
-  if (switch_port_ && (config_.congestion_enabled() || fault_hook_ != nullptr)) {
-    // Admission is per lane: this packet competes for buffer against its own
-    // class only. The port-wide histogram keeps its meaning (total backlog);
-    // the vl histogram records what this arrival's class actually saw.
-    const std::uint64_t occupancy = vl_occupancy_units(vl);
-    const std::uint64_t capacity = vl_capacity_units();
-    if (occupancy_hist_ != nullptr) {
-      occupancy_hist_->observe(occupancy_units());
-    }
-    if (vl_occupancy_hist_ != nullptr) {
-      vl_occupancy_hist_->observe(occupancy);
-    }
-    if (capacity > 0 && occupancy >= capacity) {
-      ++buf_drops_;
-      ++packets_dropped_;
-      if (buf_drops_total_ == nullptr) {
-        buf_drops_total_ = &sim_.metrics().counter("fabric.buf_drops");
-      }
-      buf_drops_total_->add();
-      if (sim_.tracer().enabled()) {
-        sim_.tracer().instant("fabric.buf_drop", "congestion",
-                              {"vl", static_cast<double>(vl)},
-                              {"occ", static_cast<double>(occupancy)});
-      }
-      return;  // tail-drop: the RC machinery recovers via NAK/RTO
-    }
-    if (ecn_configured_ && !pkt.ecn && vl_ecn_[vl].on_enqueue(occupancy)) {
-      pkt.ecn = true;
-      ++ecn_marks_;
-      if (ecn_marks_total_ != nullptr) ecn_marks_total_->add();
-      if (sim_.tracer().enabled()) {
-        sim_.tracer().instant("fabric.ecn_mark", "congestion",
-                              {"vl", static_cast<double>(vl)},
-                              {"occ", static_cast<double>(occupancy)});
+            {"occ", static_cast<double>(occupancy)},
+            {"vl", static_cast<double>(vl)});
       }
     }
   }
@@ -529,10 +415,9 @@ void Channel::enqueue_qos(detail::Packet pkt) {
   if (pool_ != nullptr) pool_->acquire(pkt.bytes);
   flow_for(pkt.transfer->src_qp->num(), vl).packets.push_back(std::move(pkt));
   ++backlog_pkts_;
-  // Per-priority XOFF on the post-admission occupancy of this lane only.
-  if (pfc_on_ && !vl_xoff_[vl]) check_xoff_vl(vl);
-  // A lane-paused port may still transmit other lanes, so the egress gate is
-  // evaluated inside try_start_qos(), not here.
+  // Per-lane XOFF on the post-admission occupancy (this packet counts).
+  if (pfc_on_ && !vl_xoff_[vl]) check_xoff(vl);
+  // A paused lane leaves the others free, so try_start applies the gate.
   if (!busy_) try_start();
 }
 
@@ -550,33 +435,26 @@ void Channel::arm_rate_timer() {
   });
 }
 
-void Channel::launch(Flow& f, std::size_t pos, std::size_t& cursor) {
+void Channel::launch(Flow& f, std::size_t pos) {
   detail::Packet pkt = std::move(f.packets.front());
   f.packets.pop_front();
   --backlog_pkts_;
   backlog_bytes_ -= std::min<std::uint64_t>(backlog_bytes_, pkt.bytes);
-  if (qos_on_) {
-    auto& vbytes = vl_backlog_bytes_[f.vl];
-    vbytes -= std::min<std::uint64_t>(vbytes, pkt.bytes);
-    if (vl_backlog_pkts_[f.vl] > 0) --vl_backlog_pkts_[f.vl];
-  }
+  auto& vbytes = vl_backlog_bytes_[f.vl];
+  vbytes -= std::min<std::uint64_t>(vbytes, pkt.bytes);
+  --vl_backlog_pkts_[f.vl];
   if (pool_ != nullptr) pool_->release(pkt.bytes);
-  // The departure may have drained this port below XON: resume upstreams —
-  // for this packet's class only when lanes are on.
-  if (qos_on_) {
-    if (vl_xoff_[f.vl]) check_xon_vl(f.vl);
-  } else if (pfc_asserted_) {
-    check_xon();
-  }
+  // The departure may have drained this lane below XON: resume upstreams.
+  if (vl_xoff_[f.vl]) check_xon(f.vl);
   if (f.rate_bytes_per_sec > 0.0) {
     f.tokens -= static_cast<double>(pkt.bytes);
   }
   if (f.grants_left > 1 && !f.packets.empty()) {
     --f.grants_left;
-    cursor = pos;  // keep the grant on this flow
+    vl_cursor_[f.vl] = pos;  // keep the grant on this flow
   } else {
     f.grants_left = f.weight;
-    cursor = pos + 1;
+    vl_cursor_[f.vl] = pos + 1;
   }
 
   // Fault injection happens at the instant the packet wins arbitration:
@@ -610,13 +488,11 @@ void Channel::launch(Flow& f, std::size_t pos, std::size_t& cursor) {
   busy_time_ += tx;
   ++packets_sent_;
   bytes_sent_ += pkt.bytes;
-  if (qos_on_) {
-    ++vl_grants_[f.vl];
-    if (sim_.tracer().enabled()) {
-      sim_.tracer().instant("qos.arb_grant", "qos",
-                            {"vl", static_cast<double>(f.vl)},
-                            {"qp", static_cast<double>(f.qp)});
-    }
+  ++vl_grants_[f.vl];
+  if (lanes_ > 1 && sim_.tracer().enabled()) {
+    sim_.tracer().instant("qos.arb_grant", "qos",
+                          {"vl", static_cast<double>(f.vl)},
+                          {"qp", static_cast<double>(f.qp)});
   }
   if (sim_.tracer().enabled()) {
     sim_.tracer().instant("pkt.tx", "fabric",
@@ -645,72 +521,58 @@ void Channel::on_tx_done() {
 }
 
 void Channel::try_start() {
-  if (qos_on_) {
-    try_start_qos();
+  if (busy_) return;
+  std::uint8_t vl = 0;
+  bool rate_blocked = false;
+  // A single lane skips the eligibility pass: refilling token buckets at
+  // extra instants would change their floating-point rounding.
+  if (lanes_ > 1) {
+    // Lane eligibility: VL v competes when it is not paused and some flow
+    // on it holds a head packet with the tokens to send it. This is the
+    // per-priority escape from HoL blocking: a pause frame against the bulk
+    // lane leaves every other lane in the mask.
+    std::uint8_t eligible = 0;
+    for (auto& f : flows_) {
+      if (f.packets.empty()) continue;
+      if (vl_pause_refs_[f.vl] > 0) continue;
+      if (!may_send(f, f.packets.front().bytes)) {
+        rate_blocked = true;
+        continue;
+      }
+      eligible |= static_cast<std::uint8_t>(1u << f.vl);
+    }
+    // Two-table arbitration picks the lane.
+    vl = arbiter_.pick(eligible);
+    if (vl >= qos::kMaxVls) {
+      if (rate_blocked) arm_rate_timer();
+      return;
+    }
+  } else if (vl_pause_refs_[0] > 0) {
+    // A paused single lane holds the whole port: the head-of-line blocking
+    // PFC is known for, and what more lanes remove.
     return;
   }
-  // A PFC-paused channel holds everything: pause frames gate the whole
-  // port's arbitration, not single flows — that is exactly the head-of-line
-  // blocking PFC is known for (and exactly what per-lane pause removes).
-  if (busy_ || pause_refs_ > 0) return;
-  const std::size_t n = flows_.size();
-  if (n == 0) return;
-  // Weighted round-robin with per-flow token buckets: starting at the
-  // cursor, grant the first flow that has a packet and the tokens to send
-  // it. A flow keeps the grant for up to `weight` consecutive packets —
-  // the priority control of newer IB HCAs; the token bucket is their
+  // Weighted round-robin with per-flow token buckets within the lane, from
+  // the lane's own cursor (heavy lanes never skew fairness inside quiet
+  // ones): grant the first flow that has a packet and the tokens to send
+  // it. A flow keeps the grant for up to `weight` consecutive packets — the
+  // priority control of newer IB HCAs; the token bucket is their
   // bandwidth-limit control.
-  bool rate_blocked = false;
-  for (std::size_t probe = 0; probe < n; ++probe) {
-    const std::size_t pos = (rr_cursor_ + probe) % n;
-    Flow& f = flows_[pos];
-    if (f.packets.empty()) continue;
-    if (!may_send(f, f.packets.front().bytes)) {
-      rate_blocked = true;
-      continue;
-    }
-    launch(f, pos, rr_cursor_);
-    return;
-  }
-  // Everything pending is rate-limited below its bucket: wake up when the
-  // earliest bucket refills.
-  if (rate_blocked) arm_rate_timer();
-}
-
-void Channel::try_start_qos() {
-  if (busy_ || pause_refs_ > 0) return;
-  // Pass 1 — lane eligibility: VL v competes when it is not paused and some
-  // flow on it holds a head packet with the tokens to send it. This is the
-  // per-priority escape from HoL blocking: a pause frame against the bulk
-  // lane leaves every other lane in the mask.
-  std::uint8_t eligible = 0;
-  bool rate_blocked = false;
-  for (auto& f : flows_) {
-    if (f.packets.empty()) continue;
-    if (vl_pause_refs_[f.vl] > 0) continue;
-    if (!may_send(f, f.packets.front().bytes)) {
-      rate_blocked = true;
-      continue;
-    }
-    eligible |= static_cast<std::uint8_t>(1u << f.vl);
-  }
-  // Pass 2 — two-table arbitration picks the lane...
-  const std::uint8_t vl = arbiter_.pick(eligible);
-  if (vl >= qos::kMaxVls) {
-    if (rate_blocked) arm_rate_timer();
-    return;
-  }
-  // ...pass 3 — per-QP WRR within the winning lane, with that lane's own
-  // cursor so heavy lanes never skew fairness inside quiet ones.
   const std::size_t n = flows_.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t pos = (vl_cursor_[vl] + probe) % n;
     Flow& f = flows_[pos];
     if (f.vl != vl || f.packets.empty()) continue;
-    if (!may_send(f, f.packets.front().bytes)) continue;
-    launch(f, pos, vl_cursor_[vl]);
+    if (!may_send(f, f.packets.front().bytes)) {
+      rate_blocked = true;
+      continue;
+    }
+    launch(f, pos);
     return;
   }
+  // Everything pending is rate-limited below its bucket: wake up when the
+  // earliest bucket refills.
+  if (rate_blocked) arm_rate_timer();
 }
 
 }  // namespace resex::fabric

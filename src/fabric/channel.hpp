@@ -1,6 +1,7 @@
 #pragma once
-// Unidirectional, bandwidth-limited link channel with per-QP round-robin
-// packet arbitration.
+// Unidirectional, bandwidth-limited link channel: one or more virtual lanes
+// (one unless qos is on), with per-QP round-robin packet arbitration inside
+// each.
 //
 // This is where interference physically happens: all QPs sharing a host port
 // contend here, one MTU at a time. A VM streaming 2 MB messages and a VM
@@ -34,6 +35,7 @@ class EcnMarker {
   /// port runs byte-based accounting (the caller scales by the MTU).
   EcnMarker(std::uint64_t kmin_units, std::uint64_t kmax_units) noexcept
       : kmin_(kmin_units), kmax_(kmax_units) {}
+  EcnMarker() noexcept = default;  // no thresholds: never marks
 
   /// Decide for one packet that finds `occupancy` units queued ahead of it.
   [[nodiscard]] bool on_enqueue(std::uint64_t occupancy) noexcept {
@@ -50,8 +52,8 @@ class EcnMarker {
   }
 
  private:
-  std::uint64_t kmin_;
-  std::uint64_t kmax_;
+  std::uint64_t kmin_ = 0;
+  std::uint64_t kmax_ = 0;
   double accum_ = 0.0;
 };
 
@@ -170,45 +172,40 @@ class Channel {
   }
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }
 
-  // --- PFC (lossless per-hop flow control) ---------------------------------
-
-  /// One downstream switch port asserted XOFF against this channel: stop
-  /// granting packets until the matching resume(). Counted, not boolean —
-  /// several downstream ports may pause the same feeder concurrently.
-  void pause();
-  void resume();
-  [[nodiscard]] bool paused() const noexcept { return pause_refs_ > 0; }
-  /// Pause frames this port has sent upstream (XOFF assertions).
-  [[nodiscard]] std::uint64_t pauses_sent() const noexcept {
-    return pauses_sent_;
-  }
-  /// Cumulative time this channel spent paused (open interval included).
-  [[nodiscard]] sim::SimDuration paused_time() const noexcept;
-
-  // --- QoS: virtual lanes (resex::qos) -------------------------------------
-  // Active only while config.qos_enabled: packets carry a VL (from the
-  // SL->VL map), each lane has its own queue, buffer share, ECN marker and
-  // pause state, and the egress runs the two-table VL arbiter before the
-  // per-QP WRR. With qos off none of this code executes and the channel is
-  // byte-identical to the historical single-lane datapath.
+  // --- virtual lanes (resex::qos) and PFC ----------------------------------
+  // Every channel runs config.num_vls virtual lanes while
+  // config.qos_enabled, otherwise one. Packets ride the lane of their
+  // transfer's VL; each lane has its own backlog, buffer share, ECN marker
+  // and pause state. With more than one lane the egress runs the two-table
+  // VL arbiter before the per-QP WRR; a single lane skips it and is plain
+  // per-QP WRR, with pause frames carrying the bitmap 0b1.
 
   /// Per-priority PFC: a downstream port pauses only the lanes set in
   /// `mask` (bit v = VL v), the class bitmap of an 802.1Qbb/IBA pause
-  /// frame. Refcounted per lane, exactly like pause()/resume() per port.
+  /// frame. Counted per lane, not boolean — several downstream ports may
+  /// pause the same feeder concurrently.
   void pause_vls(std::uint8_t mask);
   void resume_vls(std::uint8_t mask);
   [[nodiscard]] bool vl_paused(std::uint8_t vl) const noexcept {
     return vl < qos::kMaxVls && vl_pause_refs_[vl] > 0;
   }
+  /// Some lane of this channel is paused.
+  [[nodiscard]] bool paused() const noexcept;
+  /// Pause frames this port has sent upstream (XOFF assertions).
+  [[nodiscard]] std::uint64_t pauses_sent() const noexcept {
+    return pauses_sent_;
+  }
   /// Cumulative time lane `vl` spent paused (open interval included).
   [[nodiscard]] sim::SimDuration vl_paused_time(std::uint8_t vl) const noexcept;
+  /// Sum of vl_paused_time over the lanes.
+  [[nodiscard]] sim::SimDuration paused_time() const noexcept;
   [[nodiscard]] std::uint64_t vl_backlog_packets(std::uint8_t vl) const noexcept {
     return vl < qos::kMaxVls ? vl_backlog_pkts_[vl] : 0;
   }
   [[nodiscard]] std::uint64_t vl_backlog_bytes(std::uint8_t vl) const noexcept {
     return vl < qos::kMaxVls ? vl_backlog_bytes_[vl] : 0;
   }
-  /// Packet grants the egress arbiter awarded to lane `vl`.
+  /// Packet grants the egress awarded to lane `vl`.
   [[nodiscard]] std::uint64_t vl_grants(std::uint8_t vl) const noexcept {
     return vl < qos::kMaxVls ? vl_grants_[vl] : 0;
   }
@@ -216,7 +213,7 @@ class Channel {
  private:
   struct Flow {
     QpNum qp = 0;
-    std::uint8_t vl = 0;  // virtual lane (always 0 while qos is off)
+    std::uint8_t vl = 0;  // virtual lane (always 0 on a single-lane channel)
     std::deque<detail::Packet> packets;
     std::uint32_t weight = 1;
     std::uint32_t grants_left = 1;  // WRR grants remaining this visit
@@ -231,44 +228,33 @@ class Channel {
   /// Apply one rate-limit update to one (qp, vl) flow, settling its bucket.
   void apply_rate_limit(Flow& f, double bytes_per_sec,
                         std::uint32_t burst_bytes);
+  /// Pick the next packet and put it on the wire, unless busy: lane
+  /// arbitration (multi-lane only), then per-QP WRR within the lane.
   void try_start();
-  /// VL-aware egress path: two-table arbitration across lanes, then per-QP
-  /// WRR within the winning lane. Replaces try_start() while qos is on.
-  void try_start_qos();
-  /// Dequeue `f`'s head packet and put it on the wire, advancing `cursor`
-  /// (the legacy port cursor or the winning lane's cursor) with the WRR
-  /// grant bookkeeping. Shared by both egress paths.
-  void launch(Flow& f, std::size_t pos, std::size_t& cursor);
+  /// Dequeue `f`'s head packet (at flows_[pos]) and put it on the wire,
+  /// advancing its lane's cursor with the WRR grant bookkeeping.
+  void launch(Flow& f, std::size_t pos);
   /// The packet on the wire finished serializing: free the transmitter,
   /// schedule the packet's delivery unless it was dropped, and arbitrate
   /// the next one.
   void on_tx_done();
-  /// VL-aware admission path. Replaces the body of enqueue() while qos is on.
-  void enqueue_qos(detail::Packet pkt);
-  /// Current occupancy in this port's accounting unit (bytes or packets).
+  /// Port-wide occupancy in this port's accounting unit (bytes or packets).
   [[nodiscard]] std::uint64_t occupancy_units() const noexcept;
-  /// Effective admission capacity in occupancy units (0 = infinite):
-  /// the pool's dynamic threshold, or the fixed per-port cap, overridden by
-  /// a fault-injected squeeze (denominated in packets, scaled in byte mode).
-  [[nodiscard]] std::uint64_t capacity_units();
-  /// Check the XOFF threshold after an admission / XON after a departure.
-  void check_xoff();
-  void check_xon();
-  /// Flip this port's pause assertion and propagate it one hop upstream.
-  void set_pause_upstream(bool pause);
-  /// Per-VL occupancy of lane `vl` in this port's accounting unit.
+  /// Occupancy of lane `vl` in this port's accounting unit.
   [[nodiscard]] std::uint64_t vl_occupancy_units(std::uint8_t vl) const noexcept;
-  /// Per-lane admission capacity (0 = infinite): the shared pool's dynamic
-  /// threshold bounds each *queue*, so with qos on every VL queue gets the
-  /// full Choudhury-Hahne bound; a fixed per-port cap is split statically
-  /// across the configured lanes.
+  /// Per-lane admission capacity in occupancy units (0 = infinite): the
+  /// pool's dynamic threshold, or the fixed per-port cap, overridden by a
+  /// fault-injected squeeze (denominated in packets, scaled in byte mode).
+  /// The Choudhury-Hahne threshold bounds each *queue*, so every lane gets
+  /// the full pool bound; a fixed cap (or squeeze) is split statically
+  /// across the lanes.
   [[nodiscard]] std::uint64_t vl_capacity_units();
-  /// Per-VL XOFF/XON against the per-lane capacity share.
-  void check_xoff_vl(std::uint8_t vl);
-  void check_xon_vl(std::uint8_t vl);
+  /// Per-lane XOFF after an admission / XON after a departure.
+  void check_xoff(std::uint8_t vl);
+  void check_xon(std::uint8_t vl);
   /// Flip this port's pause assertion for one lane and send the class-bitmap
   /// pause frame one hop upstream.
-  void set_pause_upstream_vl(std::uint8_t vl, bool pause);
+  void set_pause_upstream(std::uint8_t vl, bool pause);
   /// Refill `f`'s bucket to the current time; true if it may send `bytes`.
   bool may_send(Flow& f, std::uint32_t bytes);
   /// Earliest time the rate-limited flow could send its head packet.
@@ -281,13 +267,13 @@ class Channel {
   const FabricConfig& config_;
   std::string name_;
   std::function<void(detail::Packet)> sink_;
+  std::uint8_t lanes_;  // virtual lanes, fixed at construction
 
-  std::vector<Flow> flows_;    // stable per-QP state, created on first use
+  std::vector<Flow> flows_;    // stable per-(QP, VL) state, created on first use
   // flows_ position + 1 of flow (qp, vl) at qp * kMaxVls + vl; 0 = none yet.
   // QpNums are allocated densely per fabric, so the table stays small.
   std::vector<std::uint32_t> flow_index_;
   std::uint64_t backlog_pkts_ = 0;  // packets across all flows' queues
-  std::size_t rr_cursor_ = 0;  // round-robin position in flows_
   bool busy_ = false;
   bool tx_delivers_ = false;  // the packet on the wire reaches the sink
   // Launched packets that will reach the sink, in launch order. Every
@@ -307,38 +293,31 @@ class Channel {
   bool ecn_configured_ = false;  // marker thresholds actually installed
   bool byte_mode_ = false;       // occupancy accounted in bytes, not packets
   bool pfc_on_ = false;
-  EcnMarker ecn_marker_{0, 0};
   SwitchBufferPool* pool_ = nullptr;
   const std::vector<Channel*>* upstreams_ = nullptr;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t buf_drops_ = 0;
   std::uint64_t ecn_marks_ = 0;
-  // PFC: pause assertions received (as a feeder) and sent (as a port).
-  std::uint32_t pause_refs_ = 0;
-  bool pfc_asserted_ = false;  // this port currently pauses its upstreams
-  sim::SimTime paused_since_ = 0;
-  sim::SimDuration paused_time_ = 0;
   std::uint64_t pauses_sent_ = 0;
   obs::Counter* buf_drops_total_ = nullptr;   // fabric-wide aggregate
   obs::Counter* ecn_marks_total_ = nullptr;   // fabric-wide aggregate
   obs::Counter* pauses_total_ = nullptr;      // fabric-wide aggregate
   obs::Histogram* occupancy_hist_ = nullptr;  // fabric-wide, at enqueue
   obs::Histogram* pause_dur_hist_ = nullptr;  // fabric-wide, per pause spell
+  obs::Histogram* vl_occupancy_hist_ = nullptr;  // multi-lane only
 
-  // QoS per-lane state (all inert while qos_on_ is false).
-  bool qos_on_ = false;
-  qos::VlArbiter arbiter_{};
+  // Per-lane state; lanes at or above lanes_ stay idle.
+  qos::VlArbiter arbiter_{};  // configured only when lanes_ > 1
   std::array<std::uint64_t, qos::kMaxVls> vl_backlog_pkts_{};
   std::array<std::uint64_t, qos::kMaxVls> vl_backlog_bytes_{};
+  // PFC: pause assertions received (as a feeder) and sent (as a port).
   std::array<std::uint32_t, qos::kMaxVls> vl_pause_refs_{};
   std::array<bool, qos::kMaxVls> vl_xoff_{};  // pausing upstreams for lane v
   std::array<sim::SimTime, qos::kMaxVls> vl_paused_since_{};
   std::array<sim::SimDuration, qos::kMaxVls> vl_paused_time_{};
   std::array<std::size_t, qos::kMaxVls> vl_cursor_{};  // per-lane QP cursor
   std::array<std::uint64_t, qos::kMaxVls> vl_grants_{};
-  std::array<EcnMarker, qos::kMaxVls> vl_ecn_{
-      EcnMarker{0, 0}, EcnMarker{0, 0}, EcnMarker{0, 0}, EcnMarker{0, 0}};
-  obs::Histogram* vl_occupancy_hist_ = nullptr;  // fabric-wide, at enqueue
+  std::array<EcnMarker, qos::kMaxVls> vl_ecn_{};
 };
 
 }  // namespace resex::fabric

@@ -835,9 +835,7 @@ std::uint32_t Fabric::pick_candidate(std::uint32_t sw,
   // Every input is deterministic sim state, so any --jobs interleaving
   // makes identical choices.
   const std::uint8_t vl = pkt.transfer->vl;
-  const auto blocked = [this, vl](const Channel& ch) {
-    return config_.qos_enabled ? ch.vl_paused(vl) : ch.paused();
-  };
+  const auto blocked = [vl](const Channel& ch) { return ch.vl_paused(vl); };
   const std::uint64_t key = (std::uint64_t{sw} << 32) | qp.num();
   const auto it = flow_port_.find(key);
   if (it != flow_port_.end() && it->second < span.count && pkt.index != 0 &&

@@ -209,8 +209,8 @@ struct FabricConfig {
   /// lanes through a two-table (high/low priority) weighted arbiter. Switch
   /// ports then split their buffer, ECN marker and PFC pause state per VL —
   /// pause frames carry a class bitmap and only gate the paused lanes
-  /// upstream. Off (the default) runs the historical single-lane datapath
-  /// byte-for-byte. Normally configured via qos::QosConfig::apply.
+  /// upstream. Off (the default), every channel runs one lane with no VL
+  /// arbiter. Normally configured via qos::QosConfig::apply.
   bool qos_enabled = false;
   std::uint8_t num_vls = 1;
   std::uint8_t sl2vl[kMaxSls] = {};

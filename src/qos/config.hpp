@@ -3,11 +3,11 @@
 //
 // Scenario configs embed a QosConfig so the runner's --qos/--sl-vl-map/
 // --vl-weights/--vl-hi-limit flags plumb through every experiment uniformly.
-// Everything defaults off, which reproduces the single-lane fabric
-// byte-for-byte; with --qos alone the fabric runs two classes — SL 0
-// (latency: scheduler/control and BenchEx RPC traffic) on VL 0 in the
-// high-priority arbitration table, SL 1 (bulk: collectives, live migration)
-// on VL 1 in the low-priority table — with per-VL buffers, ECN and PFC.
+// Everything defaults off, which runs every port as a single lane; with
+// --qos alone the fabric runs two classes — SL 0 (latency: scheduler/control
+// and BenchEx RPC traffic) on VL 0 in the high-priority arbitration table,
+// SL 1 (bulk: collectives, live migration) on VL 1 in the low-priority
+// table — with per-VL buffers, ECN and PFC.
 
 #include <array>
 #include <cstdint>
@@ -26,8 +26,8 @@ inline constexpr std::uint8_t kLatencySl = 0;
 inline constexpr std::uint8_t kBulkSl = 1;
 
 struct QosConfig {
-  /// Master switch; everything below is ignored (and the fabric runs the
-  /// historical single-lane datapath byte-for-byte) while false.
+  /// Master switch; everything below is ignored (and every port runs a
+  /// single lane) while false.
   bool enabled = false;
   /// Virtual lanes per port, 1..4.
   std::uint8_t num_vls = 2;

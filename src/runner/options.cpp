@@ -16,6 +16,24 @@ std::size_t RunnerOptions::resolved_jobs() const {
   return hw > 0 ? hw : 1;
 }
 
+congestion::CongestionConfig RunnerOptions::congestion_config(
+    congestion::CongestionConfig base) const {
+  base.buffer_pkts = buf_pkts;
+  base.ecn_kmin = ecn_kmin;
+  base.ecn_kmax = ecn_kmax;
+  // Marking without reaction just loses information; the CLI pairs them.
+  base.rate_control = ecn_kmax > 0;
+  if (pool_alpha > 0.0) {
+    // --pool-alpha reinterprets --buf-bytes as the shared pool size.
+    base.pool_bytes = buf_bytes;
+    base.pool_alpha = pool_alpha;
+  } else {
+    base.buffer_bytes = buf_bytes;
+  }
+  base.pfc = pfc;
+  return base;
+}
+
 namespace {
 
 std::uint64_t parse_u64(std::string_view flag, std::string_view text) {

@@ -34,6 +34,7 @@
 #include <optional>
 #include <string>
 
+#include "congestion/config.hpp"
 #include "qos/config.hpp"
 #include "routing/config.hpp"
 
@@ -97,6 +98,11 @@ struct RunnerOptions {
   [[nodiscard]] bool congestion_set() const {
     return buf_pkts > 0 || ecn_kmax > 0 || buf_bytes > 0;
   }
+
+  /// `base` (a trial's own congestion config) with the congestion flags
+  /// applied. Only meaningful when congestion_set().
+  [[nodiscard]] congestion::CongestionConfig congestion_config(
+      congestion::CongestionConfig base) const;
 
   /// True when --qos was passed (the other qos flags require it).
   [[nodiscard]] bool qos_set() const { return qos.enabled; }

@@ -12,19 +12,7 @@ std::vector<PointOutcome> run_sweep(std::vector<SweepPoint> points,
   }
   if (opts.congestion_set()) {
     for (auto& p : points) {
-      p.config.congestion.buffer_pkts = opts.buf_pkts;
-      p.config.congestion.ecn_kmin = opts.ecn_kmin;
-      p.config.congestion.ecn_kmax = opts.ecn_kmax;
-      // Marking without reaction just loses information; the CLI pairs them.
-      p.config.congestion.rate_control = opts.ecn_kmax > 0;
-      if (opts.pool_alpha > 0.0) {
-        // --pool-alpha reinterprets --buf-bytes as the shared pool size.
-        p.config.congestion.pool_bytes = opts.buf_bytes;
-        p.config.congestion.pool_alpha = opts.pool_alpha;
-      } else {
-        p.config.congestion.buffer_bytes = opts.buf_bytes;
-      }
-      p.config.congestion.pfc = opts.pfc;
+      p.config.congestion = opts.congestion_config(p.config.congestion);
     }
   }
   if (opts.qos_set()) {

@@ -129,41 +129,70 @@ TEST(FabricSpans, EveryCrossSwitchPacketLeavesHopInstants) {
       hops.size());
 }
 
-TEST(FabricSpans, PfcPausesLeaveInstantsAndCompleteSpans) {
-  // Two senders incast one receiver through a tiny lossless port: the
-  // receiver downlink must assert XOFF ("fabric.pause" instant), later
-  // release it ("fabric.resume"), and every completed pause episode on a
-  // feeder must appear as a "fabric.paused" complete span whose durations
-  // sum to exactly the feeders' accounted paused time.
+/// Two senders incast one receiver through a tiny lossless port (8-packet
+/// switch buffers, PFC on), traced. Sender A's QP rides service level
+/// `sl_a`, sender B's SL 0.
+struct PfcIncast {
   sim::Simulation sim;
-  sim.tracer().enable(1 << 16);
   hv::Node node_a{sim, "A", 8};
   hv::Node node_b{sim, "B", 8};
   hv::Node node_c{sim, "C", 8};
-  auto cfg = fabric::testing::test_config();
-  cfg.port_buffer_pkts = 8;
-  cfg.pfc_enabled = true;
-  fabric::Fabric fab(sim, cfg);
-  fabric::Hca& hca_a = fab.add_node(node_a);
-  fabric::Hca& hca_b = fab.add_node(node_b);
-  fabric::Hca& hca_c = fab.add_node(node_c);
+  fabric::Fabric fab;
+  fabric::Hca& hca_a;
+  fabric::Hca& hca_b;
+  fabric::Hca& hca_c;
+  Endpoint src_a, src_b, dst_a, dst_b;
 
-  Endpoint src_a = make_endpoint_on(node_a, hca_a, "vmA");
-  Endpoint src_b = make_endpoint_on(node_b, hca_b, "vmB");
-  Endpoint dst_a = make_endpoint_on(node_c, hca_c, "vmCa");
-  Endpoint dst_b = make_endpoint_on(node_c, hca_c, "vmCb");
-  fabric::Fabric::connect(*src_a.qp, *dst_a.qp);
-  fabric::Fabric::connect(*src_b.qp, *dst_b.qp);
-  dst_a.qp->post_recv(fabric::RecvWr{.wr_id = 1});
-  dst_b.qp->post_recv(fabric::RecvWr{.wr_id = 2});
-  sim.schedule_at(0, [&] {
-    hca_a.post_send(*src_a.qp, write_wr(src_a, dst_a, 48 * 1024));
-    hca_b.post_send(*src_b.qp, write_wr(src_b, dst_b, 48 * 1024));
-  });
-  sim.run_until(50 * sim::kMillisecond);
+  PfcIncast(fabric::FabricConfig cfg, std::uint8_t sl_a)
+      : fab(sim, with_pfc(cfg)),
+        hca_a(fab.add_node(node_a)),
+        hca_b(fab.add_node(node_b)),
+        hca_c(fab.add_node(node_c)) {
+    sim.tracer().enable(1 << 16);
+    src_a = make_endpoint_on(node_a, hca_a, "vmA");
+    src_b = make_endpoint_on(node_b, hca_b, "vmB");
+    dst_a = make_endpoint_on(node_c, hca_c, "vmCa");
+    dst_b = make_endpoint_on(node_c, hca_c, "vmCb");
+    src_a.qp->set_service_level(sl_a);
+    dst_a.qp->set_service_level(sl_a);
+    fabric::Fabric::connect(*src_a.qp, *dst_a.qp);
+    fabric::Fabric::connect(*src_b.qp, *dst_b.qp);
+    dst_a.qp->post_recv(fabric::RecvWr{.wr_id = 1});
+    dst_b.qp->post_recv(fabric::RecvWr{.wr_id = 2});
+    sim.schedule_at(0, [this] {
+      hca_a.post_send(*src_a.qp, write_wr(src_a, dst_a, 48 * 1024));
+      hca_b.post_send(*src_b.qp, write_wr(src_b, dst_b, 48 * 1024));
+    });
+    sim.run_until(50 * sim::kMillisecond);
+  }
 
-  const auto pauses = events_named(sim.tracer(), "fabric.pause");
-  const auto resumes = events_named(sim.tracer(), "fabric.resume");
+  static fabric::FabricConfig with_pfc(fabric::FabricConfig cfg) {
+    cfg.port_buffer_pkts = 8;
+    cfg.pfc_enabled = true;
+    return cfg;
+  }
+
+  /// Paused time accounted by every channel feeding the switch — a pause
+  /// frame reaches the receiver's own idle uplink too.
+  [[nodiscard]] sim::SimDuration feeders_paused_time() const {
+    return hca_a.uplink().paused_time() + hca_b.uplink().paused_time() +
+           hca_c.uplink().paused_time();
+  }
+  [[nodiscard]] bool any_feeder_paused() const {
+    return hca_a.uplink().paused() || hca_b.uplink().paused() ||
+           hca_c.uplink().paused();
+  }
+};
+
+TEST(FabricSpans, PfcPausesLeaveInstantsAndCompleteSpans) {
+  // The receiver downlink must assert XOFF ("fabric.pause" instant), later
+  // release it ("fabric.resume"), and every completed pause episode on a
+  // feeder must appear as a "fabric.paused" complete span whose durations
+  // sum to exactly the feeders' accounted paused time.
+  PfcIncast w(fabric::testing::test_config(), 0);
+
+  const auto pauses = events_named(w.sim.tracer(), "fabric.pause");
+  const auto resumes = events_named(w.sim.tracer(), "fabric.resume");
   ASSERT_FALSE(pauses.empty());
   ASSERT_FALSE(resumes.empty());
   for (const auto& ev : pauses) {
@@ -175,14 +204,14 @@ TEST(FabricSpans, PfcPausesLeaveInstantsAndCompleteSpans) {
   }
   for (const auto& ev : resumes) EXPECT_EQ(ev.phase, 'i');
   // One instant per XOFF assertion, and the metrics layer agrees.
-  EXPECT_EQ(pauses.size(), hca_c.downlink().pauses_sent());
+  EXPECT_EQ(pauses.size(), w.hca_c.downlink().pauses_sent());
   EXPECT_EQ(static_cast<std::size_t>(
-                sim.metrics().counter("fabric.pfc_pauses").value()),
+                w.sim.metrics().counter("fabric.pfc_pauses").value()),
             pauses.size());
   // Every pause was released once the incast drained.
   EXPECT_EQ(pauses.size(), resumes.size());
 
-  const auto spans = events_named(sim.tracer(), "fabric.paused");
+  const auto spans = events_named(w.sim.tracer(), "fabric.paused");
   ASSERT_FALSE(spans.empty());
   sim::SimDuration traced = 0;
   for (const auto& ev : spans) {
@@ -193,14 +222,35 @@ TEST(FabricSpans, PfcPausesLeaveInstantsAndCompleteSpans) {
   }
   // The spans are the feeders' pause episodes: their durations must add up
   // to exactly the paused time the channels accounted (nothing left paused).
-  // A pause frame reaches *every* channel feeding the switch — including the
-  // receiver's own idle uplink — so sum all three.
-  EXPECT_FALSE(hca_a.uplink().paused());
-  EXPECT_FALSE(hca_b.uplink().paused());
-  EXPECT_FALSE(hca_c.uplink().paused());
-  EXPECT_EQ(traced, hca_a.uplink().paused_time() +
-                        hca_b.uplink().paused_time() +
-                        hca_c.uplink().paused_time());
+  EXPECT_FALSE(w.any_feeder_paused());
+  EXPECT_EQ(traced, w.feeders_paused_time());
+}
+
+TEST(FabricSpans, LanePausesAreChannelPausesWithTheirLane) {
+  // Two lanes (--qos --pfc), sender A on the bulk lane: the per-lane pause
+  // spells are "fabric.paused" spans carrying their lane, and the channels'
+  // paused_time() accounts exactly those spells.
+  fabric::FabricConfig cfg = fabric::testing::test_config();
+  cfg.qos_enabled = true;
+  cfg.num_vls = 2;
+  cfg.sl2vl[1] = 1;
+  PfcIncast w(cfg, 1);
+
+  const auto spans = events_named(w.sim.tracer(), "fabric.paused");
+  ASSERT_FALSE(spans.empty());
+  sim::SimDuration traced = 0;
+  std::set<double> lanes;
+  for (const auto& ev : spans) {
+    EXPECT_EQ(ev.phase, 'X');
+    EXPECT_STREQ(ev.category, "congestion");
+    ASSERT_STREQ(ev.a.key, "vl");
+    lanes.insert(ev.a.value);
+    traced += ev.dur;
+  }
+  EXPECT_TRUE(lanes.count(1.0)) << "the bulk lane was never paused";
+  for (const double vl : lanes) EXPECT_LT(vl, 2.0);
+  EXPECT_FALSE(w.any_feeder_paused());
+  EXPECT_EQ(traced, w.feeders_paused_time());
 }
 
 }  // namespace

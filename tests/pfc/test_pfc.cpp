@@ -151,8 +151,8 @@ TEST(Pfc, PauseGatesTheWholeChannelAndResumeRestartsIt) {
   // Pause A's uplink before any traffic: the post goes through (doorbells
   // are not paused) but nothing may reach the wire.
   Channel& up = world.hca_a->uplink();
-  up.pause();
-  up.pause();  // two downstream ports pause the same feeder
+  up.pause_vls(0b1);
+  up.pause_vls(0b1);  // two downstream ports pause the same feeder
   std::vector<Cqe> cqes;
   std::vector<SimTime> times;
   world.sim.spawn(send_many(a, b, 1, 16 * 1024, cqes, times));
@@ -161,10 +161,10 @@ TEST(Pfc, PauseGatesTheWholeChannelAndResumeRestartsIt) {
   EXPECT_EQ(up.packets_sent(), 0u);
   EXPECT_TRUE(cqes.empty());
   // One resume is not enough: the reference count must reach zero.
-  up.resume();
+  up.resume_vls(0b1);
   world.sim.run_until(2 * sim::kMillisecond);
   EXPECT_EQ(up.packets_sent(), 0u);
-  up.resume();
+  up.resume_vls(0b1);
   world.sim.run();
   ASSERT_EQ(cqes.size(), 1u);
   EXPECT_EQ(cqes[0].status, static_cast<std::uint8_t>(CqeStatus::kSuccess));

@@ -308,6 +308,21 @@ TEST(QosPfc, PausingTheBulkLaneNeverDelaysTheLatencyLane) {
   EXPECT_FALSE(up.vl_paused(1));
 }
 
+TEST(QosPfc, LanePauseIsChannelPauseAndItsTimeIsTheChannelPausedTime) {
+  // A lane pause is a pause of the channel: paused() sees any paused lane,
+  // and paused_time() (what the paused_ns gauge reports) is the sum of the
+  // lanes' paused time.
+  testing::TwoNodeWorld world(qos_config());
+  Channel& up = world.hca_a->uplink();
+  up.pause_vls(0b10);
+  world.sim.run_until(sim::kMillisecond);
+  EXPECT_TRUE(up.paused());
+  up.resume_vls(0b10);
+  EXPECT_FALSE(up.paused());
+  EXPECT_EQ(up.paused_time(), up.vl_paused_time(1));
+  EXPECT_GE(up.paused_time(), sim::kMillisecond);
+}
+
 struct FatTreeResult {
   SimTime victim_done = 0;
   std::uint64_t drops = 0;

@@ -98,6 +98,35 @@ TEST(Options, ParsesTheFullSurface) {
   EXPECT_FALSE(opts.help);
 }
 
+TEST(Options, CongestionFlagsOverlayTheTrialConfig) {
+  // The flags replace the knobs they name and keep the rest of the trial's
+  // own config; --pool-alpha turns --buf-bytes into the pool size.
+  congestion::CongestionConfig base;
+  base.buffer_bytes = 4096;
+  base.pool_bytes = 8192;
+  base.dcqcn.alpha_g = 0.5;
+  const char* pool_argv[] = {"bench",        "--buf-bytes", "65536",
+                             "--pool-alpha", "2",           "--pfc"};
+  const auto pooled = parse_options(6, pool_argv).congestion_config(base);
+  EXPECT_EQ(pooled.pool_bytes, 65536u);
+  EXPECT_DOUBLE_EQ(pooled.pool_alpha, 2.0);
+  EXPECT_EQ(pooled.buffer_bytes, 4096u);
+  EXPECT_TRUE(pooled.pfc);
+  EXPECT_FALSE(pooled.rate_control);
+  EXPECT_DOUBLE_EQ(pooled.dcqcn.alpha_g, 0.5);
+
+  const char* ecn_argv[] = {"bench", "--buf-pkts", "64", "--ecn-kmin", "5",
+                            "--ecn-kmax", "20"};
+  const auto marked = parse_options(7, ecn_argv).congestion_config(base);
+  EXPECT_EQ(marked.buffer_pkts, 64u);
+  EXPECT_EQ(marked.ecn_kmin, 5u);
+  EXPECT_EQ(marked.ecn_kmax, 20u);
+  EXPECT_TRUE(marked.rate_control);  // marking comes with DCQCN
+  EXPECT_EQ(marked.buffer_bytes, 0u);
+  EXPECT_EQ(marked.pool_bytes, 8192u);
+  EXPECT_FALSE(marked.pfc);
+}
+
 TEST(Options, EqualsSyntaxAndErrors) {
   const char* ok[] = {"bench", "--jobs=8", "--seeds=2"};
   const auto opts = parse_options(3, ok);
