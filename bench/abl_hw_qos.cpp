@@ -30,21 +30,24 @@ int main(int argc, char** argv) {
                   : "none";
     p.params = {{"mechanism", limit_mbps > 0 ? "hw-rate-limit" : "none"},
                 {"limit_MBps", sim::format_double(limit_mbps)}};
-    p.run = [limit_mbps](std::uint64_t seed) {
+    p.run = [limit_mbps](const runner::TrialContext& ctx) {
       core::Testbed tb;
+      auto observer = ctx.observe(tb.sim());
       auto rep_cfg =
-          core::reporting_config(64 * 1024, 2000.0, sim::derive(seed, 0));
+          core::reporting_config(64 * 1024, 2000.0, sim::derive(ctx.seed, 0));
       rep_cfg.metrics_start = 100_ms;
       auto& rep = tb.deploy_pair(rep_cfg, "rep");
-      auto intf_cfg =
-          core::interferer_config(2 * 1024 * 1024, 2, sim::derive(seed, 100));
+      auto intf_cfg = core::interferer_config(2 * 1024 * 1024, 2,
+                                              sim::derive(ctx.seed, 100));
       intf_cfg.metrics_start = 100_ms;
       auto& intf = tb.deploy_pair(intf_cfg, "intf");
       if (limit_mbps > 0.0) {
         tb.hca_a().uplink().set_flow_rate_limit(
             intf.server().endpoint().qp->num(), limit_mbps * 1e6);
       }
+      observer.start();
       tb.sim().run_until(1300_ms);
+      observer.finish();
       const double mbps =
           static_cast<double>(intf.server().endpoint().qp->bytes_sent()) /
           1.3 / 1e6;
@@ -63,22 +66,23 @@ int main(int argc, char** argv) {
     runner::GenericPoint ios;
     ios.label = "resex-ioshares sla=15%";
     ios.params = {{"mechanism", "resex-ioshares"}, {"sla_pct", "15"}};
-    ios.run = [](std::uint64_t seed) {
+    ios.run = [](const runner::TrialContext& ctx) {
       auto cfg = figure_config();
-      cfg.seed = seed;
       cfg.policy = core::PolicyKind::kIOShares;
-      const auto r = core::run_scenario(cfg);
+      ctx.apply(cfg);
+      auto r = core::run_scenario(cfg);
+      ctx.keep(r);
       return std::vector<double>{r.reporting[0].client_mean_us,
                                  r.reporting[0].total_us, r.interferer_mbps};
     };
     points.push_back(std::move(ios));
   }
 
-  const int rc = run_generic_bench(
+  const int rc = run_bench(
       opts, "Ablation A4: hardware per-flow rate limit vs ResEx",
       "64KB reporting VM vs 2MB interferer; hardware token-bucket limits "
       "on the interferer's uplink flow vs the IOShares policy.",
-      std::move(points), {"client_us", "server_total_us", "intf_MBps"});
+      std::move(points), {"client_us", "server_total_us", "intf_MBps"}).rc;
 
   std::cout << "\nHardware limits isolate at any provisioned rate, but the "
                "operator must\npick the number; IOShares converges to a "

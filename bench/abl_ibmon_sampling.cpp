@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
     runner::GenericPoint p;
     p.label = sim::format_double(static_cast<double>(period_us));
     p.params = {{"period_us", p.label}};
-    p.run = [period_us](std::uint64_t seed) {
+    p.run = [period_us](const runner::TrialContext& ctx) {
       core::Testbed tb;
-      auto cfg = core::reporting_config(64 * 1024, 2000.0, seed);
+      auto observer = ctx.observe(tb.sim());
+      auto cfg = core::reporting_config(64 * 1024, 2000.0, ctx.seed);
       cfg.cq_entries = 256;
       auto& pair = tb.deploy_pair(cfg, "rep");
       pair.server_domain().memory().set_foreign_mappable(true);
@@ -39,8 +40,10 @@ int main(int argc, char** argv) {
       mon.watch_domain(pair.server_domain(),
                        tb.hca_a().domain_cqs(pair.server_domain().id()));
       mon.start();
+      observer.start();
       tb.sim().run_until(2 * sim::kSecond);
       mon.sample_now();  // final catch-up pass
+      observer.finish();
 
       const auto st = mon.stats(pair.server_domain().id());
       const double truth =
@@ -54,10 +57,10 @@ int main(int argc, char** argv) {
     points.push_back(std::move(p));
   }
 
-  return run_generic_bench(
+  return run_bench(
       opts, "Ablation A2: IBMon sampling period vs estimation error",
       "64KB reporting pair at 2000 req/s, CQ ring of 256 entries; ground "
       "truth from HCA counters. Point label = sampling period in us.",
       std::move(points),
-      {"ibmon_MB", "truth_MB", "error_pct", "missed_cqes", "samples"});
+      {"ibmon_MB", "truth_MB", "error_pct", "missed_cqes", "samples"}).rc;
 }

@@ -17,7 +17,7 @@
 #include <string_view>
 
 #include "bench_common.hpp"
-#include "runner/cluster_runner.hpp"
+#include "cluster/scenario.hpp"
 
 namespace {
 
@@ -63,55 +63,48 @@ int main(int argc, char** argv) {
   }
   const auto opts = parse_cli(static_cast<int>(rest.size()), rest.data());
 
-  std::vector<runner::ClusterPoint> points;
+  std::vector<runner::GenericPoint> points;
   for (const std::uint32_t nodes : node_counts) {
     for (const bool migrate : {false, true}) {
-      runner::ClusterPoint p;
+      cluster::ClusterScenarioConfig config;
+      config.nodes = nodes;
+      config.migration_enabled = migrate;
+      opts.apply(config);
+      runner::GenericPoint p;
       p.label = std::to_string(nodes) + "n " + (migrate ? "resex" : "static");
       p.params = {{"nodes", std::to_string(nodes)},
                   {"placement", migrate ? "resex" : "static"}};
-      p.config.nodes = nodes;
-      p.config.migration_enabled = migrate;
+      p.seed = config.seed;
+      p.run = [config](const runner::TrialContext& ctx) {
+        auto cfg = config;
+        ctx.apply(cfg);
+        auto r = cluster::run_cluster_scenario(cfg);
+        ctx.keep(r);
+        const double svc0_mean =
+            r.services.empty() ? 0.0 : r.services.front().client_mean_us;
+        const double svc0_p99 =
+            r.services.empty() ? 0.0 : r.services.front().client_p99_us;
+        return std::vector<double>{
+            r.violation_pct,
+            svc0_mean,
+            svc0_p99,
+            r.sla_limit_us,
+            static_cast<double>(r.migration.migrations),
+            static_cast<double>(r.migration.bytes) / 1e6,
+            static_cast<double>(r.migration.pause_ns_total) / 1e6};
+      };
       points.push_back(std::move(p));
     }
   }
 
-  print_scenario_header(
-      "Figure 2 scale-out: SLA violations vs cluster size",
-      "N/4 reporting 64KB services co-located with N/4 2MB interferers, N/4 "
-      "spare nodes; static placement vs the price-driven broker "
-      "(live migration over the shared fabric). SLA: calibrated solo mean "
-      "+15%, evaluated per client sample, coordinated-omission-free.");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto cluster_outcomes = runner::run_cluster(std::move(points), opts);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-
-  // Flatten to the generic sink: one row per point, metrics per replicate.
-  std::vector<runner::GenericOutcome> outcomes;
-  for (const auto& o : cluster_outcomes) {
-    runner::GenericOutcome g{o.label, o.params, o.seeds, {}};
-    for (const auto& r : o.trials) {
-      g.trial_values.push_back(
-          {r.violation_pct,
-           r.services.empty() ? 0.0 : r.services.front().client_mean_us,
-           r.services.empty() ? 0.0 : r.services.front().client_p99_us,
-           r.sla_limit_us,
-           static_cast<double>(r.migration.migrations),
-           static_cast<double>(r.migration.bytes) / 1e6,
-           static_cast<double>(r.migration.pause_ns_total) / 1e6});
-    }
-    outcomes.push_back(std::move(g));
-  }
-
-  const auto sink = runner::ResultSink::named(
-      {"viol_pct", "svc0_mean_us", "svc0_p99_us", "sla_limit_us", "migrations",
-       "mig_MB", "pause_ms"});
-  sink.table(outcomes).print(std::cout);
-  const int rc =
-      save_exports(sink, opts, outcomes, "Figure 2 scale-out");
-  report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
-  return rc;
+  return run_bench(
+             opts, "Figure 2 scale-out: SLA violations vs cluster size",
+             "N/4 reporting 64KB services co-located with N/4 2MB "
+             "interferers, N/4 spare nodes; static placement vs the "
+             "price-driven broker (live migration over the shared fabric). "
+             "SLA: calibrated solo mean +15%, evaluated per client sample, "
+             "coordinated-omission-free.",
+             std::move(points),
+             {"viol_pct", "svc0_mean_us", "svc0_p99_us", "sla_limit_us",
+              "migrations", "mig_MB", "pause_ms"}).rc;
 }

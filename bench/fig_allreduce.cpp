@@ -44,22 +44,12 @@
 #include "collective/collective.hpp"
 #include "congestion/dcqcn.hpp"
 #include "fault/fault.hpp"
-#include "qos/config.hpp"
 
 namespace {
 
 using namespace resex;
+using namespace resex::bench;
 using namespace resex::sim::literals;
-
-struct Mode {
-  std::string name;
-  std::uint32_t buf_pkts = 0;  // 0 = infinite (lossless)
-  std::uint32_t ecn_kmin = 0;
-  std::uint32_t ecn_kmax = 0;
-  bool rate_control = false;
-  bool pfc = false;
-  bool vl_shift = false;  // qos lanes + deadlock-free lane shifts
-};
 
 struct Workload {
   collective::CollectiveConfig coll;
@@ -83,7 +73,7 @@ double ideal_seconds(const collective::CollectiveConfig& c, double bps) {
 
 std::vector<double> run_allreduce(cluster::TopologyKind topo,
                                   const Mode& mode, const Workload& wl,
-                                  std::uint64_t seed) {
+                                  const runner::TrialContext& ctx) {
   const std::uint32_t ranks = wl.coll.ranks;
   cluster::ClusterConfig cfg;
   cfg.nodes = ranks;
@@ -94,31 +84,16 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
   cfg.leaf_width = (ranks + 1) / 2;
   cfg.spines = 1;
   cfg.trunk_bandwidth_scale = 1.0;
-  cfg.fabric.port_buffer_pkts = mode.buf_pkts;
-  cfg.fabric.ecn_kmin_pkts = mode.ecn_kmin;
-  cfg.fabric.ecn_kmax_pkts = mode.ecn_kmax;
-  cfg.fabric.pfc_enabled = mode.pfc;
-  if (mode.vl_shift) {
-    // Lane shifts need qos lanes: default two-class map (collectives ride
-    // the bulk SL), then one reserved lane above it for shifted traffic.
-    qos::QosConfig qcfg;
-    qcfg.enabled = true;
-    qcfg.apply(cfg.fabric);
-    cfg.fabric.routing.vl_shift = true;
-    cfg.fabric.reserve_shift_lane();
-  }
+  // With lane shifts the collectives ride the default map's bulk SL.
+  apply_mode(cfg.fabric, mode);
   cluster::Cluster cluster(cfg);
   auto& sim = cluster.sim();
-
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (mode.rate_control) {
-    rate_controller =
-        std::make_unique<congestion::RateController>(cluster.fabric());
-  }
+  auto observer = ctx.observe(sim);
+  const auto rate_controller = make_rate_controller(cluster.fabric(), mode);
   std::unique_ptr<fault::FaultInjector> injector;
   if (!wl.faults.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(wl.faults), seed);
+        fault::FaultPlan::parse(wl.faults), ctx.seed);
     injector->arm(cluster.fabric(), &cluster.node(0));
   }
 
@@ -140,7 +115,9 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
   // Generous cap: congested/faulted runs take a few times ideal; a flapped
   // ring additionally burns the full RC retry budget (~255 ms per death).
   const auto cap = static_cast<sim::SimDuration>(ideal_s * 1e9 * 100) + 2'000_ms;
+  observer.start();
   sim.run_until(cap);
+  observer.finish();
 
   const auto& res = group.result();
   const bool finished = group.done();
@@ -169,24 +146,12 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace resex::bench;
-
   const auto opts = parse_cli(argc, argv);
 
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
-  const std::uint32_t kmin = opts.ecn_kmax > 0 ? opts.ecn_kmin : buf / 4;
-  const std::uint32_t kmax = opts.ecn_kmax > 0 ? opts.ecn_kmax : (buf * 3) / 4;
-  const std::vector<Mode> modes = {
-      {.name = "lossless"},
-      {.name = "taildrop", .buf_pkts = buf},
-      {.name = "ecn+dcqcn",
-       .buf_pkts = buf,
-       .ecn_kmin = kmin,
-       .ecn_kmax = kmax,
-       .rate_control = true},
-      {.name = "pfc", .buf_pkts = buf, .pfc = true},
-      {.name = "pfc+vlshift", .buf_pkts = buf, .pfc = true, .vl_shift = true},
-  };
+  const Buffers buffers(opts);
+  const std::vector<Mode> modes = {buffers.lossless(), buffers.taildrop(),
+                                   buffers.ecn(), buffers.pfc(),
+                                   buffers.pfc_vlshift()};
 
   collective::CollectiveConfig base;
   base.payload_bytes = opts.coll_bytes > 0 ? opts.coll_bytes : 4u << 20;
@@ -199,7 +164,7 @@ int main(int argc, char** argv) {
       opts.coll_ranks > 0 ? std::vector<std::uint32_t>{opts.coll_ranks}
                           : std::vector<std::uint32_t>{4, 8};
 
-  std::vector<resex::runner::GenericPoint> points;
+  std::vector<runner::GenericPoint> points;
   for (const auto topo :
        {resex::cluster::TopologyKind::kStar,
         resex::cluster::TopologyKind::kFatTree}) {
@@ -211,32 +176,30 @@ int main(int argc, char** argv) {
         wl.coll = base;
         wl.coll.ranks = ranks;
         wl.faults = opts.faults;
-        resex::runner::GenericPoint p;
+        runner::GenericPoint p;
         p.label = tname + " " + mode.name + " N=" + std::to_string(ranks);
         p.params = {{"topology", tname},
                     {"mode", mode.name},
                     {"ranks", std::to_string(ranks)},
                     {"algo", to_string(wl.coll.algorithm)}};
-        p.run = [topo, mode, wl](std::uint64_t seed) {
-          return run_allreduce(topo, mode, wl, seed);
+        p.run = [topo, mode, wl](const runner::TrialContext& ctx) {
+          return run_allreduce(topo, mode, wl, ctx);
         };
         points.push_back(std::move(p));
       }
     }
   }
 
-  const int rc = run_generic_bench(
+  const int rc = run_bench(
       opts, "All-reduce: collective bandwidth vs topology and fabric mode",
       "N ranks, " + std::string(to_string(base.algorithm)) + " over " +
           std::to_string(base.payload_bytes >> 20) +
           "MiB in " + std::to_string(base.chunk_bytes >> 10) +
           "KiB chunks; the fat-tree stripes ring neighbours across two "
-          "leaves\nover a 1x spine trunk (buf=" + std::to_string(buf) +
-          " pkts, Kmin=" + std::to_string(kmin) +
-          ", Kmax=" + std::to_string(kmax) + ").",
+          "leaves\nover a 1x spine trunk (" + buffers.describe() + ").",
       std::move(points),
       {"ok", "time_ms", "algbw_GBps", "busbw_GBps", "vs_closed", "retx",
-       "drops", "marks", "pauses"});
+       "drops", "marks", "pauses"}).rc;
 
   std::cout << "\nOn the uncongested star the ring runs at the closed form "
                "(busbw -> link/2,\nvs_closed -> 1). Striped across the "

@@ -33,31 +33,14 @@ using namespace resex::sim::literals;
 
 constexpr sim::SimDuration kMeasure = 400_ms;
 
-struct Mode {
-  std::string name;
-  std::uint32_t buf_pkts = 0;   // 0 = infinite (lossless)
-  std::uint32_t ecn_kmin = 0;
-  std::uint32_t ecn_kmax = 0;
-  bool rate_control = false;
-  // Controller knobs for the DCQCN parameter-sweep table; the defaults keep
-  // the headline table exactly what it always was.
-  congestion::DcqcnConfig dcqcn{};
-};
-
 std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
-                               std::uint64_t seed) {
+                               const runner::TrialContext& ctx) {
   sim::Simulation sim;
+  auto observer = ctx.observe(sim);
   fabric::FabricConfig cfg;
-  cfg.port_buffer_pkts = mode.buf_pkts;
-  cfg.ecn_kmin_pkts = mode.ecn_kmin;
-  cfg.ecn_kmax_pkts = mode.ecn_kmax;
+  apply_mode(cfg, mode);
   fabric::Fabric fabric(sim, cfg);
-
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (mode.rate_control) {
-    rate_controller =
-        std::make_unique<congestion::RateController>(fabric, mode.dcqcn);
-  }
+  const auto rate_controller = make_rate_controller(fabric, mode);
 
   // Node 0 receives; nodes 1..N send. All share the default switch, so the
   // receiver's downlink is the N:1 port.
@@ -87,7 +70,7 @@ std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
   // replicate-to-replicate variation); the load itself is deterministic.
   const sim::SimTime end = kWarmup + kMeasure;
   std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(seed, 0x1ca5));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x1ca5));
   for (std::uint32_t i = 0; i < senders; ++i) {
     latencies.push_back(std::make_unique<sim::Samples>());
     const auto start = static_cast<sim::SimDuration>(jitter.uniform(
@@ -105,7 +88,9 @@ std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
     out = hca.downlink().bytes_sent();
   }(sim, *hcas[0], bytes_at_warmup));
 
+  observer.start();
   sim.run_until(end + 50_ms);  // drain in-flight retransmissions
+  observer.finish();
 
   sim::Samples pooled;
   for (const auto& s : latencies) {
@@ -134,42 +119,33 @@ int main(int argc, char** argv) {
   // Headline comparison: same 64-packet port buffer for both lossy modes,
   // marking from 16 packets, hard-mark at 48. --buf-pkts/--ecn-kmin/
   // --ecn-kmax override the lossy rows.
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
-  const std::uint32_t kmin = opts.ecn_kmax > 0 ? opts.ecn_kmin : buf / 4;
-  const std::uint32_t kmax = opts.ecn_kmax > 0 ? opts.ecn_kmax : (buf * 3) / 4;
-  const std::vector<Mode> modes = {
-      {.name = "lossless"},
-      {.name = "taildrop", .buf_pkts = buf},
-      {.name = "ecn+dcqcn",
-       .buf_pkts = buf,
-       .ecn_kmin = kmin,
-       .ecn_kmax = kmax,
-       .rate_control = true},
-  };
+  const Buffers buffers(opts);
+  const std::vector<Mode> modes = {buffers.lossless(), buffers.taildrop(),
+                                   buffers.ecn()};
 
-  std::vector<resex::runner::GenericPoint> points;
+  std::vector<runner::GenericPoint> points;
   for (const std::uint32_t senders : {4u, 8u, 16u}) {
     for (const Mode& mode : modes) {
-      resex::runner::GenericPoint p;
+      runner::GenericPoint p;
       p.label = mode.name + " " + std::to_string(senders) + ":1";
       p.params = {{"mode", mode.name},
                   {"senders", std::to_string(senders)},
                   {"buf_pkts", std::to_string(mode.buf_pkts)}};
-      p.run = [senders, mode](std::uint64_t seed) {
-        return run_incast(senders, mode, seed);
+      p.run = [senders, mode](const runner::TrialContext& ctx) {
+        return run_incast(senders, mode, ctx);
       };
       points.push_back(std::move(p));
     }
   }
 
-  int rc = run_generic_bench(
+  int rc = run_bench(
       opts, "Incast: finite buffers, ECN and DCQCN rate control",
       "N closed-loop senders RDMA-write 64KB blocks to one receiver through "
-      "one switch;\nthe receiver downlink port is the N:1 bottleneck "
-      "(buf=" + std::to_string(buf) + " pkts, Kmin=" + std::to_string(kmin) +
-          ", Kmax=" + std::to_string(kmax) + ").",
+      "one switch;\nthe receiver downlink port is the N:1 bottleneck (" +
+          buffers.describe() + ").",
       std::move(points),
-      {"reqs", "p50_us", "p99_us", "drops", "marks", "retx", "goodput_MBps"});
+      {"reqs", "p50_us", "p99_us", "drops", "marks", "retx",
+       "goodput_MBps"}).rc;
 
   std::cout << "\nWith tail-drop alone every overflow costs a NAK/RTO round "
                "and the p99\ncollapses; ECN marks ahead of the cliff and "
@@ -180,8 +156,8 @@ int main(int argc, char** argv) {
   // One knob moves per row against the ecn+dcqcn baseline: the alpha EWMA
   // gain g (how hard a mark cuts), the CNP pacing interval (how often the
   // destination may complain), and the rate floor (how far a flow can be
-  // squeezed). --json/--csv exports for this table get a ".dcqcn" infix so
-  // they never clobber the headline table's files.
+  // squeezed). This table's output files get a ".dcqcn" tag so they never
+  // clobber the headline table's.
   const congestion::DcqcnConfig base_dcqcn{};
   struct Variant {
     std::string label;
@@ -213,41 +189,29 @@ int main(int argc, char** argv) {
   }
 
   constexpr std::uint32_t kSweepSenders = 8;
-  std::vector<resex::runner::GenericPoint> sweep_points;
+  std::vector<runner::GenericPoint> sweep_points;
   for (const Variant& v : variants) {
-    Mode mode{.name = "ecn+dcqcn",
-              .buf_pkts = buf,
-              .ecn_kmin = kmin,
-              .ecn_kmax = kmax,
-              .rate_control = true,
-              .dcqcn = v.dcqcn};
-    resex::runner::GenericPoint p;
+    Mode mode = buffers.ecn();
+    mode.dcqcn = v.dcqcn;
+    runner::GenericPoint p;
     p.label = v.label;
     p.params = {{"mode", "ecn+dcqcn"},
                 {"senders", std::to_string(kSweepSenders)},
                 {"variant", v.label}};
-    p.run = [mode](std::uint64_t seed) {
-      return run_incast(kSweepSenders, mode, seed);
+    p.run = [mode](const runner::TrialContext& ctx) {
+      return run_incast(kSweepSenders, mode, ctx);
     };
     sweep_points.push_back(std::move(p));
   }
 
-  auto sweep_opts = opts;
-  const auto infix = [](std::string path) {
-    if (path.empty()) return path;
-    const auto dot = path.rfind('.');
-    return dot == std::string::npos ? path + ".dcqcn"
-                                    : path.insert(dot, ".dcqcn");
-  };
-  sweep_opts.json_path = infix(sweep_opts.json_path);
-  sweep_opts.csv_path = infix(sweep_opts.csv_path);
-  const int rc2 = run_generic_bench(
-      sweep_opts, "DCQCN parameter sweep (8:1 incast)",
+  const int rc2 = run_bench(
+      opts, "DCQCN parameter sweep (8:1 incast)",
       "Same finite-buffer incast, ecn+dcqcn mode only, one controller knob\n"
       "varied per row: alpha gain g, CNP pacing interval, and the rate "
       "floor.",
       std::move(sweep_points),
-      {"reqs", "p50_us", "p99_us", "drops", "marks", "retx", "goodput_MBps"});
+      {"reqs", "p50_us", "p99_us", "drops", "marks", "retx", "goodput_MBps"},
+      ".dcqcn").rc;
   if (rc == 0) rc = rc2;
 
   std::cout << "\nA hotter gain (g=1/4) cuts deeper per mark, a colder one "

@@ -43,36 +43,17 @@ using namespace resex::sim::literals;
 constexpr sim::SimDuration kMeasure = 300_ms;
 constexpr sim::SimDuration kDrain = 50_ms;
 
-struct Mode {
-  std::string name;
-  std::uint32_t buf_pkts = 0;  // 0 = infinite (lossless)
-  std::uint32_t ecn_kmin = 0;
-  std::uint32_t ecn_kmax = 0;
-  bool rate_control = false;
-  bool pfc = false;
-};
-
-void apply_mode(fabric::FabricConfig& cfg, const Mode& mode) {
-  cfg.port_buffer_pkts = mode.buf_pkts;
-  cfg.ecn_kmin_pkts = mode.ecn_kmin;
-  cfg.ecn_kmax_pkts = mode.ecn_kmax;
-  cfg.pfc_enabled = mode.pfc;
-}
-
 /// Part 1: 8:1 incast through one switch, as fig_incast but with a PFC row.
 /// Returns {reqs, p50_us, p99_us, drops, pauses, goodput_MBps, victim_MBps,
 /// victim_p99_us} (the victim columns are 0 here — no victim flow).
 std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
-                               std::uint64_t seed) {
+                               const runner::TrialContext& ctx) {
   sim::Simulation sim;
+  auto observer = ctx.observe(sim);
   fabric::FabricConfig cfg;
   apply_mode(cfg, mode);
   fabric::Fabric fabric(sim, cfg);
-
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (mode.rate_control) {
-    rate_controller = std::make_unique<congestion::RateController>(fabric);
-  }
+  const auto rate_controller = make_rate_controller(fabric, mode);
 
   std::vector<std::unique_ptr<hv::Node>> nodes;
   std::vector<fabric::Hca*> hcas;
@@ -97,7 +78,7 @@ std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
 
   const sim::SimTime end = kWarmup + kMeasure;
   std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
   for (std::uint32_t i = 0; i < senders; ++i) {
     latencies.push_back(std::make_unique<sim::Samples>());
     const auto start = static_cast<sim::SimDuration>(
@@ -114,7 +95,9 @@ std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
     out = hca.downlink().bytes_sent();
   }(sim, *hcas[0], bytes_at_warmup));
 
+  observer.start();
   sim.run_until(end + kDrain);
+  observer.finish();
 
   sim::Samples pooled;
   for (const auto& s : latencies) {
@@ -141,7 +124,8 @@ std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
 /// victim_p99_us = the victim's per-write p99 latency — the latency baseline
 /// the qos experiment (bench_fig_qos) measures its isolation against:
 /// goodput alone hides HoL pain that shows up as pause-stretched tails.
-std::vector<double> run_fat_tree(const Mode& mode, std::uint64_t seed) {
+std::vector<double> run_fat_tree(const Mode& mode,
+                                 const runner::TrialContext& ctx) {
   cluster::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.topology = cluster::TopologyKind::kFatTree;
@@ -153,11 +137,8 @@ std::vector<double> run_fat_tree(const Mode& mode, std::uint64_t seed) {
   apply_mode(ccfg.fabric, mode);
   cluster::Cluster cl(ccfg);
   sim::Simulation& sim = cl.sim();
-
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (mode.rate_control) {
-    rate_controller = std::make_unique<congestion::RateController>(cl.fabric());
-  }
+  auto observer = ctx.observe(sim);
+  const auto rate_controller = make_rate_controller(cl.fabric(), mode);
 
   constexpr std::uint32_t kAggressors = 3;  // n1..n3 -> n4
   Endpoint incast_recv = make_endpoint(cl.node(4), cl.hca(4), "incast_recv",
@@ -186,7 +167,7 @@ std::vector<double> run_fat_tree(const Mode& mode, std::uint64_t seed) {
 
   const sim::SimTime end = kWarmup + kMeasure;
   std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
   for (std::uint32_t i = 0; i < kAggressors; ++i) {
     latencies.push_back(std::make_unique<sim::Samples>());
     const auto start = static_cast<sim::SimDuration>(
@@ -210,7 +191,9 @@ std::vector<double> run_fat_tree(const Mode& mode, std::uint64_t seed) {
     b = c.hca(5).downlink().bytes_sent();
   }(sim, cl, incast_at_warmup, victim_at_warmup));
 
+  observer.start();
   sim.run_until(end + kDrain);
+  observer.finish();
 
   sim::Samples pooled;
   for (const auto& s : latencies) {
@@ -244,79 +227,53 @@ int main(int argc, char** argv) {
 
   const auto opts = parse_cli(argc, argv);
 
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
-  const std::uint32_t kmin = opts.ecn_kmax > 0 ? opts.ecn_kmin : buf / 4;
-  const std::uint32_t kmax = opts.ecn_kmax > 0 ? opts.ecn_kmax : (buf * 3) / 4;
-  const Mode lossless{.name = "lossless"};
-  const Mode taildrop{.name = "taildrop", .buf_pkts = buf};
-  const Mode ecn{.name = "ecn+dcqcn",
-                 .buf_pkts = buf,
-                 .ecn_kmin = kmin,
-                 .ecn_kmax = kmax,
-                 .rate_control = true};
-  const Mode pfc{.name = "pfc", .buf_pkts = buf, .pfc = true};
+  const Buffers buffers(opts);
+  const Mode lossless = buffers.lossless();
+  const Mode ecn = buffers.ecn();
+  const Mode pfc = buffers.pfc();
 
-  std::vector<resex::runner::GenericPoint> points;
+  std::vector<runner::GenericPoint> points;
   constexpr std::uint32_t kIncastSenders = 8;
-  for (const Mode& mode : {lossless, taildrop, ecn, pfc}) {
-    resex::runner::GenericPoint p;
+  for (const Mode& mode : {lossless, buffers.taildrop(), ecn, pfc}) {
+    runner::GenericPoint p;
     p.label = "incast " + mode.name + " 8:1";
     p.params = {{"part", "incast"}, {"mode", mode.name}};
-    p.run = [mode](std::uint64_t seed) {
-      return run_incast(kIncastSenders, mode, seed);
+    p.run = [mode](const runner::TrialContext& ctx) {
+      return run_incast(kIncastSenders, mode, ctx);
     };
     points.push_back(std::move(p));
   }
   for (const Mode& mode : {lossless, ecn, pfc}) {
-    resex::runner::GenericPoint p;
+    runner::GenericPoint p;
     p.label = "fat-tree " + mode.name + " victim";
     p.params = {{"part", "fat-tree"}, {"mode", mode.name}};
-    p.run = [mode](std::uint64_t seed) { return run_fat_tree(mode, seed); };
+    p.run = [mode](const runner::TrialContext& ctx) {
+      return run_fat_tree(mode, ctx);
+    };
     points.push_back(std::move(p));
   }
 
-  // run_generic_bench discards the outcomes, and the HoL summary below needs
-  // them — so drive the runner directly (same flow, same output shape).
-  print_scenario_header(
-      "PFC: lossless per-hop pause vs tail-drop and ECN/DCQCN",
+  const auto [outcomes, rc] = run_bench(
+      opts, "PFC: lossless per-hop pause vs tail-drop and ECN/DCQCN",
       "Part 1: 8 closed-loop senders RDMA-write 64KB blocks into one "
-      "receiver through one\nswitch (buf=" + std::to_string(buf) +
-          " pkts, Kmin=" + std::to_string(kmin) + ", Kmax=" +
-          std::to_string(kmax) + "; PFC XOFF/XON at 60%/30% of the "
+      "receiver through one\nswitch (" + buffers.describe() +
+          "; PFC XOFF/XON at 60%/30% of the "
           "buffer).\nPart 2: 3 aggressors on leaf 0 incast into leaf 1 over "
           "a 2-tier fat-tree while a\nvictim flow (leaf 0 -> leaf 1, "
           "different hosts) shares only the fat trunks;\nvictim_MBps shows "
-          "what PFC's pause tree (HoL blocking) costs it.");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = resex::runner::run_generic(std::move(points), opts);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  const auto sink = resex::runner::ResultSink::named(
+          "what PFC's pause tree (HoL blocking) costs it.",
+      std::move(points),
       {"reqs", "p50_us", "p99_us", "drops", "pauses", "goodput_MBps",
        "victim_MBps", "victim_p99_us"});
-  sink.table(outcomes).print(std::cout);
-  const int rc = save_exports(sink, opts, outcomes, "fig_pfc");
 
-  // Replicate-mean of one column of one labelled row.
-  const auto mean_of = [&outcomes](const std::string& label,
-                                   std::size_t col) -> double {
-    for (const auto& o : outcomes) {
-      if (o.label != label) continue;
-      double sum = 0.0;
-      for (const auto& trial : o.trial_values) sum += trial[col];
-      return o.trial_values.empty()
-                 ? 0.0
-                 : sum / static_cast<double>(o.trial_values.size());
-    }
-    return 0.0;
-  };
   constexpr std::size_t kDropsCol = 3;
   constexpr std::size_t kVictimCol = 6;
-  const double pfc_drops = mean_of("incast pfc 8:1", kDropsCol) +
-                           mean_of("fat-tree pfc victim", kDropsCol);
-  const double victim_pfc = mean_of("fat-tree pfc victim", kVictimCol);
-  const double victim_ecn = mean_of("fat-tree ecn+dcqcn victim", kVictimCol);
+  const double pfc_drops = mean_of(outcomes, "incast pfc 8:1", kDropsCol) +
+                           mean_of(outcomes, "fat-tree pfc victim", kDropsCol);
+  const double victim_pfc =
+      mean_of(outcomes, "fat-tree pfc victim", kVictimCol);
+  const double victim_ecn =
+      mean_of(outcomes, "fat-tree ecn+dcqcn victim", kVictimCol);
   const double degradation =
       victim_ecn > 0.0 ? 100.0 * (1.0 - victim_pfc / victim_ecn) : 0.0;
   std::cout << "\nPFC is lossless: " << pfc_drops
@@ -331,6 +288,5 @@ int main(int argc, char** argv) {
             << "% degradation):\nthe pause tree gates whole upstream ports, "
                "not flows. ECN+DCQCN throttles the\noffenders at their "
                "sources and leaves the victim at line rate.\n";
-  report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
   return rc;
 }

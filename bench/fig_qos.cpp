@@ -68,7 +68,8 @@ void apply_two_class(fabric::FabricConfig& cfg) {
 /// victim_MBps} where reqs/p50/p99 are the *victim's* per-write latencies
 /// and bulk_MBps is the incast receiver's goodput.
 std::vector<double> run_victim(bool aggressors_on, bool qos_on,
-                               std::uint32_t buf, std::uint64_t seed) {
+                               std::uint32_t buf,
+                               const runner::TrialContext& ctx) {
   cluster::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.topology = cluster::TopologyKind::kFatTree;
@@ -81,6 +82,7 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
   if (qos_on) apply_two_class(ccfg.fabric);
   cluster::Cluster cl(ccfg);
   sim::Simulation& sim = cl.sim();
+  auto observer = ctx.observe(sim);
 
   constexpr std::uint32_t kAggressors = 3;  // n1..n3 -> n4
   Endpoint incast_recv = make_endpoint(cl.node(4), cl.hca(4), "incast_recv",
@@ -114,7 +116,7 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
 
   const sim::SimTime end = kWarmup + kMeasure;
   std::vector<std::unique_ptr<sim::Samples>> agg_latencies;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(aggressors.size());
        ++i) {
     agg_latencies.push_back(std::make_unique<sim::Samples>());
@@ -140,7 +142,9 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
     b = c.hca(5).downlink().bytes_sent();
   }(sim, cl, incast_at_warmup, victim_at_warmup));
 
+  observer.start();
   sim.run_until(end + kDrain);
+  observer.finish();
 
   const double window_s = sim::to_sec(kMeasure + kDrain);
   const double bulk_mbps =
@@ -170,7 +174,7 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
 /// vector as run_victim; bulk_MBps sums the rank hosts' downlink goodput
 /// (= the collective's delivered bandwidth).
 std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
-                                         std::uint64_t seed) {
+                                         const runner::TrialContext& ctx) {
   cluster::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.pcpus_per_node = 2;
@@ -181,6 +185,7 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
   if (qos_on) apply_two_class(ccfg.fabric);
   cluster::Cluster cl(ccfg);
   sim::Simulation& sim = cl.sim();
+  auto observer = ctx.observe(sim);
 
   // Ranks striped across the leaves; the collective marks its own QPs
   // bulk (SL1) — nothing to configure here, that is the default contract.
@@ -217,7 +222,7 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
 
   const sim::SimTime end = kWarmup + kMeasure;
   sim::Samples victim_latency;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
   sim.spawn(sender_loop(sim, victim, victim_recv.buf, victim_recv.mr.rkey,
                         static_cast<sim::SimDuration>(
                             jitter.uniform(0.0, static_cast<double>(10_us))),
@@ -233,7 +238,9 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
     b = c.hca(6).downlink().bytes_sent();
   }(sim, cl, rank_nodes, coll_at_warmup, victim_at_warmup));
 
+  observer.start();
   sim.run_until(end + kDrain);
+  observer.finish();
 
   std::uint64_t coll_bytes = 0;
   for (const std::uint32_t n : rank_nodes) {
@@ -264,30 +271,31 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
 int main(int argc, char** argv) {
 
   const auto opts = parse_cli(argc, argv);
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
+  const std::uint32_t buf = Buffers(opts).pkts;
 
+  using Ctx = const runner::TrialContext&;
   struct Row {
     std::string label;
     std::string part;
-    std::function<std::vector<double>(std::uint64_t)> run;
+    std::function<std::vector<double>(Ctx)> run;
   };
   const std::vector<Row> rows = {
       {"fat-tree uncontended", "victim",
-       [buf](std::uint64_t s) { return run_victim(false, false, buf, s); }},
+       [buf](Ctx c) { return run_victim(false, false, buf, c); }},
       {"fat-tree pfc 1-class", "victim",
-       [buf](std::uint64_t s) { return run_victim(true, false, buf, s); }},
+       [buf](Ctx c) { return run_victim(true, false, buf, c); }},
       {"fat-tree pfc 2-class qos", "victim",
-       [buf](std::uint64_t s) { return run_victim(true, true, buf, s); }},
+       [buf](Ctx c) { return run_victim(true, true, buf, c); }},
       {"allreduce uncontended", "allreduce",
-       [](std::uint64_t s) { return run_allreduce_victim(false, false, s); }},
+       [](Ctx c) { return run_allreduce_victim(false, false, c); }},
       {"allreduce 1-class", "allreduce",
-       [](std::uint64_t s) { return run_allreduce_victim(true, false, s); }},
+       [](Ctx c) { return run_allreduce_victim(true, false, c); }},
       {"allreduce 2-class qos", "allreduce",
-       [](std::uint64_t s) { return run_allreduce_victim(true, true, s); }},
+       [](Ctx c) { return run_allreduce_victim(true, true, c); }},
   };
-  std::vector<resex::runner::GenericPoint> points;
+  std::vector<runner::GenericPoint> points;
   for (const Row& row : rows) {
-    resex::runner::GenericPoint p;
+    runner::GenericPoint p;
     p.label = row.label;
     p.params = {{"part", row.part},
                 {"qos", row.label.find("2-class") != std::string::npos
@@ -296,56 +304,35 @@ int main(int argc, char** argv) {
     points.push_back(std::move(p));
   }
 
-  // run_generic_bench discards the outcomes, and the isolation summary below
-  // needs them — so drive the runner directly (same flow, same output shape).
-  print_scenario_header(
-      "QoS: two traffic classes on shared virtual lanes",
+  const auto [outcomes, rc] = run_bench(
+      opts, "QoS: two traffic classes on shared virtual lanes",
       "Part 1: the fig_pfc fat-tree victim rerun (buf=" + std::to_string(buf) +
           " pkts, PFC) with aggressors on the bulk SL and the\nvictim on the "
           "latency SL: per-class pause frames stop the bulk lane without "
           "gating\nthe victim's. Part 2: a striped ring all-reduce (bulk) "
           "saturates a lossless 1x\nspine trunk while a latency victim "
           "shares it; the VL arbiter's high-priority\ntable lets the victim "
-          "overtake at every hop. p50/p99 columns are the victim's.");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = resex::runner::run_generic(std::move(points), opts);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  const auto sink = resex::runner::ResultSink::named(
+          "overtake at every hop. p50/p99 columns are the victim's.",
+      std::move(points),
       {"reqs", "p50_us", "p99_us", "drops", "pauses", "bulk_MBps",
        "victim_MBps"});
-  sink.table(outcomes).print(std::cout);
-  const int rc = save_exports(sink, opts, outcomes, "fig_qos");
 
-  // Replicate-mean of one column of one labelled row.
-  const auto mean_of = [&outcomes](const std::string& label,
-                                   std::size_t col) -> double {
-    for (const auto& o : outcomes) {
-      if (o.label != label) continue;
-      double sum = 0.0;
-      for (const auto& trial : o.trial_values) sum += trial[col];
-      return o.trial_values.empty()
-                 ? 0.0
-                 : sum / static_cast<double>(o.trial_values.size());
-    }
-    return 0.0;
-  };
   constexpr std::size_t kP99Col = 2;
   constexpr std::size_t kBulkCol = 5;
   constexpr std::size_t kVictimCol = 6;
   const auto pct = [](double a, double b) {
     return b > 0.0 ? 100.0 * a / b : 0.0;
   };
-  const double v_base = mean_of("fat-tree uncontended", kVictimCol);
-  const double v_1c = mean_of("fat-tree pfc 1-class", kVictimCol);
-  const double v_2c = mean_of("fat-tree pfc 2-class qos", kVictimCol);
-  const double p99_base = mean_of("fat-tree uncontended", kP99Col);
-  const double p99_2c = mean_of("fat-tree pfc 2-class qos", kP99Col);
-  const double bulk_1c = mean_of("fat-tree pfc 1-class", kBulkCol);
-  const double bulk_2c = mean_of("fat-tree pfc 2-class qos", kBulkCol);
-  const double ar_p99_1c = mean_of("allreduce 1-class", kP99Col);
-  const double ar_p99_2c = mean_of("allreduce 2-class qos", kP99Col);
+  const double v_base = mean_of(outcomes, "fat-tree uncontended", kVictimCol);
+  const double v_1c = mean_of(outcomes, "fat-tree pfc 1-class", kVictimCol);
+  const double v_2c = mean_of(outcomes, "fat-tree pfc 2-class qos", kVictimCol);
+  const double p99_base = mean_of(outcomes, "fat-tree uncontended", kP99Col);
+  const double p99_2c = mean_of(outcomes, "fat-tree pfc 2-class qos", kP99Col);
+  const double bulk_1c = mean_of(outcomes, "fat-tree pfc 1-class", kBulkCol);
+  const double bulk_2c =
+      mean_of(outcomes, "fat-tree pfc 2-class qos", kBulkCol);
+  const double ar_p99_1c = mean_of(outcomes, "allreduce 1-class", kP99Col);
+  const double ar_p99_2c = mean_of(outcomes, "allreduce 2-class qos", kP99Col);
   std::cout << "\nIsolation (fat-tree victim): goodput "
             << static_cast<std::uint64_t>(v_1c) << " -> "
             << static_cast<std::uint64_t>(v_2c)
@@ -361,6 +348,5 @@ int main(int argc, char** argv) {
             << "Allreduce part: victim p99 " << ar_p99_1c
             << " us behind the 1-class collective vs " << ar_p99_2c
             << " us with two classes.\n";
-  report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
   return rc;
 }

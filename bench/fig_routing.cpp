@@ -38,7 +38,6 @@
 #include "collective/collective.hpp"
 #include "fabric/verbs.hpp"
 #include "hv/node.hpp"
-#include "qos/config.hpp"
 #include "routing/config.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -60,7 +59,8 @@ struct Flow {
 };
 
 std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
-                               std::uint64_t ecmp_seed, std::uint64_t seed) {
+                               std::uint64_t ecmp_seed,
+                               const runner::TrialContext& ctx) {
   // 8:1: hosts 0..7 on leaf 0 incast host 8 on leaf 1. all-to-all: 4 hosts
   // per leaf, every cross-leaf ordered pair active (16 flows each way).
   cluster::ClusterConfig cfg;
@@ -76,6 +76,7 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
   cfg.fabric.routing.ecmp_seed = ecmp_seed;
   cluster::Cluster cluster(cfg);
   auto& sim = cluster.sim();
+  auto observer = ctx.observe(sim);
 
   std::vector<Flow> flows;
   if (alltoall) {
@@ -120,7 +121,7 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
 
   const sim::SimTime end = kWarmup + kMeasure;
   std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(seed, 0x707e));
+  sim::Rng jitter(sim::derive(ctx.seed, 0x707e));
   for (std::size_t f = 0; f < flows.size(); ++f) {
     latencies.push_back(std::make_unique<sim::Samples>());
     const auto start = static_cast<sim::SimDuration>(
@@ -144,7 +145,9 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
         });
   }(sim, cluster.fabric(), busy_at_warmup, bytes_at_warmup));
 
+  observer.start();
   sim.run_until(end);
+  observer.finish();
 
   sim::Samples pooled;
   for (const auto& s : latencies) {
@@ -173,7 +176,7 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
 
 /// The striped-ring PFC all-reduce (bench_fig_allreduce's deadlock case),
 /// with and without routing lane shifts.
-std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
+std::vector<double> run_ring(bool vl_shift, const runner::TrialContext& ctx) {
   constexpr std::uint32_t kRanks = 8;
   cluster::ClusterConfig cfg;
   cfg.nodes = kRanks;
@@ -182,17 +185,13 @@ std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
   cfg.leaf_width = (kRanks + 1) / 2;
   cfg.spines = 1;
   cfg.trunk_bandwidth_scale = 1.0;
-  cfg.fabric.port_buffer_pkts = 64;
-  cfg.fabric.pfc_enabled = true;
-  if (vl_shift) {
-    qos::QosConfig qcfg;
-    qcfg.enabled = true;
-    qcfg.apply(cfg.fabric);
-    cfg.fabric.routing.vl_shift = true;
-    cfg.fabric.reserve_shift_lane();
-  }
+  apply_mode(cfg.fabric, {.name = "pfc",
+                          .buf_pkts = 64,
+                          .pfc = true,
+                          .vl_shift = vl_shift});
   cluster::Cluster cluster(cfg);
   auto& sim = cluster.sim();
+  auto observer = ctx.observe(sim);
 
   collective::CollectiveConfig coll;
   coll.ranks = kRanks;
@@ -208,7 +207,9 @@ std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
   }
   collective::CollectiveGroup group(sim, std::move(homes), coll);
   group.start();
+  observer.start();
   sim.run_until(3'000_ms);
+  observer.finish();
 
   const auto& res = group.result();
   const bool ok = group.done() && res.ok;
@@ -239,22 +240,22 @@ int main(int argc, char** argv) {
       {"adaptive", resex::routing::RouteMode::kAdaptive},
   };
 
-  std::vector<resex::runner::GenericPoint> points;
+  std::vector<runner::GenericPoint> points;
   for (const bool alltoall : {false, true}) {
     for (const ModeRow& m : modes) {
-      resex::runner::GenericPoint p;
+      runner::GenericPoint p;
       p.label = std::string(alltoall ? "alltoall" : "8:1") + " " + m.name;
       p.params = {{"pattern", alltoall ? "alltoall" : "incast8"},
                   {"mode", m.name},
                   {"spines", std::to_string(kSpines)}};
-      p.run = [alltoall, m, ecmp_seed](std::uint64_t seed) {
-        return run_spread(alltoall, m.mode, ecmp_seed, seed);
+      p.run = [alltoall, m, ecmp_seed](const runner::TrialContext& ctx) {
+        return run_spread(alltoall, m.mode, ecmp_seed, ctx);
       };
       points.push_back(std::move(p));
     }
   }
 
-  int rc = run_generic_bench(
+  int rc = run_bench(
       opts, "Multipath fat-tree routing: static vs ECMP vs adaptive",
       "Cross-leaf incast (8:1) and all-to-all over " +
           std::to_string(kSpines) +
@@ -263,7 +264,7 @@ int main(int argc, char** argv) {
           "leaf's cross traffic on one spine, multipath spreads it.",
       std::move(points),
       {"reqs", "p50_us", "p99_us", "max_trunk_util", "trunks_used",
-       "rehash"});
+       "rehash"}).rc;
 
   std::cout << "\nStatic pins every (src-leaf, dst-leaf) pair to one "
                "destination-indexed spine:\nthe hot trunk saturates while "
@@ -274,28 +275,22 @@ int main(int argc, char** argv) {
                "mid-run moves).\n\n";
 
   // --- table 2: PFC deadlock vs lane shifts ---------------------------------
-  std::vector<resex::runner::GenericPoint> ring_points;
+  std::vector<runner::GenericPoint> ring_points;
   for (const bool shift : {false, true}) {
-    resex::runner::GenericPoint p;
+    runner::GenericPoint p;
     p.label = shift ? "striped-ring pfc+vlshift" : "striped-ring pfc";
     p.params = {{"pattern", "ring"}, {"vl_shift", shift ? "1" : "0"}};
-    p.run = [shift](std::uint64_t seed) { return run_ring(shift, seed); };
+    p.run = [shift](const runner::TrialContext& ctx) {
+      return run_ring(shift, ctx);
+    };
     ring_points.push_back(std::move(p));
   }
-  auto ring_opts = opts;
-  const auto infix = [](std::string path) {
-    if (path.empty()) return path;
-    const auto dot = path.rfind('.');
-    return dot == std::string::npos ? path + ".ring"
-                                    : path.insert(dot, ".ring");
-  };
-  ring_opts.json_path = infix(ring_opts.json_path);
-  ring_opts.csv_path = infix(ring_opts.csv_path);
-  const int rc2 = run_generic_bench(
-      ring_opts, "Striped-ring PFC all-reduce: lane shifts break the deadlock",
+  const int rc2 = run_bench(
+      opts, "Striped-ring PFC all-reduce: lane shifts break the deadlock",
       "8 ranks striped across two leaves over a single 1x trunk, PFC on,\n"
       "4MiB ring all-reduce (every step overflows the trunk buffers).",
-      std::move(ring_points), {"ok", "time_ms", "drops", "pauses", "retx"});
+      std::move(ring_points), {"ok", "time_ms", "drops", "pauses", "retx"},
+      ".ring").rc;
   if (rc == 0) rc = rc2;
 
   std::cout << "\nPlain PFC turns the striped ring's cyclic route into a "

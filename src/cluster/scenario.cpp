@@ -1,15 +1,13 @@
 #include "cluster/scenario.hpp"
 
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 
 #include "congestion/dcqcn.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault.hpp"
-#include "obs/trace.hpp"
+#include "sim/observe.hpp"
 #include "sim/rng.hpp"
-#include "sim/task.hpp"
 
 namespace resex::cluster {
 
@@ -94,7 +92,10 @@ ClusterScenarioResult run_cluster_scenario(
   ccfg.fabric.routing = config.routing;
   if (config.routing.vl_shift) ccfg.fabric.reserve_shift_lane();
   Cluster cluster(ccfg);
-  if (!config.trace_path.empty()) cluster.sim().tracer().enable();
+  sim::Observer observer(
+      cluster.sim(),
+      {config.trace_path, config.collect_metrics, config.metrics_period},
+      result.metrics, result.metrics_series);
 
   // --- DCQCN rate control (resex::congestion), if enabled --------------------
   std::unique_ptr<congestion::RateController> rate_controller;
@@ -165,25 +166,7 @@ ClusterScenarioResult run_cluster_scenario(
   for (auto& svc : interferers) svc->start();
 
   // --- run -------------------------------------------------------------------
-  std::vector<obs::MetricsSnapshot> series;
-  // As in core::run_experiment: with tracing on, the same loop streams every
-  // metric into the trace sink as counter tracks (--trace + --metrics-period
-  // puts the time series and the spans in one file).
-  const bool metrics_series = config.collect_metrics && config.metrics_period > 0;
-  if (metrics_series ||
-      (cluster.sim().tracer().enabled() && config.metrics_period > 0)) {
-    cluster.sim().spawn(
-        [](sim::Simulation& sim, sim::SimDuration period,
-           std::vector<obs::MetricsSnapshot>* out) -> sim::Task {
-          for (;;) {
-            co_await sim.delay(period);
-            if (out != nullptr) {
-              out->push_back(sim.metrics().snapshot(sim.now()));
-            }
-            sim.metrics().emit_to_tracer(sim.tracer());
-          }
-        }(cluster.sim(), config.metrics_period, metrics_series ? &series : nullptr));
-  }
+  observer.start();
   cluster.sim().run_until(config.warmup + config.duration);
 
   // --- collect ---------------------------------------------------------------
@@ -202,23 +185,13 @@ ClusterScenarioResult run_cluster_scenario(
                           : 100.0 * static_cast<double>(pooled_violations) /
                                 static_cast<double>(pooled_samples);
   if (engine != nullptr) result.migration = engine->stats();
-  if (config.collect_metrics) {
-    result.metrics = cluster.sim().metrics().snapshot(cluster.sim().now());
-    result.metrics_series = std::move(series);
-  }
   if (cluster.sim().tracer().enabled()) {
     cluster.sim().tracer().complete(
         "cluster.scenario", "cluster", 0, cluster.sim().now(),
         {"seed", static_cast<double>(config.seed)},
         {"nodes", static_cast<double>(config.nodes)});
   }
-  if (!config.trace_path.empty()) {
-    try {
-      obs::save_trace(config.trace_path, cluster.sim().tracer());
-    } catch (const std::exception& e) {
-      std::cerr << "run_cluster_scenario: " << e.what() << "\n";
-    }
-  }
+  observer.finish();
   return result;
 }
 

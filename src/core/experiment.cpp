@@ -1,12 +1,11 @@
 #include "core/experiment.hpp"
 
-#include <iostream>
 #include <memory>
 
 #include "congestion/dcqcn.hpp"
 #include "fault/fault.hpp"
+#include "sim/observe.hpp"
 #include "sim/rng.hpp"
-#include "sim/task.hpp"
 
 namespace resex::core {
 
@@ -83,7 +82,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   config.qos.apply(tb_cfg.fabric);
   Testbed tb(tb_cfg);
   ScenarioResult result;
-  if (!config.trace_path.empty()) tb.sim().tracer().enable();
+  sim::Observer observer(
+      tb.sim(),
+      {config.trace_path, config.collect_metrics, config.metrics_period},
+      result.metrics, result.metrics_series);
 
   // --- DCQCN rate control (resex::congestion), if enabled --------------------
   std::unique_ptr<congestion::RateController> rate_controller;
@@ -195,22 +197,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   // --- run --------------------------------------------------------------------
-  std::vector<obs::MetricsSnapshot> series;
-  // The periodic snapshot loop also streams every registered metric into the
-  // trace sink as counter tracks, so --trace + --metrics-period lines the
-  // metric time series up under the spans in the same file.
-  const bool metrics_series = config.collect_metrics && config.metrics_period > 0;
-  if (metrics_series ||
-      (tb.sim().tracer().enabled() && config.metrics_period > 0)) {
-    tb.sim().spawn([](sim::Simulation& sim, sim::SimDuration period,
-                      std::vector<obs::MetricsSnapshot>* out) -> sim::Task {
-      for (;;) {
-        co_await sim.delay(period);
-        if (out != nullptr) out->push_back(sim.metrics().snapshot(sim.now()));
-        sim.metrics().emit_to_tracer(sim.tracer());
-      }
-    }(tb.sim(), config.metrics_period, metrics_series ? &series : nullptr));
-  }
+  observer.start();
   tb.sim().run_until(config.warmup + config.duration);
 
   // --- collect ------------------------------------------------------------------
@@ -228,10 +215,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (controller != nullptr) {
     result.timeline = controller->timeline();
   }
-  if (config.collect_metrics) {
-    result.metrics = tb.sim().metrics().snapshot(tb.sim().now());
-    result.metrics_series = std::move(series);
-  }
   if (tb.sim().tracer().enabled()) {
     // Frame the trace: a top-level core span for the whole scenario and one
     // for the warmup (these are the newest events, so they survive any ring
@@ -244,15 +227,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         {"seed", static_cast<double>(config.seed)},
         {"reporting_vms", static_cast<double>(config.reporting_count)});
   }
-  if (!config.trace_path.empty()) {
-    try {
-      obs::save_trace(config.trace_path, tb.sim().tracer());
-    } catch (const std::exception& e) {
-      // The scenario itself succeeded; losing the trace is not worth losing
-      // the results over.
-      std::cerr << "run_scenario: " << e.what() << "\n";
-    }
-  }
+  observer.finish();
   return result;
 }
 

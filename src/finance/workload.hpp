@@ -11,7 +11,6 @@
 
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
-#include "finance/monte_carlo.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 

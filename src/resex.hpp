@@ -34,7 +34,6 @@
 
 #include "finance/binomial.hpp"       // IWYU pragma: export
 #include "finance/black_scholes.hpp"  // IWYU pragma: export
-#include "finance/monte_carlo.hpp"    // IWYU pragma: export
 #include "finance/workload.hpp"       // IWYU pragma: export
 
 #include "trace/workload.hpp"  // IWYU pragma: export

@@ -110,6 +110,21 @@ struct RunnerOptions {
   /// True when any routing knob was set on the command line.
   [[nodiscard]] bool routing_set() const { return routing.any(); }
 
+  /// Overlay the fabric flags that were set (--faults, the congestion
+  /// flags, --qos and, for configs that route, --routing) onto a scenario
+  /// config (core::ScenarioConfig, cluster::ClusterScenarioConfig).
+  template <typename Config>
+  void apply(Config& config) const {
+    if (!faults.empty()) config.faults = faults;
+    if (congestion_set()) {
+      config.congestion = congestion_config(config.congestion);
+    }
+    if (qos_set()) config.qos = qos;
+    if constexpr (requires { config.routing; }) {
+      if (routing_set()) config.routing = routing;
+    }
+  }
+
   /// The worker count actually used: jobs, or hardware concurrency (>= 1).
   [[nodiscard]] std::size_t resolved_jobs() const;
 };

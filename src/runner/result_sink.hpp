@@ -1,32 +1,40 @@
 #pragma once
-// ResultSink: structured export of replicated sweep results — aligned
-// console tables (via sim::Table), CSV, and a deterministic JSON document
-// (schema "resex.runner/v1") suitable for the BENCH_*.json perf trajectory.
-// No wall-clock times, hostnames, or unordered containers appear in the
+// ResultSink: structured export of replicated results — aligned console
+// tables (via sim::Table), CSV, and a deterministic JSON document (schema
+// "resex.runner/v1") suitable for the BENCH_*.json perf trajectory. No
+// wall-clock times, hostnames, or unordered containers appear in the
 // output, so a parallel run's files are byte-identical to a serial run's.
+// Aggregate summarizes one metric across a point's replicates: mean, sample
+// stddev, exact p50/p99, and a 95% Student-t confidence half-width.
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "runner/replicator.hpp"
+#include "runner/trial.hpp"
 #include "sim/report.hpp"
 
 namespace resex::runner {
 
-/// Named scalar extracted from a finished scenario for tables and export.
-struct Metric {
-  std::string name;
-  std::function<double(const core::ScenarioResult&)> extract;
+struct Aggregate {
+  std::size_t n = 0;
+  double mean = 0.0;
+  double stddev = 0.0;  // sample stddev (n-1); 0 when n < 2
+  double p50 = 0.0;
+  double p99 = 0.0;
+  double ci95 = 0.0;  // confidence half-width; 0 when n < 2
 };
+
+[[nodiscard]] Aggregate aggregate(const std::vector<double>& values);
+
+/// Two-sided 95% Student-t critical value for `df` degrees of freedom
+/// (tabulated to df=30, 1.96 asymptote beyond).
+[[nodiscard]] double student_t95(std::size_t df);
 
 class ResultSink {
  public:
-  explicit ResultSink(std::vector<Metric> metrics);
-
-  /// Sink for generic outcomes, which carry raw values instead of scenarios.
-  static ResultSink named(std::vector<std::string> metric_names);
+  /// One name per trial value, in value order.
+  explicit ResultSink(std::vector<std::string> metric_names);
 
   [[nodiscard]] const std::vector<std::string>& metric_names() const noexcept {
     return names_;
@@ -35,62 +43,31 @@ class ResultSink {
   /// Per-point, per-metric aggregates (ordered as the outcomes are).
   [[nodiscard]] std::vector<std::vector<Aggregate>> aggregates(
       const std::vector<PointOutcome>& outcomes) const;
-  [[nodiscard]] std::vector<std::vector<Aggregate>> aggregates(
-      const std::vector<GenericOutcome>& outcomes) const;
 
   /// Aligned table: one row per point, mean per metric; when any point has
   /// 2+ replicates, each metric also gets a "<name>_ci95" half-width column.
   [[nodiscard]] sim::Table table(
       const std::vector<PointOutcome>& outcomes) const;
-  [[nodiscard]] sim::Table table(
-      const std::vector<GenericOutcome>& outcomes) const;
 
   void write_json(std::ostream& os,
                   const std::vector<PointOutcome>& outcomes) const;
-  void write_json(std::ostream& os,
-                  const std::vector<GenericOutcome>& outcomes) const;
 
   /// File variants; throw std::runtime_error on I/O failure.
   void save_json(const std::string& path,
                  const std::vector<PointOutcome>& outcomes) const;
-  void save_json(const std::string& path,
-                 const std::vector<GenericOutcome>& outcomes) const;
   void save_csv(const std::string& path,
                 const std::vector<PointOutcome>& outcomes) const;
-  void save_csv(const std::string& path,
-                const std::vector<GenericOutcome>& outcomes) const;
 
  private:
-  /// Rows of raw per-trial metric values for one point, [replicate][metric].
-  struct PointView {
-    const std::string* label;
-    const std::vector<Param>* params;
-    std::vector<std::uint64_t> seeds;
-    std::vector<std::vector<double>> values;
-  };
-
-  [[nodiscard]] std::vector<PointView> view(
-      const std::vector<PointOutcome>& outcomes) const;
-  [[nodiscard]] static std::vector<PointView> view(
-      const std::vector<GenericOutcome>& outcomes);
-
-  [[nodiscard]] std::vector<std::vector<Aggregate>> aggregate_views(
-      const std::vector<PointView>& views) const;
-  [[nodiscard]] sim::Table table_views(
-      const std::vector<PointView>& views) const;
-  void write_json_views(std::ostream& os,
-                        const std::vector<PointView>& views) const;
-
-  std::vector<Metric> metrics_;
   std::vector<std::string> names_;
 };
 
 /// Per-trial obs metrics snapshots as one deterministic JSON document
 /// (schema "resex.metrics/v1"): entries ordered by (point, replicate), each
 /// carrying the point label, seed, and the snapshot taken at the end of the
-/// trial. Trials run without ScenarioConfig::collect_metrics contribute
-/// empty snapshots; trials run with ScenarioConfig::metrics_period also
-/// carry a "series" array of periodic snapshots ordered by sim time.
+/// trial. Trials that collected no metrics contribute empty snapshots;
+/// trials run with a metrics period also carry a "series" array of periodic
+/// snapshots ordered by sim time.
 void write_metrics_json(std::ostream& os,
                         const std::vector<PointOutcome>& outcomes);
 

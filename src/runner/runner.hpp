@@ -3,11 +3,13 @@
 // and structured result export. Umbrella header.
 //
 // The pieces (each usable on its own):
-//   ThreadPool   fixed-size FIFO worker pool + exception-safe parallel_for
-//   Trial        one (ScenarioConfig, seed) -> ExperimentResult
-//   Sweep        cartesian grid builder over ScenarioConfig
-//   Replicator   N derived-seed replicates per point, ordered outcomes
-//   ResultSink   aligned tables, CSV, deterministic JSON (resex.runner/v1)
+//   ThreadPool     fixed-size FIFO worker pool + exception-safe parallel_for
+//   run_trials     the one trial loop: N derived-seed replicates per point,
+//                  each handed a TrialContext, outcomes in (point, replicate)
+//                  order
+//   Sweep          cartesian grid builder over ScenarioConfig, turned into
+//                  trials by scenario_points
+//   ResultSink     aligned tables, CSV, deterministic JSON (resex.runner/v1)
 //   RunnerOptions  the --jobs/--seeds/--seed/--json/--csv CLI surface
 //
 // Because every trial runs its own single-threaded deterministic simulation
@@ -15,22 +17,7 @@
 // produces byte-identical per-trial results to a serial run.
 
 #include "runner/options.hpp"      // IWYU pragma: export
-#include "runner/replicator.hpp"   // IWYU pragma: export
 #include "runner/result_sink.hpp"  // IWYU pragma: export
 #include "runner/sweep.hpp"        // IWYU pragma: export
 #include "runner/thread_pool.hpp"  // IWYU pragma: export
 #include "runner/trial.hpp"        // IWYU pragma: export
-
-namespace resex::runner {
-
-/// Run `points` under `opts`: pool of resolved_jobs() workers, opts.seeds
-/// replicates per point, base seeds overridden by opts.seed when set.
-/// Outcomes are ordered by (point, replicate) regardless of jobs.
-[[nodiscard]] std::vector<PointOutcome> run_sweep(
-    std::vector<SweepPoint> points, const RunnerOptions& opts);
-
-/// Generic-point variant (trials that are not a single run_scenario call).
-[[nodiscard]] std::vector<GenericOutcome> run_generic(
-    std::vector<GenericPoint> points, const RunnerOptions& opts);
-
-}  // namespace resex::runner

@@ -1,6 +1,7 @@
 #include "runner/sweep.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "sim/report.hpp"
 
@@ -74,6 +75,33 @@ std::vector<SweepPoint> Sweep::points() const {
     }
   }
   for (const auto& extra : extras_) out.push_back(extra);
+  return out;
+}
+
+std::vector<GenericPoint> scenario_points(std::vector<SweepPoint> points,
+                                          std::vector<Metric> metrics,
+                                          const RunnerOptions& opts) {
+  std::vector<GenericPoint> out;
+  out.reserve(points.size());
+  for (auto& sp : points) {
+    opts.apply(sp.config);
+    GenericPoint p;
+    p.label = std::move(sp.label);
+    p.params = std::move(sp.params);
+    p.seed = sp.config.seed;
+    p.run = [config = std::move(sp.config),
+             metrics](const TrialContext& ctx) {
+      auto cfg = config;
+      ctx.apply(cfg);
+      auto result = core::run_scenario(cfg);
+      std::vector<double> values;
+      values.reserve(metrics.size());
+      for (const auto& m : metrics) values.push_back(m.extract(result));
+      ctx.keep(result);
+      return values;
+    };
+    out.push_back(std::move(p));
+  }
   return out;
 }
 

@@ -3,7 +3,8 @@
 // declares axes ("cap_pct" over {100, 90, ...}, "policy" over {FreeMarket,
 // IOShares}) and optional explicit extra points (the uncontended base case);
 // points() materializes the grid in a fixed order so every run — serial or
-// parallel — enumerates identical trials.
+// parallel — enumerates identical trials. scenario_points turns the grid
+// into trials that each run core::run_scenario.
 
 #include <functional>
 #include <string>
@@ -11,14 +12,10 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "runner/options.hpp"
+#include "runner/trial.hpp"
 
 namespace resex::runner {
-
-/// One displayed parameter assignment of a sweep point ("cap_pct" = "50").
-struct Param {
-  std::string name;
-  std::string value;
-};
 
 struct SweepPoint {
   std::string label;          // human label for the table's first column
@@ -61,5 +58,19 @@ class Sweep {
   std::vector<AxisDef> axes_;
   std::vector<SweepPoint> extras_;
 };
+
+/// Named scalar extracted from a finished scenario for tables and export.
+struct Metric {
+  std::string name;
+  std::function<double(const core::ScenarioResult&)> extract;
+};
+
+/// Sweep points as trials: each runs core::run_scenario on its point's
+/// config with the CLI's fabric flags (RunnerOptions::apply) and the
+/// trial's seed and observability (TrialContext::apply) overlaid, and
+/// yields one value per metric.
+[[nodiscard]] std::vector<GenericPoint> scenario_points(
+    std::vector<SweepPoint> points, std::vector<Metric> metrics,
+    const RunnerOptions& opts);
 
 }  // namespace resex::runner

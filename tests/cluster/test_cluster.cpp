@@ -17,7 +17,8 @@
 #include "cluster/topology.hpp"
 #include "core/cluster_exchange.hpp"
 #include "core/testbed.hpp"
-#include "runner/cluster_runner.hpp"
+#include "runner/trial.hpp"
+#include "sim/rng.hpp"
 
 namespace resex::cluster {
 namespace {
@@ -292,37 +293,49 @@ TEST(ClusterScenario, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(ClusterRunner, ResultsAreIndependentOfJobCount) {
-  auto make_points = [] {
-    std::vector<runner::ClusterPoint> points;
+  // Each trial keeps its full result at [point * seeds + replicate].
+  static constexpr std::size_t kSeeds = 2;
+  auto run_with = [](std::size_t jobs) {
+    std::vector<ClusterScenarioResult> results(2 * kSeeds);
+    std::vector<runner::GenericPoint> points;
     for (const bool migrate : {false, true}) {
-      runner::ClusterPoint p;
+      ClusterScenarioConfig config;
+      config.nodes = 4;
+      config.warmup = 50 * sim::kMillisecond;
+      config.duration = 200 * sim::kMillisecond;
+      config.migration_enabled = migrate;
+      config.sla_limit_us = 100.0;
+      config.baseline_total_us = 50.0;
+      runner::GenericPoint p;
       p.label = migrate ? "resex" : "static";
       p.params = {{"migrate", migrate ? "1" : "0"}};
-      p.config.nodes = 4;
-      p.config.warmup = 50 * sim::kMillisecond;
-      p.config.duration = 200 * sim::kMillisecond;
-      p.config.migration_enabled = migrate;
-      p.config.sla_limit_us = 100.0;
-      p.config.baseline_total_us = 50.0;
+      p.seed = config.seed;
+      p.run = [&results, config](const runner::TrialContext& ctx) {
+        auto cfg = config;
+        ctx.apply(cfg);
+        results[ctx.point * kSeeds + ctx.replicate] = run_cluster_scenario(cfg);
+        return std::vector<double>{};
+      };
       points.push_back(std::move(p));
     }
-    return points;
-  };
-  runner::RunnerOptions opts;
-  opts.seeds = 2;
-  opts.jobs = 1;
-  const auto serial = runner::run_cluster(make_points(), opts);
-  opts.jobs = 4;
-  const auto parallel = runner::run_cluster(make_points(), opts);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t p = 0; p < serial.size(); ++p) {
-    EXPECT_EQ(serial[p].label, parallel[p].label);
-    EXPECT_EQ(serial[p].seeds, parallel[p].seeds);
-    ASSERT_EQ(serial[p].trials.size(), parallel[p].trials.size());
-    for (std::size_t r = 0; r < serial[p].trials.size(); ++r) {
-      expect_same_result(serial[p].trials[r], parallel[p].trials[r]);
+    runner::RunnerOptions opts;
+    opts.seeds = kSeeds;
+    opts.jobs = jobs;
+    const auto outcomes = runner::run_trials(std::move(points), opts);
+    EXPECT_EQ(outcomes.size(), 2u);
+    for (const auto& o : outcomes) {
+      EXPECT_EQ(o.trials.size(), kSeeds);
+      for (std::size_t r = 0; r < o.trials.size(); ++r) {
+        EXPECT_EQ(o.trials[r].seed, sim::derive(1, r));
+      }
     }
+    return results;
+  };
+  const auto serial = run_with(1);
+  const auto parallel = run_with(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_same_result(serial[i], parallel[i]);
   }
 }
 

@@ -260,7 +260,9 @@ TEST(CollectiveDeterminism, StepOrderingAndResultsIdenticalAcrossJobs) {
     runner::GenericPoint pt;
     pt.label = "ring-p" + std::to_string(p);
     pt.seed = 100 + p;
-    pt.run = ring_trial;
+    pt.run = [](const runner::TrialContext& ctx) {
+      return ring_trial(ctx.seed);
+    };
     points.push_back(std::move(pt));
   }
   runner::RunnerOptions serial;
@@ -269,13 +271,15 @@ TEST(CollectiveDeterminism, StepOrderingAndResultsIdenticalAcrossJobs) {
   runner::RunnerOptions wide;
   wide.jobs = 4;
   wide.seeds = 2;
-  const auto a = runner::run_generic(points, serial);
-  const auto b = runner::run_generic(points, wide);
+  const auto a = runner::run_trials(points, serial);
+  const auto b = runner::run_trials(points, wide);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].trial_values, b[i].trial_values) << "point " << i;
-    for (const auto& trial : a[i].trial_values) {
-      EXPECT_EQ(trial.back(), 1.0) << "trial failed";
+    ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
+    for (std::size_t r = 0; r < a[i].trials.size(); ++r) {
+      ASSERT_EQ(a[i].trials[r].values, b[i].trials[r].values)
+          << "point " << i;
+      EXPECT_EQ(a[i].trials[r].values.back(), 1.0) << "trial failed";
     }
   }
 }

@@ -240,6 +240,38 @@ std::vector<runner::SweepPoint> faulted_points() {
   return sweep.points();
 }
 
+/// Run the faulted points through run_trials with the CLI overlay, keeping
+/// every trial's full scenario result at [point * seeds + replicate].
+struct FullRun {
+  std::vector<runner::PointOutcome> outcomes;
+  std::vector<core::ScenarioResult> results;
+};
+
+FullRun run_faulted(const runner::RunnerOptions& opts) {
+  FullRun run;
+  auto points = faulted_points();
+  run.results.resize(points.size() * opts.seeds);
+  std::vector<runner::GenericPoint> trials;
+  for (auto& sp : points) {
+    opts.apply(sp.config);
+    runner::GenericPoint p;
+    p.label = sp.label;
+    p.seed = sp.config.seed;
+    p.run = [&run, seeds = opts.seeds,
+             config = sp.config](const runner::TrialContext& ctx) {
+      auto cfg = config;
+      ctx.apply(cfg);
+      auto& result = run.results[ctx.point * seeds + ctx.replicate];
+      result = core::run_scenario(cfg);
+      ctx.keep(result);
+      return std::vector<double>{};
+    };
+    trials.push_back(std::move(p));
+  }
+  run.outcomes = runner::run_trials(std::move(trials), opts);
+  return run;
+}
+
 TEST(FaultRunner, FaultedSweepIsByteIdenticalAcrossJobCounts) {
   runner::RunnerOptions serial;
   serial.jobs = 1;
@@ -249,33 +281,31 @@ TEST(FaultRunner, FaultedSweepIsByteIdenticalAcrossJobCounts) {
   runner::RunnerOptions parallel = serial;
   parallel.jobs = 8;
 
-  const auto a = runner::run_sweep(faulted_points(), serial);
-  const auto b = runner::run_sweep(faulted_points(), parallel);
+  const auto a = run_faulted(serial);
+  const auto b = run_faulted(parallel);
 
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    ASSERT_EQ(a[p].trials.size(), b[p].trials.size());
-    for (std::size_t r = 0; r < a[p].trials.size(); ++r) {
-      const auto& va = a[p].trials[r].scenario.reporting[0];
-      const auto& vb = b[p].trials[r].scenario.reporting[0];
-      EXPECT_EQ(va.requests, vb.requests);
-      // Bitwise equality, not tolerance: the guarantee is identity.
-      EXPECT_EQ(va.client_mean_us, vb.client_mean_us);
-      EXPECT_EQ(va.client_latency_us.values(), vb.client_latency_us.values());
-    }
+  ASSERT_EQ(a.results.size(), 4u);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const auto& va = a.results[i].reporting[0];
+    const auto& vb = b.results[i].reporting[0];
+    EXPECT_EQ(va.requests, vb.requests);
+    // Bitwise equality, not tolerance: the guarantee is identity.
+    EXPECT_EQ(va.client_mean_us, vb.client_mean_us);
+    EXPECT_EQ(va.client_latency_us.values(), vb.client_latency_us.values());
   }
 
   // The faults really fired (the snapshot carries the injector's tallies)...
   double drops = 0.0;
-  for (const auto& s : a[0].trials[0].scenario.metrics.samples) {
+  for (const auto& s : a.outcomes[0].trials[0].metrics.samples) {
     if (s.name == "fault.drops_injected") drops = s.value;
   }
   EXPECT_GT(drops, 0.0);
 
   // ...and the exported artifacts match byte for byte.
   std::ostringstream ma, mb;
-  runner::write_metrics_json(ma, a);
-  runner::write_metrics_json(mb, b);
+  runner::write_metrics_json(ma, a.outcomes);
+  runner::write_metrics_json(mb, b.outcomes);
   EXPECT_EQ(ma.str(), mb.str());
 }
 

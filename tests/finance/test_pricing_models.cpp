@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "finance/binomial.hpp"
-#include "finance/monte_carlo.hpp"
 #include "finance/workload.hpp"
 
 namespace resex::finance {
@@ -44,35 +43,6 @@ TEST(Binomial, RejectsBadInputs) {
   o.spot = -1.0;
   EXPECT_THROW((void)binomial_price(o, 16, ExerciseStyle::kEuropean),
                BadOption);
-}
-
-TEST(MonteCarlo, ConvergesToAnalyticPrice) {
-  const OptionSpec o = atm();
-  sim::Rng rng(42);
-  const auto r = monte_carlo_price(o, 200000, rng);
-  EXPECT_NEAR(r.price, price(o), 4.0 * r.std_error + 0.01);
-  EXPECT_LT(r.std_error, 0.05);
-  EXPECT_EQ(r.paths, 200000u);
-}
-
-TEST(MonteCarlo, PutPricing) {
-  OptionSpec o = atm();
-  o.type = OptionType::kPut;
-  sim::Rng rng(7);
-  const auto r = monte_carlo_price(o, 200000, rng);
-  EXPECT_NEAR(r.price, price(o), 4.0 * r.std_error + 0.01);
-}
-
-TEST(MonteCarlo, DeterministicForSameSeed) {
-  sim::Rng a(3), b(3);
-  const auto ra = monte_carlo_price(atm(), 1000, a);
-  const auto rb = monte_carlo_price(atm(), 1000, b);
-  EXPECT_DOUBLE_EQ(ra.price, rb.price);
-}
-
-TEST(MonteCarlo, RejectsZeroPaths) {
-  sim::Rng rng(1);
-  EXPECT_THROW((void)monte_carlo_price(atm(), 0, rng), BadOption);
 }
 
 TEST(CostModel, ScalesWithKindAndCount) {

@@ -502,7 +502,9 @@ TEST(QosDeterminism, TwoClassIncastIsByteIdenticalAcrossJobs) {
     runner::GenericPoint pt;
     pt.label = "qos-p" + std::to_string(p);
     pt.seed = 700 + p;
-    pt.run = qos_trial;
+    pt.run = [](const runner::TrialContext& ctx) {
+      return qos_trial(ctx.seed);
+    };
     points.push_back(std::move(pt));
   }
   runner::RunnerOptions serial;
@@ -510,12 +512,14 @@ TEST(QosDeterminism, TwoClassIncastIsByteIdenticalAcrossJobs) {
   serial.seeds = 2;
   runner::RunnerOptions wide = serial;
   wide.jobs = 4;
-  const auto a = runner::run_generic(points, serial);
-  const auto b = runner::run_generic(points, wide);
+  const auto a = runner::run_trials(points, serial);
+  const auto b = runner::run_trials(points, wide);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].trial_values, b[i].trial_values) << "point " << i;
-    for (const auto& trial : a[i].trial_values) {
+    ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
+    for (std::size_t r = 0; r < a[i].trials.size(); ++r) {
+      const auto& trial = a[i].trials[r].values;
+      ASSERT_EQ(trial, b[i].trials[r].values) << "point " << i;
       // Both lanes actually carried traffic in every trial.
       EXPECT_GT(trial[4], 0.0);
       EXPECT_GT(trial[5], 0.0);

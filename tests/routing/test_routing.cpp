@@ -391,7 +391,9 @@ TEST(RoutingDeterminism, EveryModeIsByteIdenticalAcrossJobs) {
       runner::GenericPoint pt;
       pt.label = "routing-p" + std::to_string(p);
       pt.seed = 900 + p;
-      pt.run = [mode](std::uint64_t seed) { return routing_trial(mode, seed); };
+      pt.run = [mode](const runner::TrialContext& ctx) {
+        return routing_trial(mode, ctx.seed);
+      };
       points.push_back(std::move(pt));
     }
     runner::RunnerOptions serial;
@@ -399,12 +401,15 @@ TEST(RoutingDeterminism, EveryModeIsByteIdenticalAcrossJobs) {
     serial.seeds = 2;
     runner::RunnerOptions wide = serial;
     wide.jobs = 4;
-    const auto a = runner::run_generic(points, serial);
-    const auto b = runner::run_generic(points, wide);
+    const auto a = runner::run_trials(points, serial);
+    const auto b = runner::run_trials(points, wide);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].trial_values, b[i].trial_values)
-          << "mode " << routing::to_string(mode) << " point " << i;
+      ASSERT_EQ(a[i].trials.size(), b[i].trials.size());
+      for (std::size_t r = 0; r < a[i].trials.size(); ++r) {
+        ASSERT_EQ(a[i].trials[r].values, b[i].trials[r].values)
+            << "mode " << routing::to_string(mode) << " point " << i;
+      }
     }
   }
 }

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "cluster/scenario.hpp"
+#include "core/testbed.hpp"
 #include "sim/rng.hpp"
 
 namespace resex::runner {
@@ -172,6 +174,38 @@ Sweep tiny_sweep() {
   return sweep;
 }
 
+/// Run sweep points through run_trials, keeping every trial's full scenario
+/// result at [point * seeds + replicate] next to the outcomes.
+struct FullRun {
+  std::vector<PointOutcome> outcomes;
+  std::vector<core::ScenarioResult> results;
+};
+
+FullRun run_full(std::vector<SweepPoint> points, const RunnerOptions& opts) {
+  FullRun run;
+  run.results.resize(points.size() * opts.seeds);
+  std::vector<GenericPoint> trials;
+  for (auto& sp : points) {
+    opts.apply(sp.config);
+    GenericPoint p;
+    p.label = sp.label;
+    p.params = sp.params;
+    p.seed = sp.config.seed;
+    p.run = [&run, seeds = opts.seeds,
+             config = sp.config](const TrialContext& ctx) {
+      auto cfg = config;
+      ctx.apply(cfg);
+      auto& result = run.results[ctx.point * seeds + ctx.replicate];
+      result = core::run_scenario(cfg);
+      ctx.keep(result);
+      return std::vector<double>{result.reporting[0].total_us};
+    };
+    trials.push_back(std::move(p));
+  }
+  run.outcomes = run_trials(std::move(trials), opts);
+  return run;
+}
+
 TEST(Determinism, ParallelRunMatchesSerialRunPerTrial) {
   RunnerOptions serial;
   serial.jobs = 1;
@@ -179,47 +213,55 @@ TEST(Determinism, ParallelRunMatchesSerialRunPerTrial) {
   RunnerOptions parallel = serial;
   parallel.jobs = 8;
 
-  const auto a = run_sweep(tiny_sweep().points(), serial);
-  const auto b = run_sweep(tiny_sweep().points(), parallel);
+  const auto a = run_full(tiny_sweep().points(), serial);
+  const auto b = run_full(tiny_sweep().points(), parallel);
 
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    ASSERT_EQ(a[p].trials.size(), 3u);
-    ASSERT_EQ(b[p].trials.size(), 3u);
-    for (std::size_t r = 0; r < a[p].trials.size(); ++r) {
-      const auto& ta = a[p].trials[r];
-      const auto& tb = b[p].trials[r];
-      EXPECT_EQ(ta.index, tb.index);
-      EXPECT_EQ(ta.seed, tb.seed);
-      ASSERT_EQ(ta.scenario.reporting.size(), tb.scenario.reporting.size());
-      for (std::size_t v = 0; v < ta.scenario.reporting.size(); ++v) {
-        const auto& va = ta.scenario.reporting[v];
-        const auto& vb = tb.scenario.reporting[v];
-        EXPECT_EQ(va.requests, vb.requests);
-        // Bitwise equality, not tolerance: the guarantee is identity.
-        EXPECT_EQ(va.total_us, vb.total_us);
-        EXPECT_EQ(va.client_mean_us, vb.client_mean_us);
-        EXPECT_EQ(va.client_p99_us, vb.client_p99_us);
-        EXPECT_EQ(va.ptime_us, vb.ptime_us);
-        EXPECT_EQ(va.wtime_us, vb.wtime_us);
-        EXPECT_EQ(va.ctime_us, vb.ctime_us);
-        EXPECT_EQ(va.client_latency_us.values(),
-                  vb.client_latency_us.values());
-      }
-      EXPECT_EQ(ta.scenario.interferer_mbps, tb.scenario.interferer_mbps);
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  ASSERT_EQ(a.results.size(), 2u * 3u);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t p = 0; p < a.outcomes.size(); ++p) {
+    ASSERT_EQ(a.outcomes[p].trials.size(), 3u);
+    ASSERT_EQ(b.outcomes[p].trials.size(), 3u);
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(a.outcomes[p].trials[r].seed, b.outcomes[p].trials[r].seed);
     }
+  }
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const auto& ta = a.results[i];
+    const auto& tb = b.results[i];
+    ASSERT_EQ(ta.reporting.size(), tb.reporting.size());
+    for (std::size_t v = 0; v < ta.reporting.size(); ++v) {
+      const auto& va = ta.reporting[v];
+      const auto& vb = tb.reporting[v];
+      EXPECT_EQ(va.requests, vb.requests);
+      // Bitwise equality, not tolerance: the guarantee is identity.
+      EXPECT_EQ(va.total_us, vb.total_us);
+      EXPECT_EQ(va.client_mean_us, vb.client_mean_us);
+      EXPECT_EQ(va.client_p99_us, vb.client_p99_us);
+      EXPECT_EQ(va.ptime_us, vb.ptime_us);
+      EXPECT_EQ(va.wtime_us, vb.wtime_us);
+      EXPECT_EQ(va.ctime_us, vb.ctime_us);
+      EXPECT_EQ(va.client_latency_us.values(), vb.client_latency_us.values());
+    }
+    EXPECT_EQ(ta.interferer_mbps, tb.interferer_mbps);
   }
 
   // ...and so do the exported bytes.
-  const ResultSink sink(tiny_metrics());
+  const auto metrics = tiny_metrics();
+  std::vector<std::string> names;
+  for (const auto& m : metrics) names.push_back(m.name);
+  const ResultSink sink(names);
   std::ostringstream ja, jb;
-  sink.write_json(ja, a);
-  sink.write_json(jb, b);
+  sink.write_json(ja, run_trials(scenario_points(tiny_sweep().points(),
+                                                 metrics, serial),
+                                 serial));
+  sink.write_json(jb, run_trials(scenario_points(tiny_sweep().points(),
+                                                 metrics, parallel),
+                                 parallel));
   EXPECT_EQ(ja.str(), jb.str());
 }
 
-TEST(Replicator, ReplicatesWithDerivedSeeds) {
-  ThreadPool pool(4);
+TEST(RunTrials, ReplicatesWithDerivedSeeds) {
   core::ScenarioConfig base;
   base.warmup = 20 * sim::kMillisecond;
   base.duration = 60 * sim::kMillisecond;
@@ -227,36 +269,42 @@ TEST(Replicator, ReplicatesWithDerivedSeeds) {
   SweepPoint point;
   point.label = "p";
   point.config = base;
+  RunnerOptions opts;
+  opts.jobs = 4;
+  opts.seeds = 3;
 
-  const auto outcomes = Replicator(pool, 3).run({point});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_EQ(outcomes[0].trials.size(), 3u);
+  const auto run = run_full({point}, opts);
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  ASSERT_EQ(run.outcomes[0].trials.size(), 3u);
   for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(outcomes[0].trials[r].replicate, r);
-    EXPECT_EQ(outcomes[0].trials[r].seed, sim::derive(7, r));
+    EXPECT_EQ(run.outcomes[0].trials[r].point, 0u);
+    EXPECT_EQ(run.outcomes[0].trials[r].replicate, r);
+    EXPECT_EQ(run.outcomes[0].trials[r].seed, sim::derive(7, r));
   }
   // Different seeds -> genuinely different samples (replication is real).
-  EXPECT_NE(outcomes[0].trials[0].scenario.reporting[0].client_mean_us,
-            outcomes[0].trials[1].scenario.reporting[0].client_mean_us);
+  EXPECT_NE(run.results[0].reporting[0].client_mean_us,
+            run.results[1].reporting[0].client_mean_us);
 }
 
-TEST(Replicator, GenericPointsRunAndAggregate) {
-  ThreadPool pool(4);
+TEST(RunTrials, GenericPointsRunAndAggregate) {
   GenericPoint p;
   p.label = "g";
   p.seed = 5;
-  p.run = [](std::uint64_t seed) {
-    return std::vector<double>{static_cast<double>(seed % 1000), 1.0};
+  p.run = [](const TrialContext& ctx) {
+    return std::vector<double>{static_cast<double>(ctx.seed % 1000), 1.0};
   };
-  const auto outcomes = Replicator(pool, 4).run_generic({p});
+  RunnerOptions opts;
+  opts.jobs = 4;
+  opts.seeds = 4;
+  const auto outcomes = run_trials({p}, opts);
   ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_EQ(outcomes[0].trial_values.size(), 4u);
+  ASSERT_EQ(outcomes[0].trials.size(), 4u);
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(outcomes[0].seeds[r], sim::derive(5, r));
-    EXPECT_DOUBLE_EQ(outcomes[0].trial_values[r][0],
+    EXPECT_EQ(outcomes[0].trials[r].seed, sim::derive(5, r));
+    EXPECT_DOUBLE_EQ(outcomes[0].trials[r].values[0],
                      static_cast<double>(sim::derive(5, r) % 1000));
   }
-  const auto sink = ResultSink::named({"m0", "m1"});
+  const ResultSink sink({"m0", "m1"});
   const auto aggs = sink.aggregates(outcomes);
   ASSERT_EQ(aggs.size(), 1u);
   ASSERT_EQ(aggs[0].size(), 2u);
@@ -266,17 +314,17 @@ TEST(Replicator, GenericPointsRunAndAggregate) {
 }
 
 TEST(ResultSink, TableShapesFollowReplication) {
-  const auto sink = ResultSink::named({"m"});
-  GenericOutcome one;
+  const ResultSink sink({"m"});
+  PointOutcome one;
   one.label = "a";
-  one.seeds = {1};
-  one.trial_values = {{3.0}};
+  one.trials.resize(1);
+  one.trials[0].values = {3.0};
   const auto t1 = sink.table({one});
   EXPECT_EQ(t1.columns(), (std::vector<std::string>{"point", "m"}));
 
-  GenericOutcome many = one;
-  many.seeds = {1, 2};
-  many.trial_values = {{3.0}, {5.0}};
+  PointOutcome many = one;
+  many.trials.resize(2);
+  many.trials[1].values = {5.0};
   const auto t2 = sink.table({many});
   EXPECT_EQ(t2.columns(), (std::vector<std::string>{"point", "m", "m_ci95"}));
   ASSERT_EQ(t2.row_count(), 1u);
@@ -307,6 +355,53 @@ TEST(TrialTracePath, DerivesPerTrialNames) {
   EXPECT_EQ(trial_trace_path("", 1, 1), "");
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// A hand-built trial: a bare testbed pair attached through its context.
+GenericPoint hand_built_point() {
+  GenericPoint p;
+  p.label = "hand-built";
+  p.seed = 3;
+  p.run = [](const TrialContext& ctx) {
+    core::Testbed tb;
+    auto observer = ctx.observe(tb.sim());
+    auto& pair = tb.deploy_pair(
+        core::reporting_config(64 * 1024, 2000.0, ctx.seed), "rep");
+    observer.start();
+    tb.sim().run_until(40 * sim::kMillisecond);
+    observer.finish();
+    return std::vector<double>{pair.client().metrics().latency_us.mean()};
+  };
+  return p;
+}
+
+/// A small cluster scenario run as one trial.
+GenericPoint cluster_point() {
+  cluster::ClusterScenarioConfig config;
+  config.nodes = 4;
+  config.warmup = 10 * sim::kMillisecond;
+  config.duration = 40 * sim::kMillisecond;
+  config.sla_limit_us = 100.0;
+  config.baseline_total_us = 50.0;
+  GenericPoint p;
+  p.label = "cluster";
+  p.seed = config.seed;
+  p.run = [config](const TrialContext& ctx) {
+    auto cfg = config;
+    ctx.apply(cfg);
+    auto r = cluster::run_cluster_scenario(cfg);
+    ctx.keep(r);
+    return std::vector<double>{r.violation_pct};
+  };
+  return p;
+}
+
 TEST(Determinism, TraceFilesIdenticalAcrossJobCounts) {
   // The whole point of per-trial trace files: `--trace` output must be
   // byte-identical no matter how many workers ran the sweep.
@@ -321,19 +416,13 @@ TEST(Determinism, TraceFilesIdenticalAcrossJobCounts) {
     Sweep sweep(cfg);
     sweep.axis("cap_pct", {100.0, 40.0},
                [](core::ScenarioConfig& c, double v) { c.intf_cap = v; });
-    (void)run_sweep(sweep.points(), opts);
+    (void)run_trials(scenario_points(sweep.points(), tiny_metrics(), opts),
+                     opts);
   };
   const std::string dir = ::testing::TempDir();
   run_with(1, dir + "serial.json");
   run_with(8, dir + "parallel.json");
 
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
   for (const char* suffix : {"", ".p0r1", ".p1r0", ".p1r1"}) {
     const std::string serial =
         dir + "serial" + (*suffix != '\0' ? std::string(suffix) : "") +
@@ -347,6 +436,35 @@ TEST(Determinism, TraceFilesIdenticalAcrossJobCounts) {
     std::remove(serial.c_str());
     std::remove(parallel.c_str());
   }
+
+  // A hand-built trial and a cluster scenario trial observe themselves
+  // through the same context: traces (with counter tracks) and the metrics
+  // document, periodic series included, match at any --jobs.
+  auto observed = [&dir](std::size_t jobs, const std::string& name) {
+    RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.seeds = 2;
+    opts.trace_path = dir + name + ".json";
+    opts.metrics_path = "unused";  // collection is keyed off this being set
+    opts.metrics_period_ms = 10.0;
+    std::ostringstream os;
+    write_metrics_json(os, run_trials({hand_built_point(), cluster_point()},
+                                      opts));
+    return os.str();
+  };
+  const std::string ma = observed(1, "obs1");
+  EXPECT_EQ(ma, observed(4, "obs4"));
+  EXPECT_NE(ma.find("\"series\":["), std::string::npos);
+  EXPECT_NE(ma.find("cluster.migration_bytes"), std::string::npos);
+  for (const char* suffix : {"", ".p0r1", ".p1r0", ".p1r1"}) {
+    const std::string a = dir + "obs1" + suffix + ".json";
+    const std::string b = dir + "obs4" + suffix + ".json";
+    const std::string trace = slurp(a);
+    EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos) << suffix;
+    EXPECT_EQ(trace, slurp(b)) << suffix;
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+  }
 }
 
 TEST(Metrics, SnapshotCollectedPerTrialAndExported) {
@@ -359,10 +477,11 @@ TEST(Metrics, SnapshotCollectedPerTrialAndExported) {
   cfg.duration = 60 * sim::kMillisecond;
   Sweep sweep(cfg);
   sweep.point("only", [](core::ScenarioConfig&) {});
-  const auto outcomes = run_sweep(sweep.points(), opts);
+  const auto outcomes =
+      run_trials(scenario_points(sweep.points(), tiny_metrics(), opts), opts);
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_EQ(outcomes[0].trials.size(), 1u);
-  const auto& snap = outcomes[0].trials[0].scenario.metrics;
+  const auto& snap = outcomes[0].trials[0].metrics;
   EXPECT_FALSE(snap.samples.empty());
   auto has = [&snap](const std::string& name) {
     for (const auto& s : snap.samples) {
