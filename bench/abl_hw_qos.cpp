@@ -43,16 +43,15 @@ int main(int argc, char** argv) {
       auto& intf = tb.deploy_pair(intf_cfg, "intf");
       if (limit_mbps > 0.0) {
         tb.hca_a().uplink().set_flow_rate_limit(
-            intf.server().endpoint().qp->num(), limit_mbps * 1e6);
+            intf.server_qp().num(), limit_mbps * 1e6);
       }
       observer.start();
       tb.sim().run_until(1300_ms);
       observer.finish();
       const double mbps =
-          static_cast<double>(intf.server().endpoint().qp->bytes_sent()) /
-          1.3 / 1e6;
-      return std::vector<double>{rep.client().metrics().latency_us.mean(),
-                                 rep.server().metrics().total_us.mean(), mbps};
+          static_cast<double>(intf.server_qp().bytes_sent()) / 1.3 / 1e6;
+      return std::vector<double>{rep.client_metrics().latency_us.mean(),
+                                 rep.server_metrics().total_us.mean(), mbps};
     };
     return p;
   };

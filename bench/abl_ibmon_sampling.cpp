@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
       const auto st = mon.stats(pair.server_domain().id());
       const double truth =
-          static_cast<double>(pair.server().endpoint().qp->bytes_sent());
+          static_cast<double>(pair.server_qp().bytes_sent());
       const double seen = static_cast<double>(st.send_bytes);
       return std::vector<double>{seen / 1e6, truth / 1e6,
                                  (seen - truth) / truth * 100.0,

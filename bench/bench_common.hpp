@@ -15,7 +15,7 @@
 
 #include "congestion/dcqcn.hpp"
 #include "core/experiment.hpp"
-#include "fabric/verbs.hpp"
+#include "fabric/endpoint.hpp"
 #include "hv/node.hpp"
 #include "qos/config.hpp"
 #include "runner/runner.hpp"
@@ -245,33 +245,14 @@ inline constexpr std::uint32_t kWriteBytes = 64 * 1024;
 /// Latency samples start after this warm-up.
 inline constexpr sim::SimDuration kWarmup = 100_ms;
 
-/// One guest with a verbs context and a single registered buffer (mirrors
-/// the test fixture's endpoint bundle; benches cannot link the test tree).
-struct Endpoint {
-  hv::Domain* domain = nullptr;
-  std::unique_ptr<fabric::Verbs> verbs;
-  std::uint32_t pd = 0;
-  fabric::CompletionQueue* send_cq = nullptr;
-  fabric::CompletionQueue* recv_cq = nullptr;
-  fabric::QueuePair* qp = nullptr;
-  mem::GuestAddr buf = 0;
-  mem::RegisteredRegion mr;
-};
+using fabric::Endpoint;
 
+/// A fresh guest `name` on `node` with an endpoint on `hca`.
 inline Endpoint make_endpoint(hv::Node& node, fabric::Hca& hca,
                               const std::string& name, std::size_t buf_bytes) {
-  Endpoint ep;
-  ep.domain = &node.create_domain({.name = name, .mem_pages = 2048});
-  ep.verbs = std::make_unique<fabric::Verbs>(hca, *ep.domain);
-  ep.pd = hca.alloc_pd(*ep.domain);
-  ep.send_cq = &hca.create_cq(*ep.domain, 1024);
-  ep.recv_cq = &hca.create_cq(*ep.domain, 1024);
-  ep.qp = &hca.create_qp(*ep.domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  ep.buf = ep.domain->allocator().allocate(buf_bytes, mem::kPageSize);
-  ep.mr = hca.reg_mr(ep.pd, *ep.domain, ep.buf, buf_bytes,
-                     mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
-                         mem::Access::kRemoteRead);
-  return ep;
+  return fabric::make_endpoint(
+      hca, node.create_domain({.name = name, .mem_pages = 2048}), buf_bytes,
+      1024);
 }
 
 /// Closed-loop writer: kWriteBytes RDMA writes back to back, per-write

@@ -68,7 +68,7 @@ int main() {
   // Budget: ~200 MTUs per 1 ms interval = ~200 MB/s per VM.
   auto policy = std::make_unique<BandwidthBudgetPolicy>(200.0);
   core::ResExController controller(tb.node_a(), ibmon, std::move(policy));
-  controller.monitor(victim.server_domain(), &victim.agent());
+  controller.monitor(victim.server_domain(), victim.agent());
   controller.monitor(bully.server_domain(), nullptr);
   controller.start();
 
@@ -77,8 +77,8 @@ int main() {
   std::cout << "policy           : "
             << controller.policy().name() << "\n";
   std::cout << "victim latency   : "
-            << victim.client().metrics().latency_us.mean() << " us (mean), "
-            << victim.client().metrics().latency_us.percentile(99)
+            << victim.client_metrics().latency_us.mean() << " us (mean), "
+            << victim.client_metrics().latency_us.percentile(99)
             << " us (p99)\n";
   double min_cap = 100.0;
   for (const auto& rec : controller.timeline()) {

@@ -26,8 +26,8 @@ int main() {
   testbed.sim().run_until(500_ms);
 
   // 4. Read the results.
-  const auto& server = pair.server().metrics();
-  const auto& client = pair.client().metrics();
+  const auto& server = pair.server_metrics();
+  const auto& client = pair.client_metrics();
 
   std::cout << "requests served      : " << server.requests << "\n";
   std::cout << "client latency (mean): " << client.latency_us.mean()

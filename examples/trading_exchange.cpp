@@ -30,7 +30,7 @@ int main() {
       {"news-burst", trace::ArrivalKind::kBursty, 600.0, 128 * 1024},
   };
 
-  std::vector<benchex::BenchPair*> pairs;
+  std::vector<benchex::Service*> pairs;
   std::uint64_t seed = 41;
   for (const Feed& feed : feeds) {
     benchex::BenchExConfig cfg;
@@ -47,10 +47,10 @@ int main() {
   sim::Table table({"engine", "requests", "mean_us", "p50_us", "p99_us",
                     "max_us", "jitter_us"});
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& lat = pairs[i]->client().metrics().latency_us;
+    const auto& lat = pairs[i]->client_metrics().latency_us;
     table.add_row({sim::Cell{std::string(feeds[i].name)},
                    sim::Cell{static_cast<std::int64_t>(
-                       pairs[i]->server().metrics().requests)},
+                       pairs[i]->server_metrics().requests)},
                    sim::Cell{lat.mean()}, sim::Cell{lat.median()},
                    sim::Cell{lat.percentile(99)}, sim::Cell{lat.max()},
                    sim::Cell{lat.stddev()}});

@@ -1,35 +1,17 @@
-#include "cluster/service.hpp"
+#include "benchex/service.hpp"
 
 #include <algorithm>
 
+#include "benchex/messages.hpp"
 #include "obs/trace.hpp"
 
-namespace resex::cluster {
-
-benchex::Endpoint Service::make_endpoint(fabric::Hca& hca, hv::Domain& domain,
-                                         const benchex::BenchExConfig& config) {
-  benchex::Endpoint ep;
-  ep.domain = &domain;
-  ep.verbs = std::make_unique<fabric::Verbs>(hca, domain);
-  ep.pd = hca.alloc_pd(domain);
-  ep.send_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.recv_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.qp = &hca.create_qp(domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  const std::size_t ring_bytes =
-      std::size_t{config.buffer_bytes} * config.ring_slots;
-  ep.ring_base = domain.allocator().allocate(ring_bytes, mem::kPageSize);
-  ep.ring_mr = hca.reg_mr(ep.pd, domain, ep.ring_base, ring_bytes,
-                          mem::Access::kLocalWrite |
-                              mem::Access::kRemoteWrite |
-                              mem::Access::kRemoteRead);
-  return ep;
-}
+namespace resex::benchex {
 
 Service::Service(fabric::Hca& server_hca, fabric::Hca& client_hca,
-                 const benchex::BenchExConfig& config, std::string name,
+                 const BenchExConfig& config, std::string name,
                  bool with_agent)
     : config_(config), name_(std::move(name)), with_agent_(with_agent),
-      client_hca_(&client_hca), processor_(config.seed),
+      processor_(config.seed),
       arrivals_(config.arrivals, sim::Rng::stream(config.seed, 0xC11)),
       mix_rng_(sim::Rng::stream(config.seed, 0xC12)),
       mix_(trace::RequestMix::exchange_default()),
@@ -41,20 +23,21 @@ Service::Service(fabric::Hca& server_hca, fabric::Hca& client_hca,
       {.name = name_ + "/client", .mem_pages = config_.guest_pages()});
 
   auto inc = std::make_unique<Incarnation>();
-  inc->hca = &server_hca;
-  inc->ep = make_endpoint(server_hca, sdom, config_);
-  client_ep_ = make_endpoint(client_hca, cdom, config_);
-
-  inc->ep.peer_ring_base = client_ep_.ring_base;
-  inc->ep.peer_rkey = client_ep_.ring_mr.rkey;
-  client_ep_.peer_ring_base = inc->ep.ring_base;
-  client_ep_.peer_rkey = inc->ep.ring_mr.rkey;
-  fabric::Fabric::connect(*inc->ep.qp, *client_ep_.qp);
+  inc->ep = Endpoint{fabric::make_endpoint(server_hca, sdom, ring_bytes(),
+                                           config_.cq_entries)};
+  client_ep_ = Endpoint{fabric::make_endpoint(client_hca, cdom, ring_bytes(),
+                                              config_.cq_entries)};
+  connect_client(inc->ep);
   incarnations_.push_back(std::move(inc));
 }
 
-std::uint32_t Service::server_node_id() const noexcept {
-  return incarnations_.back()->hca->id();
+void Service::connect_client(Endpoint& server) {
+  // Out-of-band ring exchange (real apps do this over a TCP bootstrap).
+  server.peer_ring_base = client_ep_.buf;
+  server.peer_rkey = client_ep_.mr.rkey;
+  client_ep_.peer_ring_base = server.buf;
+  client_ep_.peer_rkey = server.mr.rkey;
+  fabric::Fabric::connect(*server.qp, *client_ep_.qp);
 }
 
 void Service::start() {
@@ -70,22 +53,13 @@ std::uint32_t Service::queue_depth_limit() const {
   if (config_.queue_depth != 0) {
     return std::min(config_.queue_depth, config_.ring_slots);
   }
-  return config_.mode == benchex::LoadMode::kClosedLoop ? 1
-                                                        : config_.ring_slots;
-}
-
-void Service::suspend_client() {
-  suspended_ = true;
+  return config_.mode == LoadMode::kClosedLoop ? 1 : config_.ring_slots;
 }
 
 void Service::resume_client() {
   if (!suspended_) return;
   suspended_ = false;
   gate_->fire();
-}
-
-sim::Task Service::wait_quiescent() {
-  while (outstanding_ > 0) co_await gate_->wait();
 }
 
 sim::Task Service::server_loop(Incarnation& inc) {
@@ -108,36 +82,34 @@ sim::Task Service::server_loop(Incarnation& inc) {
                                fabric::RecvWr{.wr_id = req_cqe.wr_id});
       continue;
     }
+    // PTime starts at the HCA's CQE DMA timestamp.
     const sim::SimTime arrived = req_cqe.timestamp_ns;
     const sim::SimTime dequeued = sim.now();
+    // Replenish the receive credit immediately so back-to-back requests are
+    // never RNR-dropped.
     co_await verbs.post_recv(*inc.ep.qp,
                              fabric::RecvWr{.wr_id = req_cqe.wr_id});
 
     const std::uint32_t slot = req_cqe.imm_data;
-    const auto req = inc.ep.domain->memory().read_obj<benchex::RequestHeader>(
+    const auto req = inc.ep.domain->memory().read_obj<RequestHeader>(
         inc.ep.slot_addr(slot, config_.buffer_bytes));
 
+    // CTime: real pricing math + modelled CPU cost.
     const auto result = processor_.process(
         static_cast<finance::RequestKind>(req.kind), req.instruments);
     co_await verbs.vcpu().consume(result.cpu_cost);
     const sim::SimTime processed = sim.now();
 
-    benchex::ResponseHeader resp;
+    // WTime: response posted -> its completion observed.
+    ResponseHeader resp;
     resp.seq = req.seq;
     resp.client_ts = req.client_ts;
     resp.server_done_ts = processed;
     resp.checksum = result.checksum;
 
-    fabric::SendWr wr;
+    fabric::SendWr wr = inc.ep.slot_write(slot, config_.buffer_bytes);
     wr.wr_id = req.seq;
-    wr.opcode = fabric::Opcode::kRdmaWriteWithImm;
-    wr.local_addr = inc.ep.slot_addr(slot, config_.buffer_bytes);
-    wr.lkey = inc.ep.ring_mr.lkey;
-    wr.length = config_.buffer_bytes;
-    wr.remote_addr = inc.ep.peer_slot_addr(slot, config_.buffer_bytes);
-    wr.rkey = inc.ep.peer_rkey;
-    wr.imm_data = slot;
-    wr.header = benchex::to_bytes(resp);
+    wr.header = to_bytes(resp);
     co_await verbs.post_send(*inc.ep.qp, wr);
 
     const fabric::Cqe send_cqe = co_await verbs.next_cqe(*inc.ep.send_cq);
@@ -184,23 +156,18 @@ sim::Task Service::send_one(sim::SimTime intended_ts) {
   const std::uint64_t seq = next_seq_++;
   const auto slot = static_cast<std::uint32_t>(seq % config_.ring_slots);
 
-  benchex::RequestHeader req;
+  RequestHeader req;
   req.seq = seq;
   req.client_ts = intended_ts;
   req.instruments = instruments;
   req.kind = static_cast<std::uint8_t>(kind);
   req.payload_len = config_.buffer_bytes;
 
-  fabric::SendWr wr;
+  fabric::SendWr wr = client_ep_.slot_write(slot, config_.buffer_bytes);
   wr.wr_id = seq;
-  wr.opcode = fabric::Opcode::kRdmaWriteWithImm;
-  wr.local_addr = client_ep_.slot_addr(slot, config_.buffer_bytes);
-  wr.lkey = client_ep_.ring_mr.lkey;
-  wr.length = config_.buffer_bytes;
-  wr.remote_addr = client_ep_.peer_slot_addr(slot, config_.buffer_bytes);
-  wr.rkey = client_ep_.peer_rkey;
-  wr.imm_data = slot;
-  wr.header = benchex::to_bytes(req);
+  wr.header = to_bytes(req);
+  // Requests are unsignaled: the client's completion signal is the response
+  // itself, so it never drains its send CQ (errors still produce CQEs).
   wr.signaled = false;
 
   ++outstanding_;
@@ -212,7 +179,7 @@ sim::Task Service::client_sender() {
   auto& sim = client_ep_.verbs->vcpu().simulation();
   const std::uint32_t depth = queue_depth_limit();
 
-  if (config_.mode == benchex::LoadMode::kOpenLoop) {
+  if (config_.mode == LoadMode::kOpenLoop) {
     sim::SimTime next_at = sim.now() + arrivals_.initial_phase();
     for (;;) {
       next_at += arrivals_.next_gap();
@@ -248,7 +215,7 @@ sim::Task Service::client_receiver() {
       continue;
     }
     const auto resp = client_ep_.domain->memory().read_obj<
-        benchex::ResponseHeader>(
+        ResponseHeader>(
         client_ep_.slot_addr(cqe.imm_data, config_.buffer_bytes));
     const double latency_us = sim::to_us(sim.now() - resp.client_ts);
     ++client_metrics_.received;
@@ -264,7 +231,6 @@ sim::Task Service::reattach_server(fabric::Hca& dst) {
   auto& sim = dst.node().simulation();
 
   auto inc = std::make_unique<Incarnation>();
-  inc->hca = &dst;
   hv::Domain& dom = dst.node().create_domain(
       {.name = name_ + "/server.m" + std::to_string(incarnations_.size()),
        .mem_pages = config_.guest_pages()});
@@ -278,21 +244,15 @@ sim::Task Service::reattach_server(fabric::Hca& dst) {
   inc->ep.recv_cq = co_await verbs.create_cq(config_.cq_entries);
   inc->ep.qp = co_await verbs.create_qp(inc->ep.pd, *inc->ep.send_cq,
                                         *inc->ep.recv_cq);
-  const std::size_t ring_bytes =
-      std::size_t{config_.buffer_bytes} * config_.ring_slots;
-  inc->ep.ring_base = dom.allocator().allocate(ring_bytes, mem::kPageSize);
-  inc->ep.ring_mr = co_await verbs.reg_mr(
-      inc->ep.pd, inc->ep.ring_base, ring_bytes,
+  inc->ep.buf = dom.allocator().allocate(ring_bytes(), mem::kPageSize);
+  inc->ep.mr = co_await verbs.reg_mr(
+      inc->ep.pd, inc->ep.buf, ring_bytes(),
       mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
           mem::Access::kRemoteRead);
 
-  inc->ep.peer_ring_base = client_ep_.ring_base;
-  inc->ep.peer_rkey = client_ep_.ring_mr.rkey;
-  client_ep_.peer_ring_base = inc->ep.ring_base;
-  client_ep_.peer_rkey = inc->ep.ring_mr.rkey;
   // Re-point both ends; the old server QP keeps its stale peer but never
   // transmits again.
-  fabric::Fabric::connect(*inc->ep.qp, *client_ep_.qp);
+  connect_client(inc->ep);
 
   inc->recvs_stocked = true;
   for (std::uint32_t i = 0; i < config_.ring_slots; ++i) {
@@ -307,4 +267,4 @@ sim::Task Service::reattach_server(fabric::Hca& dst) {
   sim.spawn(server_loop(*incarnations_.back()));
 }
 
-}  // namespace resex::cluster
+}  // namespace resex::benchex

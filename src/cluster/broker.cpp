@@ -13,7 +13,7 @@ ClusterBroker::ClusterBroker(Cluster& cluster, core::ClusterExchange& exchange,
     : cluster_(&cluster), exchange_(&exchange), engine_(&engine),
       config_(config), prev_(cluster.node_count()) {}
 
-void ClusterBroker::manage(Service& svc, double baseline_us) {
+void ClusterBroker::manage(benchex::Service& svc, double baseline_us) {
   services_.push_back(Managed{&svc, baseline_us, std::nullopt});
 }
 

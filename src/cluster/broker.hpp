@@ -16,8 +16,8 @@
 #include <optional>
 #include <vector>
 
+#include "benchex/service.hpp"
 #include "cluster/migration.hpp"
-#include "cluster/service.hpp"
 #include "cluster/topology.hpp"
 #include "core/cluster_exchange.hpp"
 
@@ -48,7 +48,7 @@ class ClusterBroker {
 
   /// Watch a service; `baseline_us` is its uncontended mean service latency
   /// (from a calibration run), the denominator of the SLA signal.
-  void manage(Service& svc, double baseline_us);
+  void manage(benchex::Service& svc, double baseline_us);
 
   /// Spawn the periodic quote/decide loop. Idempotent.
   void start();
@@ -62,7 +62,7 @@ class ClusterBroker {
 
  private:
   struct Managed {
-    Service* svc = nullptr;
+    benchex::Service* svc = nullptr;
     double baseline_us = 0.0;
     std::optional<sim::SimTime> last_migration;
   };

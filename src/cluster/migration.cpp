@@ -16,7 +16,7 @@ MigrationEngine::MigrationEngine(Cluster& cluster, MigrationConfig config)
   precopy_counter_ = &metrics.counter("cluster.precopy_rounds");
 }
 
-void MigrationEngine::migrate(Service& svc, std::uint32_t dst_node) {
+void MigrationEngine::migrate(benchex::Service& svc, std::uint32_t dst_node) {
   cluster_->sim().spawn(run(svc, dst_node));
 }
 
@@ -91,7 +91,7 @@ sim::ValueTask<bool> MigrationEngine::transfer(Link& link,
   co_return true;
 }
 
-sim::Task MigrationEngine::run(Service& svc, std::uint32_t dst_node) {
+sim::Task MigrationEngine::run(benchex::Service& svc, std::uint32_t dst_node) {
   ++active_;
   auto& sim = cluster_->sim();
   const sim::SimTime started = sim.now();

@@ -22,7 +22,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "cluster/service.hpp"
+#include "benchex/service.hpp"
 #include "cluster/topology.hpp"
 
 namespace resex::cluster {
@@ -59,7 +59,7 @@ class MigrationEngine {
   /// Start migrating `svc`'s server to `dst_node` (asynchronous; progress is
   /// visible through in_progress()/stats()). One migration at a time is the
   /// broker's job to enforce; concurrent calls are legal but share links.
-  void migrate(Service& svc, std::uint32_t dst_node);
+  void migrate(benchex::Service& svc, std::uint32_t dst_node);
 
   [[nodiscard]] bool in_progress() const noexcept { return active_ > 0; }
   [[nodiscard]] const MigrationStats& stats() const noexcept { return stats_; }
@@ -84,7 +84,7 @@ class MigrationEngine {
     mem::RegisteredRegion dst_mr;
   };
 
-  [[nodiscard]] sim::Task run(Service& svc, std::uint32_t dst_node);
+  [[nodiscard]] sim::Task run(benchex::Service& svc, std::uint32_t dst_node);
   [[nodiscard]] sim::ValueTask<Link*> link_for(fabric::Hca& src,
                                                fabric::Hca& dst);
   /// Ship `bytes` over the link; false if the link's QP errored out.

@@ -35,7 +35,7 @@ Calibration calibrate(ClusterScenarioConfig config) {
   return {r.services.at(0).client_mean_us, r.services.at(0).server_total_us};
 }
 
-ClusterServiceSummary summarize(Service& svc, double sla_limit_us) {
+ClusterServiceSummary summarize(benchex::Service& svc, double sla_limit_us) {
   ClusterServiceSummary s;
   s.name = svc.name();
   s.requests = svc.server_metrics().requests;
@@ -123,14 +123,14 @@ ClusterScenarioResult run_cluster_scenario(
   }
 
   // --- deploy ---------------------------------------------------------------
-  std::vector<std::unique_ptr<Service>> services;
-  std::vector<std::unique_ptr<Service>> interferers;
+  std::vector<std::unique_ptr<benchex::Service>> services;
+  std::vector<std::unique_ptr<benchex::Service>> interferers;
   for (std::uint32_t i = 0; i < pairs; ++i) {
     auto cfg = core::reporting_config(config.reporting_buffer,
                                       config.reporting_rate,
                                       sim::derive(config.seed, i));
     cfg.metrics_start = config.warmup;
-    services.push_back(std::make_unique<Service>(
+    services.push_back(std::make_unique<benchex::Service>(
         cluster.hca(i), cluster.hca(config.nodes / 2 + i), cfg,
         "rep" + std::to_string(i), /*with_agent=*/true));
   }
@@ -140,7 +140,7 @@ ClusterScenarioResult run_cluster_scenario(
       auto cfg = core::interferer_config(config.intf_buffer, config.intf_depth,
                                          sim::derive(config.seed, 100 + i));
       cfg.metrics_start = config.warmup;
-      interferers.push_back(std::make_unique<Service>(
+      interferers.push_back(std::make_unique<benchex::Service>(
           cluster.hca(i), cluster.hca(config.nodes / 2 + pairs + i), cfg,
           "intf" + std::to_string(i), /*with_agent=*/false));
     }

@@ -21,12 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "benchex/service.hpp"
 #include "cluster/broker.hpp"
 #include "cluster/migration.hpp"
 #include "congestion/config.hpp"
 #include "qos/config.hpp"
 #include "routing/config.hpp"
-#include "cluster/service.hpp"
 #include "cluster/topology.hpp"
 #include "obs/metrics.hpp"
 

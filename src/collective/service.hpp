@@ -7,7 +7,7 @@
 // communication). Between rounds it applies any queued migrations: the
 // rank's domain on the old node is retired (freeing the PCPU) and the next
 // round forms the group with fresh domains/QPs at the new placement — the
-// same incarnation pattern cluster::Service uses for live migration.
+// same incarnation pattern benchex::Service uses for live migration.
 //
 // No broker-specific code is needed for pricing: collective phases drive
 // the per-port channel counters the ClusterBroker already prices from, so

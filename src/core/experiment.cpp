@@ -21,11 +21,11 @@ const char* to_string(PolicyKind k) noexcept {
 
 namespace {
 
-VmSummary summarize(const std::string& name, benchex::BenchPair& pair) {
+VmSummary summarize(const std::string& name, benchex::Service& pair) {
   VmSummary s;
   s.name = name;
-  const auto& sm = pair.server().metrics();
-  const auto& cm = pair.client().metrics();
+  const auto& sm = pair.server_metrics();
+  const auto& cm = pair.client_metrics();
   s.requests = sm.requests;
   s.client_mean_us = cm.latency_us.mean();
   s.client_stddev_us = cm.latency_us.stddev();
@@ -118,7 +118,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   // --- deploy the workloads --------------------------------------------------
-  std::vector<benchex::BenchPair*> reporting;
+  std::vector<benchex::Service*> reporting;
   for (std::uint32_t i = 0; i < config.reporting_count; ++i) {
     auto cfg = reporting_config(config.reporting_buffer, config.reporting_rate,
                                 sim::derive(config.seed, i));
@@ -129,7 +129,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   result.reporting_vm_id = reporting.front()->server_domain().id();
 
-  benchex::BenchPair* interferer = nullptr;
+  benchex::Service* interferer = nullptr;
   if (config.with_interferer) {
     // Stream id 100 keeps the interferer's draws clear of the reporting VMs'
     // (ids 0..count-1) for any plausible reporting_count.
@@ -184,7 +184,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         tb.node_a(), *ibmon, make_policy(config, result.interferer_vm_id),
         ctrl_cfg);
     for (auto* pair : reporting) {
-      controller->monitor(pair->server_domain(), &pair->agent(),
+      controller->monitor(pair->server_domain(), pair->agent(),
                           config.reporting_weight, result.baseline_mean_us);
     }
     if (interferer != nullptr) {
@@ -207,9 +207,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   if (interferer != nullptr) {
     result.interferer = summarize("intf", *interferer);
-    const auto& ep = interferer->server().endpoint();
     result.interferer_mbps =
-        static_cast<double>(ep.qp->bytes_sent()) /
+        static_cast<double>(interferer->server_qp().bytes_sent()) /
         sim::to_sec(config.warmup + config.duration) / 1e6;
   }
   if (controller != nullptr) {

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "benchex/deployment.hpp"
+#include "benchex/service.hpp"
 #include "fabric/hca.hpp"
 #include "hv/node.hpp"
 #include "sim/simulation.hpp"
@@ -32,8 +32,7 @@ struct TestbedConfig {
 class Testbed {
  public:
   explicit Testbed(TestbedConfig config = {})
-      : config_(config),
-        node_a_(sim_, "A", config.node_a_pcpus, config.scheduler),
+      : node_a_(sim_, "A", config.node_a_pcpus, config.scheduler),
         node_b_(sim_, "B", config.node_b_pcpus, config.scheduler),
         fabric_(sim_, config.fabric),
         hca_a_(&fabric_.add_node(node_a_)),
@@ -47,29 +46,23 @@ class Testbed {
   [[nodiscard]] fabric::Hca& hca_b() noexcept { return *hca_b_; }
 
   /// Deploy a BenchEx pair (server VM on A, client VM on B) and start it.
-  benchex::BenchPair& deploy_pair(const benchex::BenchExConfig& config,
-                                  const std::string& name,
-                                  bool with_agent = true) {
-    pairs_.push_back(std::make_unique<benchex::BenchPair>(
+  benchex::Service& deploy_pair(const benchex::BenchExConfig& config,
+                                const std::string& name,
+                                bool with_agent = true) {
+    pairs_.push_back(std::make_unique<benchex::Service>(
         *hca_a_, *hca_b_, config, name, with_agent));
     pairs_.back()->start();
     return *pairs_.back();
   }
 
-  [[nodiscard]] const std::vector<std::unique_ptr<benchex::BenchPair>>&
-  pairs() const noexcept {
-    return pairs_;
-  }
-
  private:
-  TestbedConfig config_;
   sim::Simulation sim_;
   hv::Node node_a_;
   hv::Node node_b_;
   fabric::Fabric fabric_;
   fabric::Hca* hca_a_;
   fabric::Hca* hca_b_;
-  std::vector<std::unique_ptr<benchex::BenchPair>> pairs_;
+  std::vector<std::unique_ptr<benchex::Service>> pairs_;
 };
 
 /// The latency-sensitive workload configuration ("the <buffer> VM"): an

@@ -25,6 +25,7 @@
 
 #include "fabric/channel.hpp"           // IWYU pragma: export
 #include "fabric/completion_queue.hpp"  // IWYU pragma: export
+#include "fabric/endpoint.hpp"          // IWYU pragma: export
 #include "fabric/hca.hpp"               // IWYU pragma: export
 #include "fabric/queue_pair.hpp"        // IWYU pragma: export
 #include "fabric/types.hpp"             // IWYU pragma: export
@@ -38,10 +39,8 @@
 
 #include "trace/workload.hpp"  // IWYU pragma: export
 
-#include "benchex/client.hpp"      // IWYU pragma: export
-#include "benchex/config.hpp"      // IWYU pragma: export
-#include "benchex/deployment.hpp"  // IWYU pragma: export
-#include "benchex/server.hpp"      // IWYU pragma: export
+#include "benchex/config.hpp"   // IWYU pragma: export
+#include "benchex/service.hpp"  // IWYU pragma: export
 
 #include "core/controller.hpp"  // IWYU pragma: export
 #include "core/detector.hpp"    // IWYU pragma: export

@@ -15,8 +15,8 @@ TEST(BenchExBase, PairServesRequestsWithStableLatency) {
   auto& pair = tb.deploy_pair(reporting_config(), "64KB");
   tb.sim().run_until(300_ms);
 
-  const auto& sm = pair.server().metrics();
-  const auto& cm = pair.client().metrics();
+  const auto& sm = pair.server_metrics();
+  const auto& cm = pair.client_metrics();
   EXPECT_GT(sm.requests, 500u);
   EXPECT_EQ(sm.send_errors, 0u);
   EXPECT_EQ(cm.errors, 0u);
@@ -33,7 +33,7 @@ TEST(BenchExBase, ServerDecompositionIsConsistent) {
   Testbed tb;
   auto& pair = tb.deploy_pair(reporting_config(), "64KB");
   tb.sim().run_until(200_ms);
-  const auto& sm = pair.server().metrics();
+  const auto& sm = pair.server_metrics();
   ASSERT_GT(sm.total_us.count(), 0u);
   // total = ptime + ctime + wtime + agent reporting overhead (10 us).
   const double sum = sm.ptime_us.mean() + sm.ctime_us.mean() +
@@ -51,7 +51,7 @@ TEST(BenchExBase, OpenLoopRateIsHonoured) {
   Testbed tb;
   auto& pair = tb.deploy_pair(reporting_config(64 * 1024, 1000.0), "64KB");
   tb.sim().run_until(500_ms);
-  const auto& cm = pair.client().metrics();
+  const auto& cm = pair.client_metrics();
   EXPECT_NEAR(static_cast<double>(cm.sent), 500.0, 10.0);
 }
 
@@ -59,18 +59,31 @@ TEST(BenchExBase, ClosedLoopRespectsQueueDepth) {
   Testbed tb;
   auto& pair = tb.deploy_pair(interferer_config(256 * 1024, 2), "intf");
   tb.sim().run_until(50_ms);
-  EXPECT_LE(pair.client().outstanding(), 2u);
-  EXPECT_GT(pair.client().metrics().received, 20u);
+  EXPECT_LE(pair.outstanding(), 2u);
+  EXPECT_GT(pair.client_metrics().received, 20u);
+}
+
+TEST(BenchExBase, OpenLoopOverloadCarriesTheBacklogInLatency) {
+  // 20,000 req/s against a server that needs ~140 us per request, with two
+  // ring slots: the feed falls further behind with every request. Stamping
+  // the intended arrival time keeps that backlog in the client's latency;
+  // stamping the send time would report only the ~290 us round trip.
+  auto cfg = reporting_config(64 * 1024, 20000.0, 1);
+  cfg.ring_slots = 2;
+  Testbed tb;
+  auto& pair = tb.deploy_pair(cfg, "overload");
+  tb.sim().run_until(200_ms);
+  EXPECT_GT(pair.client_metrics().latency_us.percentile(99.0), 10'000.0);
 }
 
 TEST(BenchExBase, AgentReceivesReportsAndAddsCost) {
   Testbed tb;
   auto& with = tb.deploy_pair(reporting_config(), "with-agent", true);
   tb.sim().run_until(100_ms);
-  const auto snap = with.agent().snapshot();
-  EXPECT_EQ(snap.reports, with.server().metrics().requests);
+  const auto snap = with.agent()->snapshot();
+  EXPECT_EQ(snap.reports, with.server_metrics().requests);
   EXPECT_GT(snap.mean_us, 0.0);
-  EXPECT_NEAR(snap.mean_us, with.server().metrics().total_us.mean(), 5.0);
+  EXPECT_NEAR(snap.mean_us, with.server_metrics().total_us.mean(), 5.0);
 }
 
 TEST(BenchExBase, NoAgentMeansNoReportingOverhead) {
@@ -79,8 +92,8 @@ TEST(BenchExBase, NoAgentMeansNoReportingOverhead) {
   auto& without = tb2.deploy_pair(reporting_config(), "b", false);
   tb1.sim().run_until(100_ms);
   tb2.sim().run_until(100_ms);
-  EXPECT_NEAR(with.server().metrics().total_us.mean() - 10.0,
-              without.server().metrics().total_us.mean(), 2.0);
+  EXPECT_NEAR(with.server_metrics().total_us.mean() - 10.0,
+              without.server_metrics().total_us.mean(), 2.0);
 }
 
 TEST(BenchExBase, WarmupDiscardsEarlySamples) {
@@ -89,7 +102,7 @@ TEST(BenchExBase, WarmupDiscardsEarlySamples) {
   Testbed tb;
   auto& pair = tb.deploy_pair(cfg, "warm");
   tb.sim().run_until(100_ms);
-  const auto& sm = pair.server().metrics();
+  const auto& sm = pair.server_metrics();
   EXPECT_GT(sm.requests, sm.total_us.count());
 }
 
@@ -101,8 +114,8 @@ TEST(BenchExBase, MixedWorkloadRuns) {
   Testbed tb;
   auto& pair = tb.deploy_pair(cfg, "mixed");
   tb.sim().run_until(200_ms);
-  EXPECT_GT(pair.server().metrics().requests, 100u);
-  EXPECT_EQ(pair.server().metrics().send_errors, 0u);
+  EXPECT_GT(pair.server_metrics().requests, 100u);
+  EXPECT_EQ(pair.server_metrics().send_errors, 0u);
 }
 
 TEST(BenchExBase, DeterministicAcrossRuns) {
@@ -110,8 +123,8 @@ TEST(BenchExBase, DeterministicAcrossRuns) {
     Testbed tb;
     auto& pair = tb.deploy_pair(reporting_config(), "64KB");
     tb.sim().run_until(100_ms);
-    return std::pair{pair.client().metrics().latency_us.mean(),
-                     pair.server().metrics().checksum};
+    return std::pair{pair.client_metrics().latency_us.mean(),
+                     pair.server_metrics().checksum};
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -138,9 +151,9 @@ InterferenceResult run_scenario(bool with_interferer, double intf_cap = 100.0,
     }
   }
   tb.sim().run_until(400_ms);
-  const auto& sm = rep.server().metrics();
-  return InterferenceResult{rep.client().metrics().latency_us.mean(),
-                            rep.client().metrics().latency_us.stddev(),
+  const auto& sm = rep.server_metrics();
+  return InterferenceResult{rep.client_metrics().latency_us.mean(),
+                            rep.client_metrics().latency_us.stddev(),
                             sm.wtime_us.mean(), sm.ptime_us.mean(),
                             sm.ctime_us.mean()};
 }
@@ -177,8 +190,8 @@ TEST(BenchExInterference, EqualPairsBarelyInterfere) {
   auto& p2 = tb.deploy_pair(reporting_config(64 * 1024, 2000.0, 2), "r2");
   tb.sim().run_until(400_ms);
   const auto solo = run_scenario(false);
-  EXPECT_LT(p1.client().metrics().latency_us.mean(), 1.15 * solo.mean_us);
-  EXPECT_LT(p2.client().metrics().latency_us.mean(), 1.15 * solo.mean_us);
+  EXPECT_LT(p1.client_metrics().latency_us.mean(), 1.15 * solo.mean_us);
+  EXPECT_LT(p2.client_metrics().latency_us.mean(), 1.15 * solo.mean_us);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "cluster/broker.hpp"
 #include "cluster/migration.hpp"
 #include "cluster/scenario.hpp"
-#include "cluster/service.hpp"
+#include "benchex/service.hpp"
 #include "cluster/topology.hpp"
 #include "core/cluster_exchange.hpp"
 #include "core/testbed.hpp"
@@ -23,7 +23,7 @@
 namespace resex::cluster {
 namespace {
 
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::make_endpoint_on;
 using sim::Task;
 
@@ -164,7 +164,7 @@ TEST(Migration, MovesServerAcrossTheFabricWhileClientKeepsReceiving) {
   Cluster cluster(cfg);
   auto& sim = cluster.sim();
 
-  Service svc(cluster.hca(0), cluster.hca(1),
+  benchex::Service svc(cluster.hca(0), cluster.hca(1),
               core::reporting_config(64 * 1024, 2000.0, 7), "svc0");
   MigrationEngine engine(cluster);
   svc.start();

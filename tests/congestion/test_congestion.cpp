@@ -30,7 +30,7 @@ using fabric::Cqe;
 using fabric::CqeStatus;
 using fabric::Opcode;
 using fabric::SendWr;
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::make_endpoint_on;
 using sim::SimTime;
 using sim::Task;

@@ -123,7 +123,7 @@ TEST(Controller, MonitorAfterStartRejected) {
   ibmon::IbMon mon(tb.sim());
   ResExController ctrl(tb.node_a(), mon,
                        std::make_unique<FreeMarketPolicy>());
-  ctrl.monitor(pair.server_domain(), &pair.agent());
+  ctrl.monitor(pair.server_domain(), pair.agent());
   ctrl.start();
   auto& pair2 = tb.deploy_pair(reporting_config(64 * 1024, 1000.0, 9), "r2");
   EXPECT_THROW(ctrl.monitor(pair2.server_domain(), nullptr),

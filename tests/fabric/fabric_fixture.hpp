@@ -1,16 +1,16 @@
 #pragma once
 // Shared scaffolding for fabric tests: two nodes on one switch, plus a
-// convenience endpoint bundle (PD + CQs + QP + one registered buffer).
+// fabric::Endpoint (PD + CQs + QP + one registered buffer) on a fresh guest.
 //
 // Control-path setup here calls the HCA directly (synchronously) so tests
 // can wire a world without running the simulation; the Verbs control-path
 // costs are covered by dedicated tests.
 
 #include <cstring>
-#include <memory>
+#include <string>
 
+#include "fabric/endpoint.hpp"
 #include "fabric/hca.hpp"
-#include "fabric/verbs.hpp"
 #include "hv/node.hpp"
 #include "sim/simulation.hpp"
 
@@ -24,36 +24,15 @@ inline FabricConfig test_config() {
   return cfg;
 }
 
-struct Endpoint {
-  hv::Domain* domain = nullptr;
-  std::unique_ptr<Verbs> verbs;
-  std::uint32_t pd = 0;
-  CompletionQueue* send_cq = nullptr;
-  CompletionQueue* recv_cq = nullptr;
-  QueuePair* qp = nullptr;
-  mem::GuestAddr buf = 0;
-  mem::RegisteredRegion mr;
-};
-
 /// Create a guest domain with an endpoint on the given HCA (free function so
 /// custom topologies — multi-switch worlds, span tests — can reuse it).
 inline Endpoint make_endpoint_on(hv::Node& node, Hca& hca,
                                  const std::string& name,
                                  std::size_t buf_bytes = 64 * 1024,
                                  std::uint32_t cq_entries = 1024) {
-  Endpoint ep;
-  ep.domain = &node.create_domain(
-      {.name = name, .mem_pages = 2048});  // 8 MiB
-  ep.verbs = std::make_unique<Verbs>(hca, *ep.domain);
-  ep.pd = hca.alloc_pd(*ep.domain);
-  ep.send_cq = &hca.create_cq(*ep.domain, cq_entries);
-  ep.recv_cq = &hca.create_cq(*ep.domain, cq_entries);
-  ep.qp = &hca.create_qp(*ep.domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  ep.buf = ep.domain->allocator().allocate(buf_bytes, mem::kPageSize);
-  ep.mr = hca.reg_mr(ep.pd, *ep.domain, ep.buf, buf_bytes,
-                     mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
-                         mem::Access::kRemoteRead);
-  return ep;
+  return fabric::make_endpoint(
+      hca, node.create_domain({.name = name, .mem_pages = 2048}),  // 8 MiB
+      buf_bytes, cq_entries);
 }
 
 struct TwoNodeWorld {

@@ -15,9 +15,9 @@ struct ChannelFixture : ::testing::Test {
   FabricConfig cfg = testing::test_config();
   Channel chan{world.sim, cfg, "test"};
   std::vector<std::pair<sim::SimTime, QpNum>> delivered;
-  testing::Endpoint ep_a = world.make_endpoint(world.node_a, *world.hca_a,
+  Endpoint ep_a = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src1");
-  testing::Endpoint ep_b = world.make_endpoint(world.node_a, *world.hca_a,
+  Endpoint ep_b = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src2");
 
   void SetUp() override {
@@ -225,7 +225,7 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
   // test_config's 1 ns/byte wire, that pins every inter-delivery gap to the
   // next packet's serialization time and the makespan to total-bytes + one
   // propagation delay.
-  testing::Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
+  Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src3");
   std::vector<std::uint32_t> sizes;  // bytes of each delivered packet
   chan.set_sink([this, &sizes](detail::Packet p) {
@@ -237,7 +237,7 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
 
   std::uint64_t total_bytes = 0;
   std::size_t total_packets = 0;
-  const auto offer = [&](testing::Endpoint& ep, std::uint32_t bytes) {
+  const auto offer = [&](Endpoint& ep, std::uint32_t bytes) {
     enqueue_message(*ep.qp, bytes);
     total_bytes += bytes;
     total_packets += cfg.packets_for(bytes);
@@ -266,7 +266,7 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
 }
 
 TEST_F(ChannelFixture, WrrDoesNotStarveAnyFlowUnderMixedMtu) {
-  testing::Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
+  Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src3");
   chan.set_flow_weight(ep_b.qp->num(), 2);
   chan.set_flow_rate_limit(ep_c.qp->num(), 200e6);

@@ -10,7 +10,6 @@ namespace {
 using namespace resex::sim::literals;
 using sim::SimTime;
 using sim::Task;
-using testing::Endpoint;
 using testing::TwoNodeWorld;
 
 std::vector<std::byte> bytes_of(const std::string& s) {

@@ -12,7 +12,6 @@ namespace {
 
 using namespace resex::sim::literals;
 using sim::Task;
-using testing::Endpoint;
 using testing::TwoNodeWorld;
 
 SendWr sample_wr(const Endpoint& src, const Endpoint& dst) {

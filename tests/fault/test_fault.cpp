@@ -24,7 +24,7 @@ using fabric::CqeStatus;
 using fabric::Opcode;
 using fabric::QpState;
 using fabric::SendWr;
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::TwoNodeWorld;
 using sim::SimTime;
 using sim::Task;

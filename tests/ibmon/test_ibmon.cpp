@@ -11,7 +11,7 @@ using namespace resex::sim::literals;
 using fabric::Cqe;
 using fabric::CqeOpcode;
 using fabric::CqeStatus;
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::TwoNodeWorld;
 using sim::Task;
 

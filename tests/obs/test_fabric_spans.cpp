@@ -15,7 +15,7 @@
 namespace resex::obs {
 namespace {
 
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::TwoNodeWorld;
 using fabric::testing::make_endpoint_on;
 using sim::Task;

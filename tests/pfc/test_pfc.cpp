@@ -23,7 +23,6 @@ namespace {
 using congestion::CongestionConfig;
 using sim::SimTime;
 using sim::Task;
-using testing::Endpoint;
 using testing::make_endpoint_on;
 
 /// N sender nodes streaming into one sink node through one switch — the

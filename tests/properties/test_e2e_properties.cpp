@@ -40,7 +40,7 @@ TEST_P(BenchExPropertyTest, LatencyRespectsPhysicalLowerBound) {
   Testbed tb;
   auto& pair = tb.deploy_pair(make_config(GetParam()), "vm");
   tb.sim().run_until(300_ms);
-  const auto& cm = pair.client().metrics();
+  const auto& cm = pair.client_metrics();
   ASSERT_GT(cm.received, 10u);
   // Round trip >= two serializations of the buffer (request + response) at
   // ~0.93 ns/byte plus the modelled compute (5us + 20*0.8us = 21 us).
@@ -54,8 +54,8 @@ TEST_P(BenchExPropertyTest, ConservationAndFlowControl) {
   Testbed tb;
   auto& pair = tb.deploy_pair(make_config(GetParam()), "vm");
   tb.sim().run_until(300_ms);
-  const auto& cm = pair.client().metrics();
-  const auto& sm = pair.server().metrics();
+  const auto& cm = pair.client_metrics();
+  const auto& sm = pair.server_metrics();
   EXPECT_EQ(cm.errors, 0u);
   EXPECT_EQ(sm.send_errors, 0u);
   // Everything received was sent; in-flight bounded by the credit window.
@@ -76,7 +76,7 @@ TEST_P(BenchExPropertyTest, DecompositionSumsToTotal) {
   Testbed tb;
   auto& pair = tb.deploy_pair(make_config(GetParam()), "vm");
   tb.sim().run_until(300_ms);
-  const auto& sm = pair.server().metrics();
+  const auto& sm = pair.server_metrics();
   ASSERT_GT(sm.total_us.count(), 0u);
   const double parts =
       sm.ptime_us.mean() + sm.ctime_us.mean() + sm.wtime_us.mean() + 10.0;
@@ -111,7 +111,7 @@ TEST(BenchExOrdering, ResponsesAreFcfs) {
   auto cfg = core::reporting_config();
   auto& pair = tb.deploy_pair(cfg, "vm");
   tb.sim().run_until(300_ms);
-  for (double v : pair.client().metrics().latency_us.values()) {
+  for (double v : pair.client_metrics().latency_us.values()) {
     ASSERT_GT(v, 0.0);       // negative latency would mean header mix-up
     ASSERT_LT(v, 100000.0);  // and absurd values a stale-slot read
   }
@@ -132,14 +132,14 @@ TEST(BenchExScheduling, SharedPcpuHalvesEachServersProgress) {
   sched.attach(p2.server_domain().vcpu(), pcpu);
   tb.sim().run_until(300_ms);
   // Both made progress, but each sees inflated latency vs a dedicated CPU.
-  EXPECT_GT(p1.server().metrics().requests, 100u);
-  EXPECT_GT(p2.server().metrics().requests, 100u);
+  EXPECT_GT(p1.server_metrics().requests, 100u);
+  EXPECT_GT(p2.server_metrics().requests, 100u);
   Testbed solo_tb;
   auto& solo = solo_tb.deploy_pair(core::reporting_config(64 * 1024, 8000.0),
                                    "solo");
   solo_tb.sim().run_until(300_ms);
-  EXPECT_GT(p1.client().metrics().latency_us.mean(),
-            1.5 * solo.client().metrics().latency_us.mean());
+  EXPECT_GT(p1.client_metrics().latency_us.mean(),
+            1.5 * solo.client_metrics().latency_us.mean());
 }
 
 }  // namespace

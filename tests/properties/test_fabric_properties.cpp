@@ -14,7 +14,6 @@ namespace {
 
 using namespace resex::sim::literals;
 using sim::Task;
-using testing::Endpoint;
 using testing::TwoNodeWorld;
 
 struct TrafficPattern {

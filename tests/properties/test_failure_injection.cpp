@@ -18,7 +18,7 @@ using fabric::CqeStatus;
 using fabric::Opcode;
 using fabric::RecvWr;
 using fabric::SendWr;
-using fabric::testing::Endpoint;
+using fabric::Endpoint;
 using fabric::testing::TwoNodeWorld;
 using sim::SimTime;
 using sim::Task;
@@ -108,8 +108,8 @@ TEST(FailureInjection, CapChurnDuringTrafficKeepsInvariants) {
     });
   }
   tb.sim().run_until(250_ms);
-  const auto& cm = pair.client().metrics();
-  const auto& sm = pair.server().metrics();
+  const auto& cm = pair.client_metrics();
+  const auto& sm = pair.server_metrics();
   EXPECT_GT(cm.received, 50u);       // progress despite the thrash
   EXPECT_EQ(cm.errors, 0u);          // nothing corrupted
   EXPECT_EQ(sm.send_errors, 0u);

@@ -28,9 +28,9 @@ struct RateLimitWorld {
   TwoNodeWorld world;
   FabricConfig cfg = testing::test_config();
   Channel chan{world.sim, cfg, "rl"};
-  testing::Endpoint src = world.make_endpoint(world.node_a, *world.hca_a,
+  Endpoint src = world.make_endpoint(world.node_a, *world.hca_a,
                                               "src");
-  testing::Endpoint dst = world.make_endpoint(world.node_b, *world.hca_b,
+  Endpoint dst = world.make_endpoint(world.node_b, *world.hca_b,
                                               "dst");
   // (delivery time, packet bytes) in delivery order.
   std::vector<std::pair<sim::SimTime, std::uint32_t>> delivered;

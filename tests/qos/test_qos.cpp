@@ -28,7 +28,6 @@ namespace {
 
 using sim::SimTime;
 using sim::Task;
-using testing::Endpoint;
 using testing::make_endpoint_on;
 
 FabricConfig qos_config(std::uint32_t buffer_pkts = 0, bool pfc = false) {

@@ -30,7 +30,6 @@ namespace {
 
 using sim::SimTime;
 using sim::Task;
-using testing::Endpoint;
 using testing::make_endpoint_on;
 
 Task send_many(Endpoint& src, const Endpoint& dst, int count,

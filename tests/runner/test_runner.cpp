@@ -376,7 +376,7 @@ GenericPoint hand_built_point() {
     observer.start();
     tb.sim().run_until(40 * sim::kMillisecond);
     observer.finish();
-    return std::vector<double>{pair.client().metrics().latency_us.mean()};
+    return std::vector<double>{pair.client_metrics().latency_us.mean()};
   };
   return p;
 }
