@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, kScenarioFlags);
 
   auto base = figure_config();
   base.duration = 2400_ms;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, kScenarioFlags);
 
   auto base = figure_config();
   // The health counters come from the snapshot even without --metrics-json.

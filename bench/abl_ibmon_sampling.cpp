@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, {});
 
   std::vector<runner::GenericPoint> points;
   for (const std::uint64_t period_us :

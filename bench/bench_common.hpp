@@ -5,14 +5,20 @@
 // replication with derived seed streams, --json/--csv export, per-trial
 // --trace/--metrics-json); run_bench below is the shared driver.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cluster/topology.hpp"
 #include "congestion/dcqcn.hpp"
 #include "core/experiment.hpp"
 #include "fabric/endpoint.hpp"
@@ -20,6 +26,7 @@
 #include "qos/config.hpp"
 #include "runner/runner.hpp"
 #include "sim/report.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
 namespace resex::bench {
@@ -55,12 +62,28 @@ inline void print_scenario_header(const std::string& figure,
   std::cout << what << "\n\n";
 }
 
-/// Parse the standard runner CLI; on --help or a bad flag, prints to the
-/// right stream and exits. Returns the options otherwise.
-inline runner::RunnerOptions parse_cli(int argc, char** argv) {
+/// The fabric flags runner::RunnerOptions::apply overlays onto a scenario
+/// config: --faults, the congestion flags and the qos flags, then the
+/// routing flags, which only a config that routes reads.
+inline constexpr std::string_view kOverlayFlags[] = {
+    "--faults",
+    "--buf-pkts", "--ecn-kmin", "--ecn-kmax", "--buf-bytes", "--pool-alpha",
+    "--pfc",
+    "--qos", "--sl-vl-map", "--vl-weights", "--vl-hi-limit",
+    "--routing", "--ecmp-seed", "--vl-shift"};
+/// What a core::ScenarioConfig sweep reads: all but the three routing flags.
+inline constexpr auto kScenarioFlags =
+    std::span(kOverlayFlags).first<std::size(kOverlayFlags) - 3>();
+
+/// Parse the standard runner CLI of a bench whose code reads the fabric and
+/// workload flags `reads` (the common flags are always read); on --help or a
+/// bad or unread flag, prints to the right stream and exits. Returns the
+/// options otherwise.
+inline runner::RunnerOptions parse_cli(
+    int argc, char** argv, std::span<const std::string_view> reads) {
   runner::RunnerOptions opts;
   try {
-    opts = runner::parse_options(argc, argv);
+    opts = runner::parse_options(argc, argv, reads);
   } catch (const std::exception& e) {
     std::cerr << argv[0] << ": " << e.what() << "\n";
     runner::print_usage(std::cerr, argv[0]);
@@ -160,7 +183,8 @@ inline double mean_of(const std::vector<runner::PointOutcome>& outcomes,
   return 0.0;
 }
 
-// --- fabric modes (fig_incast, fig_pfc, fig_allreduce, fig_routing) ---------
+// --- the write-flow world (fig_incast, fig_pfc, fig_qos, fig_routing,
+// fig_allreduce) -----------------------------------------------------------
 
 /// One fabric configuration under comparison.
 struct Mode {
@@ -175,33 +199,14 @@ struct Mode {
   congestion::DcqcnConfig dcqcn{};
 };
 
-inline void apply_mode(fabric::FabricConfig& cfg, const Mode& mode) {
-  cfg.port_buffer_pkts = mode.buf_pkts;
-  cfg.ecn_kmin_pkts = mode.ecn_kmin;
-  cfg.ecn_kmax_pkts = mode.ecn_kmax;
-  cfg.pfc_enabled = mode.pfc;
-  if (mode.vl_shift) {
-    // Lane shifts need qos lanes: the default two-class map, then one
-    // reserved lane above it for shifted traffic.
-    qos::QosConfig qcfg;
-    qcfg.enabled = true;
-    qcfg.apply(cfg);
-    cfg.routing.vl_shift = true;
-    cfg.reserve_shift_lane();
-  }
-}
-
-/// The mode's DCQCN rate controller over `fabric`, or null without one.
-inline std::unique_ptr<congestion::RateController> make_rate_controller(
-    fabric::Fabric& fabric, const Mode& mode) {
-  if (!mode.rate_control) return nullptr;
-  return std::make_unique<congestion::RateController>(fabric, mode.dcqcn);
-}
-
 /// The finite buffer the lossy modes share: --buf-pkts (default 64
 /// packets), ECN marking from --ecn-kmin to --ecn-kmax (default a quarter
 /// and three quarters of the buffer).
 struct Buffers {
+  /// The flags a Buffers reads.
+  static constexpr std::string_view kFlags[] = {"--buf-pkts", "--ecn-kmin",
+                                                "--ecn-kmax"};
+
   std::uint32_t pkts;
   std::uint32_t kmin;
   std::uint32_t kmax;
@@ -237,23 +242,12 @@ struct Buffers {
   }
 };
 
-// --- closed-loop RDMA-write endpoints (fig_incast, fig_pfc, fig_qos,
-// fig_routing) ----------------------------------------------------------------
-
 /// Size of one closed-loop RDMA write.
 inline constexpr std::uint32_t kWriteBytes = 64 * 1024;
-/// Latency samples start after this warm-up.
+/// Latency samples and the window's byte counts start after this warm-up.
 inline constexpr sim::SimDuration kWarmup = 100_ms;
 
 using fabric::Endpoint;
-
-/// A fresh guest `name` on `node` with an endpoint on `hca`.
-inline Endpoint make_endpoint(hv::Node& node, fabric::Hca& hca,
-                              const std::string& name, std::size_t buf_bytes) {
-  return fabric::make_endpoint(
-      hca, node.create_domain({.name = name, .mem_pages = 2048}), buf_bytes,
-      1024);
-}
 
 /// Closed-loop writer: kWriteBytes RDMA writes back to back, per-write
 /// latency sampled from the send CQE (post -> completion, i.e. last byte
@@ -282,5 +276,173 @@ inline sim::Task sender_loop(sim::Simulation& sim, Endpoint& ep,
     }
   }
 }
+
+/// One closed-loop writer: node `src` RDMA-writes into node `dst` on
+/// service level `sl`.
+struct Flow {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint8_t sl = 0;
+};
+
+/// The world of a hand-built fabric bench: a cluster::Cluster (star or
+/// fat-tree) under one Mode, with the trial's observer attached after the
+/// cluster is built and the mode's DCQCN rate controller. A world either
+/// runs write flows (run) or, for a bench that drives its own workload on
+/// cluster(), just runs observed (run_until).
+class FlowWorld {
+ public:
+  FlowWorld(const runner::TrialContext& ctx, cluster::ClusterConfig cfg,
+            const Mode& mode = {})
+      : cluster_(with_mode(std::move(cfg), mode)),
+        observer_(ctx.observe(cluster_.sim())),
+        rate_controller_(mode.rate_control
+                             ? std::make_unique<congestion::RateController>(
+                                   cluster_.fabric(), mode.dcqcn)
+                             : nullptr),
+        seed_(ctx.seed) {}
+  // Its writers and warm-up snapshot hold the world's address.
+  FlowWorld(const FlowWorld&) = delete;
+  FlowWorld& operator=(const FlowWorld&) = delete;
+
+  [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
+  [[nodiscard]] sim::Simulation& sim() { return cluster_.sim(); }
+
+  /// Run to `until` with the observer started and finished around it.
+  void run_until(sim::SimTime until) {
+    observer_.start();
+    sim().run_until(until);
+    observer_.finish();
+  }
+
+  /// Connect `flows` in list order — one receive region per destination
+  /// node, one kWriteBytes slot in it per incoming flow, the flow's SL on
+  /// both QPs — spawn their writers with starts jittered up to 10 us from
+  /// stream `jitter_stream` of the trial seed, snapshot per-node downlink
+  /// bytes and per-trunk busy time and bytes at kWarmup, and run warm-up +
+  /// `measure` + `drain`.
+  void run(const std::vector<Flow>& flows, std::uint64_t jitter_stream,
+           sim::SimDuration measure, sim::SimDuration drain = 0) {
+    window_ = measure + drain;
+    const std::uint32_t nodes = cluster_.node_count();
+    std::vector<std::uint32_t> fan_in(nodes, 0);
+    for (const Flow& f : flows) ++fan_in[f.dst];
+    receivers_.resize(nodes);
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+      if (fan_in[n] == 0) continue;
+      receivers_[n] = endpoint(n, "recv_vm" + std::to_string(n),
+                               std::uint64_t{fan_in[n]} * kWriteBytes);
+    }
+    std::vector<std::uint32_t> next_slot(nodes, 0);
+    std::vector<mem::GuestAddr> remote_addr;
+    for (const Flow& f : flows) {
+      Endpoint& ep = senders_.emplace_back(endpoint(
+          f.src, "send_vm" + std::to_string(senders_.size()), kWriteBytes));
+      ep.qp->set_service_level(f.sl);
+      Endpoint& dst = receivers_[f.dst];
+      fabric::QueuePair& rqp = cluster_.hca(f.dst).create_qp(
+          *dst.domain, dst.pd, *dst.send_cq, *dst.recv_cq);
+      rqp.set_service_level(f.sl);
+      fabric::Fabric::connect(*ep.qp, rqp);
+      remote_addr.push_back(dst.buf +
+                            std::uint64_t{next_slot[f.dst]++} * kWriteBytes);
+    }
+
+    sim::Rng jitter(sim::derive(seed_, jitter_stream));
+    latency_.resize(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const auto start = static_cast<sim::SimDuration>(
+          jitter.uniform(0.0, static_cast<double>(10_us)));
+      sim().spawn(sender_loop(sim(), senders_[i], remote_addr[i],
+                              receivers_[flows[i].dst].mr.rkey, start,
+                              kWarmup + measure, latency_[i]));
+    }
+    sim().spawn([](FlowWorld& w) -> sim::Task {
+      co_await w.sim().delay(kWarmup);
+      Snapshot& at = w.at_warmup_;
+      for (std::uint32_t n = 0; n < w.cluster_.node_count(); ++n) {
+        at.down_bytes.push_back(w.cluster_.hca(n).downlink().bytes_sent());
+      }
+      w.cluster_.fabric().for_each_trunk(
+          [&](std::uint32_t, std::uint32_t, fabric::Channel& ch) {
+            at.trunk_busy.push_back(ch.busy_time());
+            at.trunk_bytes.push_back(ch.bytes_sent());
+          });
+    }(*this));
+    run_until(kWarmup + measure + drain);
+  }
+
+  /// Write latencies (us) of flows [first, last) (default: every flow),
+  /// pooled in flow order.
+  [[nodiscard]] sim::Samples latency_us(std::size_t first = 0,
+                                        std::size_t last = SIZE_MAX) const {
+    sim::Samples pooled;
+    for (std::size_t i = first; i < std::min(last, latency_.size()); ++i) {
+      for (const double v : latency_[i].values()) pooled.add(v);
+    }
+    return pooled;
+  }
+
+  /// Node `n`'s downlink bytes since the warm-up snapshot.
+  [[nodiscard]] std::uint64_t down_bytes(std::uint32_t n) {
+    return cluster_.hca(n).downlink().bytes_sent() -
+           at_warmup_.down_bytes.at(n);
+  }
+  /// `bytes` over the post-warm-up window (measure + drain), in MB/s.
+  [[nodiscard]] double mbps(std::uint64_t bytes) const {
+    return static_cast<double>(bytes) / sim::to_sec(window_) / 1e6;
+  }
+  /// What run() records at kWarmup: per-node downlink bytes, and per-trunk
+  /// busy time and bytes in for_each_trunk order.
+  struct Snapshot {
+    std::vector<std::uint64_t> down_bytes;
+    std::vector<sim::SimDuration> trunk_busy;
+    std::vector<std::uint64_t> trunk_bytes;
+  };
+  [[nodiscard]] const Snapshot& at_warmup() const { return at_warmup_; }
+  /// The trial's metrics counter `name`.
+  [[nodiscard]] double counter(std::string_view name) {
+    return static_cast<double>(sim().metrics().counter(name).value());
+  }
+
+ private:
+  static cluster::ClusterConfig with_mode(cluster::ClusterConfig cfg,
+                                          const Mode& mode) {
+    fabric::FabricConfig& f = cfg.fabric;
+    f.port_buffer_pkts = mode.buf_pkts;
+    f.ecn_kmin_pkts = mode.ecn_kmin;
+    f.ecn_kmax_pkts = mode.ecn_kmax;
+    f.pfc_enabled = mode.pfc;
+    if (mode.vl_shift) {
+      // Lane shifts need qos lanes: the default two-class map, then one
+      // reserved lane above it for shifted traffic.
+      qos::QosConfig qcfg;
+      qcfg.enabled = true;
+      qcfg.apply(f);
+      f.routing.vl_shift = true;
+      f.reserve_shift_lane();
+    }
+    return cfg;
+  }
+
+  /// A fresh guest `name` on node `n` with a `bytes` buffer endpoint.
+  Endpoint endpoint(std::uint32_t n, const std::string& name,
+                    std::size_t bytes) {
+    return fabric::make_endpoint(
+        cluster_.hca(n),
+        cluster_.node(n).create_domain({.name = name, .mem_pages = 2048}),
+        bytes, 1024);
+  }
+
+  cluster::Cluster cluster_;
+  sim::Observer observer_;
+  std::unique_ptr<congestion::RateController> rate_controller_;
+  std::uint64_t seed_;
+  sim::SimDuration window_ = 0;
+  std::deque<Endpoint> senders_;
+  std::vector<Endpoint> receivers_;
+  std::vector<sim::Samples> latency_;
+  Snapshot at_warmup_;
+};
 
 }  // namespace resex::bench

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  const auto opts = parse_cli(static_cast<int>(rest.size()), rest.data());
+  const auto opts =
+      parse_cli(static_cast<int>(rest.size()), rest.data(), kOverlayFlags);
 
   std::vector<runner::GenericPoint> points;
   for (const std::uint32_t nodes : node_counts) {

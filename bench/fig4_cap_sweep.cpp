@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, kScenarioFlags);
 
   runner::Sweep sweep(figure_config());
   sweep.axis("cap_pct",

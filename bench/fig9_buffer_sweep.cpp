@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, kScenarioFlags);
 
   auto base_cfg = figure_config();
   if (opts.seed.has_value()) base_cfg.seed = *opts.seed;

@@ -40,9 +40,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
 #include "collective/collective.hpp"
-#include "congestion/dcqcn.hpp"
 #include "fault/fault.hpp"
 
 namespace {
@@ -75,21 +73,19 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
                                   const Mode& mode, const Workload& wl,
                                   const runner::TrialContext& ctx) {
   const std::uint32_t ranks = wl.coll.ranks;
-  cluster::ClusterConfig cfg;
-  cfg.nodes = ranks;
-  cfg.pcpus_per_node = 2;
-  cfg.topology = topo;
   // Two leaves, one spine, trunk at host-port rate: the striped ring is
-  // leaf_width:1 oversubscribed on the trunk.
-  cfg.leaf_width = (ranks + 1) / 2;
-  cfg.spines = 1;
-  cfg.trunk_bandwidth_scale = 1.0;
-  // With lane shifts the collectives ride the default map's bulk SL.
-  apply_mode(cfg.fabric, mode);
-  cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
-  auto observer = ctx.observe(sim);
-  const auto rate_controller = make_rate_controller(cluster.fabric(), mode);
+  // leaf_width:1 oversubscribed on the trunk. With lane shifts the
+  // collectives ride the default map's bulk SL.
+  const std::uint32_t leaf_width = (ranks + 1) / 2;
+  FlowWorld world(ctx,
+                  {.nodes = ranks,
+                   .pcpus_per_node = 2,
+                   .topology = topo,
+                   .leaf_width = leaf_width,
+                   .spines = 1,
+                   .trunk_bandwidth_scale = 1.0},
+                  mode);
+  auto& cluster = world.cluster();
   std::unique_ptr<fault::FaultInjector> injector;
   if (!wl.faults.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
@@ -102,22 +98,20 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
   std::vector<collective::RankHome> homes(ranks);
   for (std::uint32_t r = 0; r < ranks; ++r) {
     const std::uint32_t node = topo == cluster::TopologyKind::kFatTree
-                                   ? (r % 2) * cfg.leaf_width + r / 2
+                                   ? (r % 2) * leaf_width + r / 2
                                    : r;
-    homes[r] = collective::RankHome{&cluster.node(node), &cluster.hca(node)};
+    homes[r] = {&cluster.node(node), &cluster.hca(node)};
   }
-  collective::CollectiveGroup group(sim, std::move(homes), wl.coll);
+  collective::CollectiveGroup group(world.sim(), std::move(homes), wl.coll);
   group.start();
 
   const double ideal_s =
-      ideal_seconds(wl.coll, cfg.fabric.link_bytes_per_sec) *
+      ideal_seconds(wl.coll, cluster.config().fabric.link_bytes_per_sec) *
       wl.coll.iterations;
   // Generous cap: congested/faulted runs take a few times ideal; a flapped
   // ring additionally burns the full RC retry budget (~255 ms per death).
   const auto cap = static_cast<sim::SimDuration>(ideal_s * 1e9 * 100) + 2'000_ms;
-  observer.start();
-  sim.run_until(cap);
-  observer.finish();
+  world.run_until(cap);
 
   const auto& res = group.result();
   const bool finished = group.done();
@@ -131,22 +125,25 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
   const double algbw = t_s > 0 ? s_bytes / t_s / 1e9 : 0.0;
   const double busbw = t_s > 0 ? s_bytes * (n - 1.0) / n / t_s / 1e9 : 0.0;
   const double vs_closed = t_s > 0 ? ideal_s / t_s : 0.0;
-  auto& m = sim.metrics();
   return {finished && res.ok ? 1.0 : 0.0,
           t_s * 1e3,
           algbw,
           busbw,
           vs_closed,
-          static_cast<double>(m.counter("fabric.retransmits").value()),
-          static_cast<double>(m.counter("fabric.buf_drops").value()),
-          static_cast<double>(m.counter("fabric.ecn_marks").value()),
-          static_cast<double>(m.counter("fabric.pfc_pauses").value())};
+          world.counter("fabric.retransmits"),
+          world.counter("fabric.buf_drops"),
+          world.counter("fabric.ecn_marks"),
+          world.counter("fabric.pfc_pauses")};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = parse_cli(argc, argv);
+  constexpr std::string_view kReads[] = {
+      "--buf-pkts",   "--ecn-kmin",   "--ecn-kmax",  "--faults",
+      "--coll-ranks", "--coll-bytes", "--coll-chunk", "--coll-algo",
+      "--coll-iters"};
+  const auto opts = parse_cli(argc, argv, kReads);
 
   const Buffers buffers(opts);
   const std::vector<Mode> modes = {buffers.lossless(), buffers.taildrop(),

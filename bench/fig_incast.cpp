@@ -14,16 +14,10 @@
 // replicated over derived seeds (--seeds), exported with --json/--csv.
 // Per-trial results are byte-identical for any --jobs value.
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "congestion/dcqcn.hpp"
-#include "fabric/verbs.hpp"
-#include "hv/node.hpp"
-#include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -33,88 +27,33 @@ using namespace resex::sim::literals;
 
 constexpr sim::SimDuration kMeasure = 400_ms;
 
+/// Nodes 1..N write into node 0 through the star's one switch, so the
+/// receiver's downlink is the N:1 port. Jittered starts break the senders'
+/// phase lock (and give --seeds its replicate-to-replicate variation); the
+/// load itself is deterministic. Goodput is measured over the post-warmup
+/// window, drain included.
 std::vector<double> run_incast(std::uint32_t senders, const Mode& mode,
                                const runner::TrialContext& ctx) {
-  sim::Simulation sim;
-  auto observer = ctx.observe(sim);
-  fabric::FabricConfig cfg;
-  apply_mode(cfg, mode);
-  fabric::Fabric fabric(sim, cfg);
-  const auto rate_controller = make_rate_controller(fabric, mode);
+  FlowWorld world(ctx, {.nodes = senders + 1}, mode);
+  std::vector<Flow> flows;
+  for (std::uint32_t i = 1; i <= senders; ++i) flows.push_back({i, 0});
+  world.run(flows, 0x1ca5, kMeasure, 50_ms);  // drain in-flight retransmits
 
-  // Node 0 receives; nodes 1..N send. All share the default switch, so the
-  // receiver's downlink is the N:1 port.
-  std::vector<std::unique_ptr<hv::Node>> nodes;
-  std::vector<fabric::Hca*> hcas;
-  for (std::uint32_t i = 0; i <= senders; ++i) {
-    nodes.push_back(std::make_unique<hv::Node>(
-        sim, i == 0 ? "recv" : "send" + std::to_string(i), 4));
-    hcas.push_back(&fabric.add_node(*nodes.back()));
-  }
-
-  // The receiver exposes one 64KB slot per sender in a single region.
-  Endpoint recv = make_endpoint(*nodes[0], *hcas[0], "recv_vm",
-                                std::uint64_t{senders} * kWriteBytes);
-  std::vector<Endpoint> send_eps;
-  std::vector<fabric::QueuePair*> recv_qps;
-  for (std::uint32_t i = 0; i < senders; ++i) {
-    send_eps.push_back(make_endpoint(*nodes[i + 1], *hcas[i + 1],
-                                     "send_vm" + std::to_string(i),
-                                     kWriteBytes));
-    recv_qps.push_back(&hcas[0]->create_qp(*recv.domain, recv.pd,
-                                           *recv.send_cq, *recv.recv_cq));
-    fabric::Fabric::connect(*send_eps.back().qp, *recv_qps.back());
-  }
-
-  // Jittered starts break the senders' phase lock (and give --seeds its
-  // replicate-to-replicate variation); the load itself is deterministic.
-  const sim::SimTime end = kWarmup + kMeasure;
-  std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(ctx.seed, 0x1ca5));
-  for (std::uint32_t i = 0; i < senders; ++i) {
-    latencies.push_back(std::make_unique<sim::Samples>());
-    const auto start = static_cast<sim::SimDuration>(jitter.uniform(
-        0.0, static_cast<double>(10_us)));
-    sim.spawn(sender_loop(sim, send_eps[i],
-                          recv.buf + std::uint64_t{i} * kWriteBytes,
-                          recv.mr.rkey, start, end, *latencies[i]));
-  }
-
-  // Goodput is measured over the post-warmup window only.
-  std::uint64_t bytes_at_warmup = 0;
-  sim.spawn([](sim::Simulation& s, fabric::Hca& hca,
-               std::uint64_t& out) -> sim::Task {
-    co_await s.delay(kWarmup);
-    out = hca.downlink().bytes_sent();
-  }(sim, *hcas[0], bytes_at_warmup));
-
-  observer.start();
-  sim.run_until(end + 50_ms);  // drain in-flight retransmissions
-  observer.finish();
-
-  sim::Samples pooled;
-  for (const auto& s : latencies) {
-    for (const double v : s->values()) pooled.add(v);
-  }
-  const auto& down = hcas[0]->downlink();
-  const double goodput_mbps =
-      static_cast<double>(down.bytes_sent() - bytes_at_warmup) /
-      sim::to_sec(kMeasure + 50_ms) / 1e6;
+  const sim::Samples pooled = world.latency_us();
+  const auto& down = world.cluster().hca(0).downlink();
   return {static_cast<double>(pooled.count()),
           pooled.median(),
           pooled.percentile(99.0),
           static_cast<double>(down.buf_drops()),
           static_cast<double>(down.ecn_marks()),
-          static_cast<double>(
-              sim.metrics().counter("fabric.retransmits").value()),
-          goodput_mbps};
+          world.counter("fabric.retransmits"),
+          world.mbps(world.down_bytes(0))};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_cli(argc, argv, Buffers::kFlags);
 
   // Headline comparison: same 64-packet port buffer for both lossy modes,
   // marking from 16 packets, hard-mark at 48. --buf-pkts/--ecn-kmin/

@@ -37,13 +37,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
 #include "collective/collective.hpp"
-#include "fabric/verbs.hpp"
-#include "hv/node.hpp"
 #include "qos/config.hpp"
-#include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -53,117 +48,49 @@ using namespace resex::sim::literals;
 
 constexpr sim::SimDuration kMeasure = 300_ms;
 constexpr sim::SimDuration kDrain = 50_ms;
+constexpr std::uint64_t kJitterStream = 0x9fc;
 
-/// Two-class fabric: SL0 (latency) -> VL0 on the high-priority arbitration
-/// table, SL1 (bulk) -> VL1 — the QosConfig defaults.
-void apply_two_class(fabric::FabricConfig& cfg) {
+/// A fat-tree of 8 hosts, 4 per leaf, one spine; two-class when `qos_on`:
+/// SL0 (latency) -> VL0 on the high-priority arbitration table, SL1 (bulk)
+/// -> VL1 — the QosConfig defaults.
+cluster::ClusterConfig fat_tree(bool qos_on, double trunk_scale) {
+  cluster::ClusterConfig ccfg{.nodes = 8,
+                              .topology = cluster::TopologyKind::kFatTree,
+                              .leaf_width = 4,
+                              .spines = 1,
+                              .trunk_bandwidth_scale = trunk_scale};
   qos::QosConfig q;
-  q.enabled = true;
-  q.apply(cfg);
+  q.enabled = qos_on;
+  q.apply(ccfg.fabric);
+  return ccfg;
 }
 
-/// Part 1: the fig_pfc fat-tree victim rerun. Aggressors n1..n3 (leaf 0)
-/// incast into n4 (leaf 1) on the bulk SL; the victim writes n0 -> n5 on
-/// the latency SL. Returns {reqs, p50_us, p99_us, drops, pauses, bulk_MBps,
-/// victim_MBps} where reqs/p50/p99 are the *victim's* per-write latencies
-/// and bulk_MBps is the incast receiver's goodput.
+/// Part 1: the fig_pfc fat-tree victim rerun under `pfc`. Aggressors n1..n3
+/// (leaf 0) incast into n4 (leaf 1) on the bulk SL; the victim writes
+/// n0 -> n5 on the latency SL. Returns {reqs, p50_us, p99_us, drops, pauses,
+/// bulk_MBps, victim_MBps} where reqs/p50/p99 are the *victim's* per-write
+/// latencies and bulk_MBps is the incast receiver's goodput.
 std::vector<double> run_victim(bool aggressors_on, bool qos_on,
-                               std::uint32_t buf,
+                               const Mode& pfc,
                                const runner::TrialContext& ctx) {
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 8;
-  ccfg.topology = cluster::TopologyKind::kFatTree;
-  ccfg.leaf_width = 4;
-  ccfg.spines = 1;
-  // Fat trunks, as in fig_pfc: only PFC backpressure ever fills them.
-  ccfg.trunk_bandwidth_scale = 8.0;
-  ccfg.fabric.port_buffer_pkts = buf;
-  ccfg.fabric.pfc_enabled = true;
-  if (qos_on) apply_two_class(ccfg.fabric);
-  cluster::Cluster cl(ccfg);
-  sim::Simulation& sim = cl.sim();
-  auto observer = ctx.observe(sim);
-
-  constexpr std::uint32_t kAggressors = 3;  // n1..n3 -> n4
-  Endpoint incast_recv = make_endpoint(cl.node(4), cl.hca(4), "incast_recv",
-                                       std::uint64_t{kAggressors} * kWriteBytes);
-  Endpoint victim_recv =
-      make_endpoint(cl.node(5), cl.hca(5), "victim_recv", kWriteBytes);
-  Endpoint victim =
-      make_endpoint(cl.node(0), cl.hca(0), "victim_send", kWriteBytes);
-  victim.qp->set_service_level(qos::kLatencySl);
-  fabric::QueuePair& victim_rqp = cl.hca(5).create_qp(
-      *victim_recv.domain, victim_recv.pd, *victim_recv.send_cq,
-      *victim_recv.recv_cq);
-  fabric::Fabric::connect(*victim.qp, victim_rqp);
-
-  std::vector<Endpoint> aggressors;
-  std::vector<fabric::QueuePair*> recv_qps;
-  for (std::uint32_t i = 0; aggressors_on && i < kAggressors; ++i) {
-    aggressors.push_back(make_endpoint(cl.node(i + 1), cl.hca(i + 1),
-                                       "agg" + std::to_string(i),
-                                       kWriteBytes));
-    // Bulk class on both ends (inert while qos is off: SL1 still maps to
-    // the single legacy queue).
-    aggressors.back().qp->set_service_level(qos::kBulkSl);
-    recv_qps.push_back(&cl.hca(4).create_qp(*incast_recv.domain,
-                                            incast_recv.pd,
-                                            *incast_recv.send_cq,
-                                            *incast_recv.recv_cq));
-    recv_qps.back()->set_service_level(qos::kBulkSl);
-    fabric::Fabric::connect(*aggressors.back().qp, *recv_qps.back());
+  // Fat trunks, as in fig_pfc: only PFC backpressure ever fills them. The
+  // bulk SL is inert while qos is off: SL1 still maps to the single lane.
+  FlowWorld world(ctx, fat_tree(qos_on, 8.0), pfc);
+  std::vector<Flow> flows;
+  for (std::uint32_t i = 1; aggressors_on && i <= 3; ++i) {
+    flows.push_back({i, 4, qos::kBulkSl});
   }
+  flows.push_back({0, 5, qos::kLatencySl});
+  world.run(flows, kJitterStream, kMeasure, kDrain);
 
-  const sim::SimTime end = kWarmup + kMeasure;
-  std::vector<std::unique_ptr<sim::Samples>> agg_latencies;
-  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(aggressors.size());
-       ++i) {
-    agg_latencies.push_back(std::make_unique<sim::Samples>());
-    const auto start = static_cast<sim::SimDuration>(
-        jitter.uniform(0.0, static_cast<double>(10_us)));
-    sim.spawn(sender_loop(sim, aggressors[i],
-                          incast_recv.buf + std::uint64_t{i} * kWriteBytes,
-                          incast_recv.mr.rkey, start, end,
-                          *agg_latencies[i]));
-  }
-  sim::Samples victim_latency;
-  sim.spawn(sender_loop(sim, victim, victim_recv.buf, victim_recv.mr.rkey,
-                        static_cast<sim::SimDuration>(
-                            jitter.uniform(0.0, static_cast<double>(10_us))),
-                        end, victim_latency));
-
-  std::uint64_t incast_at_warmup = 0;
-  std::uint64_t victim_at_warmup = 0;
-  sim.spawn([](sim::Simulation& s, cluster::Cluster& c, std::uint64_t& a,
-               std::uint64_t& b) -> sim::Task {
-    co_await s.delay(kWarmup);
-    a = c.hca(4).downlink().bytes_sent();
-    b = c.hca(5).downlink().bytes_sent();
-  }(sim, cl, incast_at_warmup, victim_at_warmup));
-
-  observer.start();
-  sim.run_until(end + kDrain);
-  observer.finish();
-
-  const double window_s = sim::to_sec(kMeasure + kDrain);
-  const double bulk_mbps =
-      static_cast<double>(cl.hca(4).downlink().bytes_sent() -
-                          incast_at_warmup) /
-      window_s / 1e6;
-  const double victim_mbps =
-      static_cast<double>(cl.hca(5).downlink().bytes_sent() -
-                          victim_at_warmup) /
-      window_s / 1e6;
-  return {static_cast<double>(victim_latency.count()),
-          victim_latency.median(),
-          victim_latency.percentile(99.0),
-          static_cast<double>(
-              sim.metrics().counter("fabric.buf_drops").value()),
-          static_cast<double>(
-              sim.metrics().counter("fabric.pfc_pauses").value()),
-          bulk_mbps,
-          victim_mbps};
+  const sim::Samples victim = world.latency_us(flows.size() - 1);
+  return {static_cast<double>(victim.count()),
+          victim.median(),
+          victim.percentile(99.0),
+          world.counter("fabric.buf_drops"),
+          world.counter("fabric.pfc_pauses"),
+          world.mbps(world.down_bytes(4)),
+          world.mbps(world.down_bytes(5))};
 }
 
 /// Part 2: continuous 4-rank ring all-reduce striped across a 1x spine
@@ -175,17 +102,9 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
 /// (= the collective's delivered bandwidth).
 std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
                                          const runner::TrialContext& ctx) {
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 8;
+  cluster::ClusterConfig ccfg = fat_tree(qos_on, 1.0);  // the trunk IS it
   ccfg.pcpus_per_node = 2;
-  ccfg.topology = cluster::TopologyKind::kFatTree;
-  ccfg.leaf_width = 4;
-  ccfg.spines = 1;
-  ccfg.trunk_bandwidth_scale = 1.0;  // the trunk IS the contended resource
-  if (qos_on) apply_two_class(ccfg.fabric);
-  cluster::Cluster cl(ccfg);
-  sim::Simulation& sim = cl.sim();
-  auto observer = ctx.observe(sim);
+  FlowWorld world(ctx, ccfg);
 
   // Ranks striped across the leaves; the collective marks its own QPs
   // bulk (SL1) — nothing to configure here, that is the default contract.
@@ -203,75 +122,33 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
     coll.iterations = 5000;
     std::vector<collective::RankHome> homes;
     for (const std::uint32_t n : rank_nodes) {
-      homes.push_back(collective::RankHome{&cl.node(n), &cl.hca(n)});
+      homes.push_back({&world.cluster().node(n), &world.cluster().hca(n)});
     }
     group = std::make_unique<collective::CollectiveGroup>(
-        sim, std::move(homes), coll);
+        world.sim(), std::move(homes), coll);
     group->start();
   }
-
-  Endpoint victim_recv =
-      make_endpoint(cl.node(6), cl.hca(6), "victim_recv", kWriteBytes);
-  Endpoint victim =
-      make_endpoint(cl.node(2), cl.hca(2), "victim_send", kWriteBytes);
-  victim.qp->set_service_level(qos::kLatencySl);
-  fabric::QueuePair& victim_rqp = cl.hca(6).create_qp(
-      *victim_recv.domain, victim_recv.pd, *victim_recv.send_cq,
-      *victim_recv.recv_cq);
-  fabric::Fabric::connect(*victim.qp, victim_rqp);
-
-  const sim::SimTime end = kWarmup + kMeasure;
-  sim::Samples victim_latency;
-  sim::Rng jitter(sim::derive(ctx.seed, 0x9fc));
-  sim.spawn(sender_loop(sim, victim, victim_recv.buf, victim_recv.mr.rkey,
-                        static_cast<sim::SimDuration>(
-                            jitter.uniform(0.0, static_cast<double>(10_us))),
-                        end, victim_latency));
-
-  std::uint64_t coll_at_warmup = 0;
-  std::uint64_t victim_at_warmup = 0;
-  sim.spawn([](sim::Simulation& s, cluster::Cluster& c,
-               const std::vector<std::uint32_t>& ranks, std::uint64_t& a,
-               std::uint64_t& b) -> sim::Task {
-    co_await s.delay(kWarmup);
-    for (const std::uint32_t n : ranks) a += c.hca(n).downlink().bytes_sent();
-    b = c.hca(6).downlink().bytes_sent();
-  }(sim, cl, rank_nodes, coll_at_warmup, victim_at_warmup));
-
-  observer.start();
-  sim.run_until(end + kDrain);
-  observer.finish();
+  world.run({{2, 6, qos::kLatencySl}}, kJitterStream, kMeasure, kDrain);
 
   std::uint64_t coll_bytes = 0;
-  for (const std::uint32_t n : rank_nodes) {
-    coll_bytes += cl.hca(n).downlink().bytes_sent();
-  }
-  const double window_s = sim::to_sec(kMeasure + kDrain);
-  const double bulk_mbps =
-      coll_on ? static_cast<double>(coll_bytes - coll_at_warmup) /
-                    window_s / 1e6
-              : 0.0;
-  const double victim_mbps =
-      static_cast<double>(cl.hca(6).downlink().bytes_sent() -
-                          victim_at_warmup) /
-      window_s / 1e6;
-  return {static_cast<double>(victim_latency.count()),
-          victim_latency.median(),
-          victim_latency.percentile(99.0),
-          static_cast<double>(
-              sim.metrics().counter("fabric.buf_drops").value()),
-          static_cast<double>(
-              sim.metrics().counter("fabric.pfc_pauses").value()),
-          bulk_mbps,
-          victim_mbps};
+  for (const std::uint32_t n : rank_nodes) coll_bytes += world.down_bytes(n);
+  const sim::Samples victim = world.latency_us();
+  return {static_cast<double>(victim.count()),
+          victim.median(),
+          victim.percentile(99.0),
+          world.counter("fabric.buf_drops"),
+          world.counter("fabric.pfc_pauses"),
+          world.mbps(coll_bytes),
+          world.mbps(world.down_bytes(6))};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-
-  const auto opts = parse_cli(argc, argv);
-  const std::uint32_t buf = Buffers(opts).pkts;
+  constexpr std::string_view kReads[] = {"--buf-pkts"};
+  const auto opts = parse_cli(argc, argv, kReads);
+  const Mode pfc = Buffers(opts).pfc();
+  const std::uint32_t buf = pfc.buf_pkts;
 
   using Ctx = const runner::TrialContext&;
   struct Row {
@@ -281,11 +158,11 @@ int main(int argc, char** argv) {
   };
   const std::vector<Row> rows = {
       {"fat-tree uncontended", "victim",
-       [buf](Ctx c) { return run_victim(false, false, buf, c); }},
+       [pfc](Ctx c) { return run_victim(false, false, pfc, c); }},
       {"fat-tree pfc 1-class", "victim",
-       [buf](Ctx c) { return run_victim(true, false, buf, c); }},
+       [pfc](Ctx c) { return run_victim(true, false, pfc, c); }},
       {"fat-tree pfc 2-class qos", "victim",
-       [buf](Ctx c) { return run_victim(true, true, buf, c); }},
+       [pfc](Ctx c) { return run_victim(true, true, pfc, c); }},
       {"allreduce uncontended", "allreduce",
        [](Ctx c) { return run_allreduce_victim(false, false, c); }},
       {"allreduce 1-class", "allreduce",

@@ -29,18 +29,12 @@
 // Per-trial results are byte-identical for any --jobs value.
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
 #include "collective/collective.hpp"
-#include "fabric/verbs.hpp"
-#include "hv/node.hpp"
 #include "routing/config.hpp"
-#include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -51,32 +45,22 @@ using namespace resex::sim::literals;
 constexpr sim::SimDuration kMeasure = 400_ms;
 constexpr std::uint32_t kSpines = 4;
 
-/// One directed cross-leaf flow: sender endpoint + the receive-side QP and
-/// buffer slot it writes into.
-struct Flow {
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-};
-
 std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
                                std::uint64_t ecmp_seed,
                                const runner::TrialContext& ctx) {
   // 8:1: hosts 0..7 on leaf 0 incast host 8 on leaf 1. all-to-all: 4 hosts
   // per leaf, every cross-leaf ordered pair active (16 flows each way).
-  cluster::ClusterConfig cfg;
-  cfg.nodes = alltoall ? 8 : 9;
   // Each endpoint auto-pins its domain to a free PCPU; all-to-all hosts
   // 4 send + 1 recv endpoints per node.
-  cfg.pcpus_per_node = alltoall ? 6 : 2;
-  cfg.topology = cluster::TopologyKind::kFatTree;
-  cfg.leaf_width = alltoall ? 4 : 8;
-  cfg.spines = kSpines;
-  cfg.trunk_bandwidth_scale = 1.0;
+  cluster::ClusterConfig cfg{.nodes = alltoall ? 8u : 9u,
+                             .pcpus_per_node = alltoall ? 6u : 2u,
+                             .topology = cluster::TopologyKind::kFatTree,
+                             .leaf_width = alltoall ? 4u : 8u,
+                             .spines = kSpines,
+                             .trunk_bandwidth_scale = 1.0};
   cfg.fabric.routing.mode = mode;
   cfg.fabric.routing.ecmp_seed = ecmp_seed;
-  cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
-  auto observer = ctx.observe(sim);
+  FlowWorld world(ctx, cfg);
 
   std::vector<Flow> flows;
   if (alltoall) {
@@ -89,80 +73,21 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
   } else {
     for (std::uint32_t i = 0; i < 8; ++i) flows.push_back({i, 8});
   }
+  // Utilization is measured over the steady window only.
+  world.run(flows, 0x707e, kMeasure);
 
-  // Receive regions: one 64KB slot per incoming flow, per node.
-  std::vector<std::uint32_t> fan_in(cfg.nodes, 0);
-  for (const Flow& f : flows) ++fan_in[f.dst];
-  std::vector<std::unique_ptr<Endpoint>> recv_eps(cfg.nodes);
-  for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
-    if (fan_in[n] == 0) continue;
-    recv_eps[n] = std::make_unique<Endpoint>(make_endpoint(
-        cluster.node(n), cluster.hca(n), "recv_vm" + std::to_string(n),
-        std::uint64_t{fan_in[n]} * kWriteBytes));
-  }
-
-  std::vector<std::unique_ptr<Endpoint>> send_eps;
-  std::vector<mem::GuestAddr> remote_addr(flows.size());
-  std::vector<std::uint32_t> remote_rkey(flows.size());
-  std::vector<std::uint32_t> next_slot(cfg.nodes, 0);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const Flow& fl = flows[f];
-    send_eps.push_back(std::make_unique<Endpoint>(
-        make_endpoint(cluster.node(fl.src), cluster.hca(fl.src),
-                      "send_vm" + std::to_string(f), kWriteBytes)));
-    Endpoint& recv = *recv_eps[fl.dst];
-    fabric::QueuePair& rqp = cluster.hca(fl.dst).create_qp(
-        *recv.domain, recv.pd, *recv.send_cq, *recv.recv_cq);
-    fabric::Fabric::connect(*send_eps.back()->qp, rqp);
-    remote_addr[f] =
-        recv.buf + std::uint64_t{next_slot[fl.dst]++} * kWriteBytes;
-    remote_rkey[f] = recv.mr.rkey;
-  }
-
-  const sim::SimTime end = kWarmup + kMeasure;
-  std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(ctx.seed, 0x707e));
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    latencies.push_back(std::make_unique<sim::Samples>());
-    const auto start = static_cast<sim::SimDuration>(
-        jitter.uniform(0.0, static_cast<double>(10_us)));
-    sim.spawn(sender_loop(sim, *send_eps[f], remote_addr[f], remote_rkey[f],
-                          start, end, *latencies[f]));
-  }
-
-  // Per-trunk busy-time snapshot at the end of warmup: utilization is
-  // measured over the steady window only.
-  std::vector<sim::SimDuration> busy_at_warmup;
-  std::vector<std::uint64_t> bytes_at_warmup;
-  sim.spawn([](sim::Simulation& s, fabric::Fabric& fabric,
-               std::vector<sim::SimDuration>& busy,
-               std::vector<std::uint64_t>& bytes) -> sim::Task {
-    co_await s.delay(kWarmup);
-    fabric.for_each_trunk(
-        [&](std::uint32_t, std::uint32_t, fabric::Channel& ch) {
-          busy.push_back(ch.busy_time());
-          bytes.push_back(ch.bytes_sent());
-        });
-  }(sim, cluster.fabric(), busy_at_warmup, bytes_at_warmup));
-
-  observer.start();
-  sim.run_until(end);
-  observer.finish();
-
-  sim::Samples pooled;
-  for (const auto& s : latencies) {
-    for (const double v : s->values()) pooled.add(v);
-  }
+  const sim::Samples pooled = world.latency_us();
   double max_util = 0.0;
   std::uint32_t trunks_used = 0;
   std::size_t idx = 0;
-  cluster.fabric().for_each_trunk(
+  const auto& at = world.at_warmup();
+  world.cluster().fabric().for_each_trunk(
       [&](std::uint32_t, std::uint32_t, fabric::Channel& ch) {
         const double util =
-            static_cast<double>(ch.busy_time() - busy_at_warmup[idx]) /
+            static_cast<double>(ch.busy_time() - at.trunk_busy[idx]) /
             static_cast<double>(kMeasure);
         max_util = std::max(max_util, util);
-        if (ch.bytes_sent() > bytes_at_warmup[idx]) ++trunks_used;
+        if (ch.bytes_sent() > at.trunk_bytes[idx]) ++trunks_used;
         ++idx;
       });
   return {static_cast<double>(pooled.count()),
@@ -170,28 +95,25 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
           pooled.percentile(99.0),
           max_util,
           static_cast<double>(trunks_used),
-          static_cast<double>(
-              sim.metrics().counter("fabric.route_rehash").value())};
+          world.counter("fabric.route_rehash")};
 }
 
 /// The striped-ring PFC all-reduce (bench_fig_allreduce's deadlock case),
 /// with and without routing lane shifts.
 std::vector<double> run_ring(bool vl_shift, const runner::TrialContext& ctx) {
   constexpr std::uint32_t kRanks = 8;
-  cluster::ClusterConfig cfg;
-  cfg.nodes = kRanks;
-  cfg.pcpus_per_node = 2;
-  cfg.topology = cluster::TopologyKind::kFatTree;
-  cfg.leaf_width = (kRanks + 1) / 2;
-  cfg.spines = 1;
-  cfg.trunk_bandwidth_scale = 1.0;
-  apply_mode(cfg.fabric, {.name = "pfc",
-                          .buf_pkts = 64,
-                          .pfc = true,
-                          .vl_shift = vl_shift});
-  cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
-  auto observer = ctx.observe(sim);
+  constexpr std::uint32_t kLeafWidth = (kRanks + 1) / 2;
+  FlowWorld world(ctx,
+                  {.nodes = kRanks,
+                   .pcpus_per_node = 2,
+                   .topology = cluster::TopologyKind::kFatTree,
+                   .leaf_width = kLeafWidth,
+                   .spines = 1,
+                   .trunk_bandwidth_scale = 1.0},
+                  {.name = "pfc",
+                   .buf_pkts = 64,
+                   .pfc = true,
+                   .vl_shift = vl_shift});
 
   collective::CollectiveConfig coll;
   coll.ranks = kRanks;
@@ -202,32 +124,29 @@ std::vector<double> run_ring(bool vl_shift, const runner::TrialContext& ctx) {
   // Stripe ranks across the two leaves so every ring edge crosses the trunk.
   std::vector<collective::RankHome> homes(kRanks);
   for (std::uint32_t r = 0; r < kRanks; ++r) {
-    const std::uint32_t node = (r % 2) * cfg.leaf_width + r / 2;
-    homes[r] = collective::RankHome{&cluster.node(node), &cluster.hca(node)};
+    const std::uint32_t node = (r % 2) * kLeafWidth + r / 2;
+    homes[r] = {&world.cluster().node(node), &world.cluster().hca(node)};
   }
-  collective::CollectiveGroup group(sim, std::move(homes), coll);
+  collective::CollectiveGroup group(world.sim(), std::move(homes), coll);
   group.start();
-  observer.start();
-  sim.run_until(3'000_ms);
-  observer.finish();
+  world.run_until(3'000_ms);
 
   const auto& res = group.result();
   const bool ok = group.done() && res.ok;
   const double t_ms =
       ok ? static_cast<double>(res.finished_at - res.started_at) / 1e6 : 0.0;
-  auto& m = sim.metrics();
   return {ok ? 1.0 : 0.0,
           t_ms,
-          static_cast<double>(m.counter("fabric.buf_drops").value()),
-          static_cast<double>(m.counter("fabric.pfc_pauses").value()),
-          static_cast<double>(m.counter("fabric.retransmits").value())};
+          world.counter("fabric.buf_drops"),
+          world.counter("fabric.pfc_pauses"),
+          world.counter("fabric.retransmits")};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-
-  const auto opts = parse_cli(argc, argv);
+  constexpr std::string_view kReads[] = {"--ecmp-seed"};
+  const auto opts = parse_cli(argc, argv, kReads);
   const std::uint64_t ecmp_seed = opts.routing.ecmp_seed;
 
   struct ModeRow {

@@ -1,5 +1,6 @@
 #include "runner/options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <ostream>
 #include <stdexcept>
@@ -58,9 +59,19 @@ double parse_f64(std::string_view flag, std::string_view text) {
   return value;
 }
 
+/// The flags every runner program reads.
+constexpr std::string_view kCommonFlags[] = {
+    "--help", "-h",    "--jobs",  "-j",           "--seeds",         "--seed",
+    "--json", "--csv", "--trace", "--metrics-json", "--metrics-period"};
+
 }  // namespace
 
-RunnerOptions parse_options(int argc, const char* const* argv) {
+RunnerOptions parse_options(
+    int argc, const char* const* argv,
+    std::optional<std::span<const std::string_view>> reads) {
+  const auto is_read = [&](std::string_view flag) {
+    return !reads || std::ranges::find(*reads, flag) != reads->end();
+  };
   RunnerOptions opts;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
@@ -198,6 +209,11 @@ RunnerOptions parse_options(int argc, const char* const* argv) {
       throw std::invalid_argument("unknown option '" + std::string(arg) +
                                   "' (see --help)");
     }
+    if (!is_read(arg) &&
+        std::ranges::find(kCommonFlags, arg) == std::end(kCommonFlags)) {
+      throw std::invalid_argument(std::string(arg) +
+                                  " is not used by this bench");
+    }
   }
   // ECN thresholds come as a pair: marking needs both bounds, and the fabric
   // rejects kmin > kmax. Catch it here so the message names the flags.
@@ -228,7 +244,8 @@ RunnerOptions parse_options(int argc, const char* const* argv) {
       throw std::invalid_argument("--vl-hi-limit: requires --qos");
     }
   }
-  if (opts.ecmp_seed_set && !opts.routing.multipath()) {
+  if (opts.ecmp_seed_set && !opts.routing.multipath() &&
+      is_read("--routing")) {
     throw std::invalid_argument(
         "--ecmp-seed: requires --routing ecmp or --routing adaptive");
   }

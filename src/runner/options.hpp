@@ -26,13 +26,17 @@
 //   --coll-ranks/--coll-bytes/--coll-chunk/--coll-algo/--coll-iters
 //                        collective-workload overrides (collective benches
 //                        only; 0/empty = the bench's own sweep)
-// Results are byte-identical for any --jobs value; only wall-clock changes.
+// A program lists the fabric and workload flags (--faults onward) its code
+// reads; parse_options refuses the rest. Results are byte-identical for any
+// --jobs value; only wall-clock changes.
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "congestion/config.hpp"
 #include "qos/config.hpp"
@@ -78,7 +82,7 @@ struct RunnerOptions {
   bool pfc = false;
   /// Collective-workload overrides for benches that run resex::collective
   /// groups (bench_fig_allreduce). All default to 0/empty = keep the bench's
-  /// own sweep; existing benches ignore them entirely.
+  /// own sweep; a bench that does not read them refuses them.
   std::uint32_t coll_ranks = 0;
   std::uint64_t coll_bytes = 0;   // payload size per collective
   std::uint32_t coll_chunk = 0;   // largest single RDMA write
@@ -131,8 +135,14 @@ struct RunnerOptions {
 
 /// Parse argv. Throws std::invalid_argument with a one-line message on
 /// unknown flags or malformed values. Accepts both "--flag value" and
-/// "--flag=value".
-[[nodiscard]] RunnerOptions parse_options(int argc, const char* const* argv);
+/// "--flag=value". `reads`, when given, lists the fabric and workload flags
+/// the program reads (e.g. "--faults"); any other flag but the common ones
+/// (--jobs --seeds --seed --json --csv --trace --metrics-json
+/// --metrics-period --help) throws "--X is not used by this bench", and a
+/// cross-flag requirement binds only where both flags are read.
+[[nodiscard]] RunnerOptions parse_options(
+    int argc, const char* const* argv,
+    std::optional<std::span<const std::string_view>> reads = std::nullopt);
 
 void print_usage(std::ostream& os, const std::string& prog);
 

@@ -145,6 +145,27 @@ TEST(Options, EqualsSyntaxAndErrors) {
   EXPECT_THROW((void)parse_options(2, missing), std::invalid_argument);
 }
 
+TEST(Options, RejectsFlagsTheProgramDoesNotRead) {
+  constexpr std::string_view reads[] = {"--buf-pkts", "--ecmp-seed"};
+  const char* read[] = {"bench", "--jobs", "2", "--buf-pkts", "32"};
+  EXPECT_EQ(parse_options(5, read, reads).buf_pkts, 32u);
+
+  const char* unread[] = {"bench", "--faults", "drop=0.01"};
+  try {
+    (void)parse_options(3, unread, reads);
+    FAIL() << "--faults is not read, so it must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--faults is not used by this bench");
+  }
+  // Every flag is read when the program lists none.
+  EXPECT_EQ(parse_options(3, unread).faults, "drop=0.01");
+
+  // --ecmp-seed needs a multipath --routing only where --routing is read.
+  const char* seed_only[] = {"bench", "--ecmp-seed", "7"};
+  EXPECT_EQ(parse_options(3, seed_only, reads).routing.ecmp_seed, 7u);
+  EXPECT_THROW((void)parse_options(3, seed_only), std::invalid_argument);
+}
+
 // --- the determinism guarantee ---------------------------------------------
 
 std::vector<Metric> tiny_metrics() {
