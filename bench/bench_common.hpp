@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -103,6 +104,32 @@ struct BenchRun {
   int rc = 0;
 };
 
+/// The rest of the runner's stderr timing line: what the trials' observed
+/// runs cost the simulator, as events, simulated seconds and simulated
+/// seconds per wall second; with one job also wall ns per event. Calibration
+/// runs are not observed: their wall time counts, their events do not.
+inline void print_run_cost(const std::vector<runner::PointOutcome>& outcomes,
+                           double wall_ms, bool serial) {
+  sim::RunCost cost;
+  for (const auto& point : outcomes) {
+    for (const auto& trial : point.trials) cost += trial.cost;
+  }
+  const double sim_s = static_cast<double>(cost.sim_ns) / 1e9;
+  const auto flags = std::cerr.flags();
+  const auto precision = std::cerr.precision();
+  std::cerr << ", " << cost.events << " events, " << std::fixed
+            << std::setprecision(3) << sim_s << " sim-s, "
+            << sim_s / (wall_ms / 1e3) << " sim-s/wall-s";
+  if (serial && cost.events > 0) {
+    std::cerr << std::setprecision(1) << ", "
+              << wall_ms * 1e6 / static_cast<double>(cost.events)
+              << " ns/event";
+  }
+  std::cerr << "\n";
+  std::cerr.flags(flags);
+  std::cerr.precision(precision);
+}
+
 /// Shared driver for every runner bench: runs the points under the CLI
 /// options, prints the header and the aggregate table (mean per metric,
 /// ±95% CI columns when --seeds > 1), and writes the --json/--csv/
@@ -151,7 +178,8 @@ inline BenchRun run_bench(runner::RunnerOptions opts, const std::string& figure,
   std::cerr << "# runner: " << run.outcomes.size() << " points x "
             << opts.seeds << " seeds = " << run.outcomes.size() * opts.seeds
             << " trials, jobs=" << opts.resolved_jobs() << ", "
-            << static_cast<long long>(wall_ms) << " ms\n";
+            << static_cast<long long>(wall_ms) << " ms";
+  print_run_cost(run.outcomes, wall_ms, opts.resolved_jobs() == 1);
   return run;
 }
 

@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "fabric/channel.hpp"
 #include "fabric/hca.hpp"
@@ -101,6 +105,59 @@ void BM_EventQueueTimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (kNear + 1));
 }
 BENCHMARK(BM_EventQueueTimerChurn);
+
+// The fat-tree workload's event mix in steady state: each iteration pops the
+// earliest event and pushes one more, 95% of them at one of three fixed
+// delays (propagation 200 ns, a trunk MTU's 476 ns, a host MTU's 953 ns),
+// with ~25 near events and 8 far RTO-style timers pending; every eighth
+// iteration cancels the oldest timer and arms a new one. Arg = lanes: 0
+// leaves every push on the heap, 1 declares the three delays. Time per
+// iteration is one push+pop.
+void BM_EventQueueFixedDelayMix(benchmark::State& state) {
+  constexpr sim::SimDuration kRto = 1'000'000;
+  constexpr std::size_t kNear = 25;
+  constexpr std::size_t kTimers = 8;
+  constexpr std::size_t kPattern = 4096;
+  sim::EventQueue q;
+  if (state.range(0) != 0) {
+    for (const sim::SimDuration d : {sim::SimDuration{200},
+                                     sim::SimDuration{476},
+                                     sim::SimDuration{953}}) {
+      q.add_lane(d);
+    }
+  }
+  // The delay sequence is drawn up front, keeping the RNG out of the loop.
+  sim::Rng rng(1);
+  std::vector<sim::SimDuration> delays(kPattern);
+  for (auto& d : delays) {
+    const std::uint64_t u = rng.uniform_u64(100);
+    d = u < 47 ? 200 : u < 71 ? 953 : u < 95 ? 476 : 1 + rng.uniform_u64(2000);
+  }
+  sim::SimTime now = 0;
+  std::vector<sim::EventHandle> timers(kTimers);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    timers[i] = q.push_after(now, kRto + i, [] {});
+  }
+  for (std::size_t i = 0; i < kNear; ++i) {
+    (void)q.push_after(now, delays[i], [] {});
+  }
+  std::size_t i = kNear;
+  for (auto _ : state) {
+    sim::Event ev;
+    q.pop_due(~sim::SimTime{0}, ev);
+    now = ev.time;
+    benchmark::DoNotOptimize(ev.time);
+    (void)q.push_after(now, delays[i++ % kPattern], [] {});
+    if (i % 8 == 0) {
+      sim::EventHandle& rto = timers[(i / 8) % kTimers];
+      rto.cancel();
+      rto = q.push_after(now, kRto, [] {});
+    }
+  }
+  state.counters["depth"] = static_cast<double>(q.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueFixedDelayMix)->Arg(0)->Arg(1);
 
 void BM_SimulationDelayChain(benchmark::State& state) {
   for (auto _ : state) {

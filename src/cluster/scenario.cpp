@@ -95,7 +95,7 @@ ClusterScenarioResult run_cluster_scenario(
   sim::Observer observer(
       cluster.sim(),
       {config.trace_path, config.collect_metrics, config.metrics_period},
-      result.metrics, result.metrics_series);
+      result.metrics, result.metrics_series, result.cost);
 
   // --- DCQCN rate control (resex::congestion), if enabled --------------------
   std::unique_ptr<congestion::RateController> rate_controller;

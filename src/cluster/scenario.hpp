@@ -29,6 +29,7 @@
 #include "routing/config.hpp"
 #include "cluster/topology.hpp"
 #include "obs/metrics.hpp"
+#include "sim/observe.hpp"
 
 namespace resex::cluster {
 
@@ -106,6 +107,9 @@ struct ClusterScenarioResult {
   MigrationStats migration;
   obs::MetricsSnapshot metrics;
   std::vector<obs::MetricsSnapshot> metrics_series;
+  /// Events dispatched and simulated time covered by the measured run (not
+  /// the calibration run).
+  sim::RunCost cost;
 };
 
 [[nodiscard]] ClusterScenarioResult run_cluster_scenario(

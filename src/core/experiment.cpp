@@ -85,7 +85,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   sim::Observer observer(
       tb.sim(),
       {config.trace_path, config.collect_metrics, config.metrics_period},
-      result.metrics, result.metrics_series);
+      result.metrics, result.metrics_series, result.cost);
 
   // --- DCQCN rate control (resex::congestion), if enabled --------------------
   std::unique_ptr<congestion::RateController> rate_controller;

@@ -14,6 +14,7 @@
 #include "core/controller.hpp"
 #include "core/testbed.hpp"
 #include "obs/metrics.hpp"
+#include "sim/observe.hpp"
 
 namespace resex::core {
 
@@ -141,6 +142,8 @@ struct ScenarioResult {
   /// Periodic snapshots taken every metrics_period (empty unless both
   /// collect_metrics and metrics_period were set).
   std::vector<obs::MetricsSnapshot> metrics_series;
+  /// Events dispatched and simulated time covered by the run.
+  sim::RunCost cost;
 };
 
 /// Run one scenario to completion and summarize it.

@@ -15,6 +15,11 @@ Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
       lanes_(config.qos_enabled
                  ? std::clamp<std::uint8_t>(config.num_vls, 1, qos::kMaxVls)
                  : 1) {
+  // Every packet schedules its tx-complete one serialization time out (an
+  // MTU's, for all but a message's last packet) and its delivery one
+  // propagation delay after that.
+  sim_.declare_fixed_delay(config_.propagation_delay);
+  sim_.declare_fixed_delay(config_.serialization_time(config_.mtu_bytes));
   if (lanes_ > 1) {
     qos::VlArbiterConfig acfg;
     acfg.num_vls = lanes_;

@@ -33,7 +33,8 @@ std::vector<PointOutcome> run_trials(std::vector<GenericPoint> points,
       t.replicate = r;
       t.seed = sim::derive(points[p].seed, r);
       obs.trace_path = trial_trace_path(opts.trace_path, p, r);
-      trials.push_back({p, r, t.seed, obs, &t.metrics, &t.metrics_series});
+      trials.push_back(
+          {p, r, t.seed, obs, &t.metrics, &t.metrics_series, &t.cost});
     }
   }
 

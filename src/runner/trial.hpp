@@ -37,12 +37,14 @@ struct TrialContext {
   /// The slots this trial's final snapshot and periodic series land in.
   obs::MetricsSnapshot* metrics = nullptr;
   std::vector<obs::MetricsSnapshot>* metrics_series = nullptr;
+  /// The slot the cost of this trial's observed runs adds up in.
+  sim::RunCost* cost = nullptr;
 
   /// Attach this trial's observability to a hand-built simulation: the
   /// tracer is enabled now; call start() just before running and finish()
   /// after.
   [[nodiscard]] sim::Observer observe(sim::Simulation& sim) const {
-    return sim::Observer(sim, obs, *metrics, *metrics_series);
+    return sim::Observer(sim, obs, *metrics, *metrics_series, *cost);
   }
 
   /// Overlay this trial's seed and observability onto a scenario config
@@ -57,11 +59,13 @@ struct TrialContext {
     if (obs.metrics_period > 0) config.metrics_period = obs.metrics_period;
   }
 
-  /// Move a finished scenario result's snapshots into this trial's slots.
+  /// Move a finished scenario result's snapshots and cost into this
+  /// trial's slots.
   template <typename Result>
   void keep(Result& result) const {
     *metrics = std::move(result.metrics);
     *metrics_series = std::move(result.metrics_series);
+    *cost += result.cost;
   }
 };
 
@@ -81,6 +85,8 @@ struct TrialOutcome {
   /// Final snapshot and periodic series (empty unless collected).
   obs::MetricsSnapshot metrics;
   std::vector<obs::MetricsSnapshot> metrics_series;
+  /// What its observed runs cost the simulator.
+  sim::RunCost cost;
 };
 
 /// All trials of one point, ordered by replicate.

@@ -24,11 +24,12 @@ Task periodic_loop(Simulation& sim, SimDuration period,
 
 Observer::Observer(Simulation& sim, ObsSettings settings,
                    obs::MetricsSnapshot& metrics,
-                   std::vector<obs::MetricsSnapshot>& series)
+                   std::vector<obs::MetricsSnapshot>& series, RunCost& cost)
     : sim_(&sim),
       settings_(std::move(settings)),
       metrics_(&metrics),
-      series_(&series) {
+      series_(&series),
+      cost_(&cost) {
   if (!settings_.trace_path.empty()) sim_->tracer().enable();
 }
 
@@ -41,6 +42,7 @@ void Observer::start() {
 }
 
 void Observer::finish() {
+  *cost_ += RunCost{sim_->events_processed(), sim_->now()};
   if (settings_.collect_metrics) {
     *metrics_ = sim_->metrics().snapshot(sim_->now());
   }

@@ -6,12 +6,14 @@
 //   1. construct    enables the tracer (before set-up, so set-up is traced)
 //   2. start()      spawns the periodic snapshot / counter-track loop (after
 //                   the workloads spawn, just before the run)
-//   3. finish()     takes the final metrics snapshot...
+//   3. finish()     records the run's cost and takes the final metrics
+//                   snapshot...
 //   4.              ...and writes the trace, reporting a failure on stderr
 //
-// The snapshots land in caller-owned slots, so a scenario result (or a
-// runner trial outcome) carries them without another copy.
+// The cost and the snapshots land in caller-owned slots, so a scenario
+// result (or a runner trial outcome) carries them without another copy.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,12 +37,26 @@ struct ObsSettings {
   SimDuration metrics_period = 0;
 };
 
+/// What observed runs cost the simulator: the events they dispatched and
+/// the simulated time they covered.
+struct RunCost {
+  std::uint64_t events = 0;
+  SimTime sim_ns = 0;
+
+  RunCost& operator+=(const RunCost& other) noexcept {
+    events += other.events;
+    sim_ns += other.sim_ns;
+    return *this;
+  }
+};
+
 class Observer {
  public:
-  /// Step 1. `metrics`/`series` receive the final and periodic snapshots.
+  /// Step 1. `metrics`/`series` receive the final and periodic snapshots,
+  /// and the run's events and simulated time are added to `cost`.
   Observer(Simulation& sim, ObsSettings settings,
            obs::MetricsSnapshot& metrics,
-           std::vector<obs::MetricsSnapshot>& series);
+           std::vector<obs::MetricsSnapshot>& series, RunCost& cost);
 
   /// Step 2: spawn the periodic loop when a period is set and something
   /// consumes it.
@@ -55,6 +71,7 @@ class Observer {
   ObsSettings settings_;
   obs::MetricsSnapshot* metrics_;
   std::vector<obs::MetricsSnapshot>* series_;
+  RunCost* cost_;
 };
 
 }  // namespace resex::sim

@@ -15,7 +15,9 @@ EventHandle Simulation::schedule_at(SimTime t, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Simulation::schedule_at: time is in the past");
   }
-  return queue_.push(t, std::move(fn));
+  // now_ never decreases, so pushes at a declared delay from it reach their
+  // lane in (time, seq) order.
+  return queue_.push_after(now_, t - now_, std::move(fn));
 }
 
 void Simulation::spawn(Task task) {

@@ -35,6 +35,11 @@ class Simulation {
   /// Schedule a callback at absolute time `t` (must be >= now()).
   EventHandle schedule_at(SimTime t, Callback fn);
 
+  /// Declare a delay that many events are scheduled with (a link's
+  /// propagation or MTU serialization time). Events `dt` from now with a
+  /// declared `dt` skip the heap for a FIFO lane, in the same order.
+  void declare_fixed_delay(SimDuration dt) { queue_.add_lane(dt); }
+
   /// Schedule a callback `dt` from now.
   EventHandle schedule_in(SimDuration dt, Callback fn) {
     return schedule_at(now_ + dt, std::move(fn));
