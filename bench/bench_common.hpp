@@ -12,7 +12,6 @@
 #include <deque>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,11 +19,12 @@
 #include <vector>
 
 #include "cluster/topology.hpp"
-#include "congestion/dcqcn.hpp"
 #include "core/experiment.hpp"
+#include "core/fabric_setup.hpp"
 #include "fabric/endpoint.hpp"
 #include "hv/node.hpp"
 #include "qos/config.hpp"
+#include "routing/config.hpp"
 #include "runner/runner.hpp"
 #include "sim/report.hpp"
 #include "sim/rng.hpp"
@@ -214,22 +214,20 @@ inline double mean_of(const std::vector<runner::PointOutcome>& outcomes,
 // --- the write-flow world (fig_incast, fig_pfc, fig_qos, fig_routing,
 // fig_allreduce) -----------------------------------------------------------
 
-/// One fabric configuration under comparison.
+/// One fabric configuration under comparison, in the scenario configs'
+/// field names and types (core::apply_fabric and core::FabricControls read
+/// it).
 struct Mode {
   std::string name;
-  std::uint32_t buf_pkts = 0;  // 0 = infinite (lossless)
-  std::uint32_t ecn_kmin = 0;
-  std::uint32_t ecn_kmax = 0;
-  bool rate_control = false;  // DCQCN per-QP rate control
-  bool pfc = false;
-  bool vl_shift = false;  // qos lanes + deadlock-free lane shifts
-  // DCQCN controller knobs (fig_incast's parameter sweep moves them).
-  congestion::DcqcnConfig dcqcn{};
+  congestion::CongestionConfig congestion{};
+  qos::QosConfig qos{};
+  routing::RoutingConfig routing{};
+  std::string faults{};  // fault::FaultPlan spec; empty = fault-free
 };
 
 /// The finite buffer the lossy modes share: --buf-pkts (default 64
 /// packets), ECN marking from --ecn-kmin to --ecn-kmax (default a quarter
-/// and three quarters of the buffer).
+/// and three quarters of the buffer, at least one packet).
 struct Buffers {
   /// The flags a Buffers reads.
   static constexpr std::string_view kFlags[] = {"--buf-pkts", "--ecn-kmin",
@@ -241,8 +239,9 @@ struct Buffers {
 
   explicit Buffers(const runner::RunnerOptions& opts)
       : pkts(opts.buf_pkts > 0 ? opts.buf_pkts : 64),
-        kmin(opts.ecn_kmax > 0 ? opts.ecn_kmin : pkts / 4),
-        kmax(opts.ecn_kmax > 0 ? opts.ecn_kmax : (pkts * 3) / 4) {}
+        kmin(opts.ecn_kmax > 0 ? opts.ecn_kmin : std::max(1u, pkts / 4)),
+        kmax(opts.ecn_kmax > 0 ? opts.ecn_kmax
+                               : std::max(kmin, (pkts * 3) / 4)) {}
 
   /// "buf=64 pkts, Kmin=16, Kmax=48", as the bench headers print it.
   [[nodiscard]] std::string describe() const {
@@ -252,21 +251,25 @@ struct Buffers {
 
   [[nodiscard]] Mode lossless() const { return {.name = "lossless"}; }
   [[nodiscard]] Mode taildrop() const {
-    return {.name = "taildrop", .buf_pkts = pkts};
+    return {.name = "taildrop", .congestion = {.buffer_pkts = pkts}};
   }
   [[nodiscard]] Mode ecn() const {
     return {.name = "ecn+dcqcn",
-            .buf_pkts = pkts,
-            .ecn_kmin = kmin,
-            .ecn_kmax = kmax,
-            .rate_control = true};
+            .congestion = {.buffer_pkts = pkts,
+                           .ecn_kmin = kmin,
+                           .ecn_kmax = kmax,
+                           .rate_control = true}};
   }
   [[nodiscard]] Mode pfc() const {
-    return {.name = "pfc", .buf_pkts = pkts, .pfc = true};
+    return {.name = "pfc", .congestion = {.buffer_pkts = pkts, .pfc = true}};
   }
+  /// PFC with deadlock-free lane shifts: the default two-class qos map, and
+  /// one lane reserved above it for shifted traffic.
   [[nodiscard]] Mode pfc_vlshift() const {
-    return {.name = "pfc+vlshift", .buf_pkts = pkts, .pfc = true,
-            .vl_shift = true};
+    return {.name = "pfc+vlshift",
+            .congestion = {.buffer_pkts = pkts, .pfc = true},
+            .qos = {.enabled = true},
+            .routing = {.vl_shift = true}};
   }
 };
 
@@ -315,19 +318,19 @@ struct Flow {
 
 /// The world of a hand-built fabric bench: a cluster::Cluster (star or
 /// fat-tree) under one Mode, with the trial's observer attached after the
-/// cluster is built and the mode's DCQCN rate controller. A world either
-/// runs write flows (run) or, for a bench that drives its own workload on
-/// cluster(), just runs observed (run_until).
+/// cluster is built and then the mode's controls (its DCQCN rate controller
+/// and fault injector, faults on node 0's dom0). A world either runs write
+/// flows (run) or, for a bench that drives its own workload on cluster(),
+/// just runs observed (run_until).
 class FlowWorld {
  public:
   FlowWorld(const runner::TrialContext& ctx, cluster::ClusterConfig cfg,
             const Mode& mode = {})
       : cluster_(with_mode(std::move(cfg), mode)),
         observer_(ctx.observe(cluster_.sim())),
-        rate_controller_(mode.rate_control
-                             ? std::make_unique<congestion::RateController>(
-                                   cluster_.fabric(), mode.dcqcn)
-                             : nullptr),
+        controls_(cluster_.fabric(), mode.congestion,
+                  fault::FaultPlan::parse(mode.faults), ctx.seed,
+                  &cluster_.node(0)),
         seed_(ctx.seed) {}
   // Its writers and warm-up snapshot hold the world's address.
   FlowWorld(const FlowWorld&) = delete;
@@ -436,20 +439,7 @@ class FlowWorld {
  private:
   static cluster::ClusterConfig with_mode(cluster::ClusterConfig cfg,
                                           const Mode& mode) {
-    fabric::FabricConfig& f = cfg.fabric;
-    f.port_buffer_pkts = mode.buf_pkts;
-    f.ecn_kmin_pkts = mode.ecn_kmin;
-    f.ecn_kmax_pkts = mode.ecn_kmax;
-    f.pfc_enabled = mode.pfc;
-    if (mode.vl_shift) {
-      // Lane shifts need qos lanes: the default two-class map, then one
-      // reserved lane above it for shifted traffic.
-      qos::QosConfig qcfg;
-      qcfg.enabled = true;
-      qcfg.apply(f);
-      f.routing.vl_shift = true;
-      f.reserve_shift_lane();
-    }
+    core::apply_fabric(mode, cfg.fabric);
     return cfg;
   }
 
@@ -464,7 +454,7 @@ class FlowWorld {
 
   cluster::Cluster cluster_;
   sim::Observer observer_;
-  std::unique_ptr<congestion::RateController> rate_controller_;
+  core::FabricControls controls_;
   std::uint64_t seed_;
   sim::SimDuration window_ = 0;
   std::deque<Endpoint> senders_;

@@ -31,28 +31,22 @@
 //
 // --coll-ranks/--coll-bytes/--coll-chunk/--coll-algo/--coll-iters override
 // the workload; --faults injects straggler/stall/flap plans into every trial
-// (a flapped ring terminates through the RC retry budget, reported as ok=0).
+// through the mode, drawing from the scenarios' fault stream (a flapped ring
+// terminates through the RC retry budget, reported as ok=0).
 // Per-trial results are byte-identical for any --jobs value.
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "collective/collective.hpp"
-#include "fault/fault.hpp"
 
 namespace {
 
 using namespace resex;
 using namespace resex::bench;
 using namespace resex::sim::literals;
-
-struct Workload {
-  collective::CollectiveConfig coll;
-  std::string faults;  // empty = fault-free
-};
 
 /// Closed-form uncongested completion time of one iteration at link rate B.
 double ideal_seconds(const collective::CollectiveConfig& c, double bps) {
@@ -70,9 +64,10 @@ double ideal_seconds(const collective::CollectiveConfig& c, double bps) {
 }
 
 std::vector<double> run_allreduce(cluster::TopologyKind topo,
-                                  const Mode& mode, const Workload& wl,
+                                  const Mode& mode,
+                                  const collective::CollectiveConfig& coll,
                                   const runner::TrialContext& ctx) {
-  const std::uint32_t ranks = wl.coll.ranks;
+  const std::uint32_t ranks = coll.ranks;
   // Two leaves, one spine, trunk at host-port rate: the striped ring is
   // leaf_width:1 oversubscribed on the trunk. With lane shifts the
   // collectives ride the default map's bulk SL.
@@ -86,12 +81,6 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
                    .trunk_bandwidth_scale = 1.0},
                   mode);
   auto& cluster = world.cluster();
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!wl.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(wl.faults), ctx.seed);
-    injector->arm(cluster.fabric(), &cluster.node(0));
-  }
 
   // Star: rank r on node r. Fat-tree: stripe ranks across the two leaves so
   // every ring edge (r, r+1) crosses the trunk.
@@ -102,12 +91,12 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
                                    : r;
     homes[r] = {&cluster.node(node), &cluster.hca(node)};
   }
-  collective::CollectiveGroup group(world.sim(), std::move(homes), wl.coll);
+  collective::CollectiveGroup group(world.sim(), std::move(homes), coll);
   group.start();
 
   const double ideal_s =
-      ideal_seconds(wl.coll, cluster.config().fabric.link_bytes_per_sec) *
-      wl.coll.iterations;
+      ideal_seconds(coll, cluster.config().fabric.link_bytes_per_sec) *
+      coll.iterations;
   // Generous cap: congested/faulted runs take a few times ideal; a flapped
   // ring additionally burns the full RC retry budget (~255 ms per death).
   const auto cap = static_cast<sim::SimDuration>(ideal_s * 1e9 * 100) + 2'000_ms;
@@ -120,8 +109,8 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
           ? static_cast<double>(res.finished_at - res.started_at) / 1e9
           : 0.0;
   const double s_bytes =
-      static_cast<double>(wl.coll.payload_bytes) * wl.coll.iterations;
-  const double n = wl.coll.ranks;
+      static_cast<double>(coll.payload_bytes) * coll.iterations;
+  const double n = coll.ranks;
   const double algbw = t_s > 0 ? s_bytes / t_s / 1e9 : 0.0;
   const double busbw = t_s > 0 ? s_bytes * (n - 1.0) / n / t_s / 1e9 : 0.0;
   const double vs_closed = t_s > 0 ? ideal_s / t_s : 0.0;
@@ -146,9 +135,10 @@ int main(int argc, char** argv) {
   const auto opts = parse_cli(argc, argv, kReads);
 
   const Buffers buffers(opts);
-  const std::vector<Mode> modes = {buffers.lossless(), buffers.taildrop(),
-                                   buffers.ecn(), buffers.pfc(),
-                                   buffers.pfc_vlshift()};
+  std::vector<Mode> modes = {buffers.lossless(), buffers.taildrop(),
+                             buffers.ecn(), buffers.pfc(),
+                             buffers.pfc_vlshift()};
+  for (Mode& mode : modes) mode.faults = opts.faults;
 
   collective::CollectiveConfig base;
   base.payload_bytes = opts.coll_bytes > 0 ? opts.coll_bytes : 4u << 20;
@@ -169,18 +159,16 @@ int main(int argc, char** argv) {
         topo == resex::cluster::TopologyKind::kStar ? "star" : "fattree";
     for (const std::uint32_t ranks : rank_counts) {
       for (const Mode& mode : modes) {
-        Workload wl;
-        wl.coll = base;
-        wl.coll.ranks = ranks;
-        wl.faults = opts.faults;
+        collective::CollectiveConfig coll = base;
+        coll.ranks = ranks;
         runner::GenericPoint p;
         p.label = tname + " " + mode.name + " N=" + std::to_string(ranks);
         p.params = {{"topology", tname},
                     {"mode", mode.name},
                     {"ranks", std::to_string(ranks)},
-                    {"algo", to_string(wl.coll.algorithm)}};
-        p.run = [topo, mode, wl](const runner::TrialContext& ctx) {
-          return run_allreduce(topo, mode, wl, ctx);
+                    {"algo", to_string(coll.algorithm)}};
+        p.run = [topo, mode, coll](const runner::TrialContext& ctx) {
+          return run_allreduce(topo, mode, coll, ctx);
         };
         points.push_back(std::move(p));
       }

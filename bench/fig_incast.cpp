@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       p.label = mode.name + " " + std::to_string(senders) + ":1";
       p.params = {{"mode", mode.name},
                   {"senders", std::to_string(senders)},
-                  {"buf_pkts", std::to_string(mode.buf_pkts)}};
+                  {"buf_pkts", std::to_string(mode.congestion.buffer_pkts)}};
       p.run = [senders, mode](const runner::TrialContext& ctx) {
         return run_incast(senders, mode, ctx);
       };
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<runner::GenericPoint> sweep_points;
   for (const Variant& v : variants) {
     Mode mode = buffers.ecn();
-    mode.dcqcn = v.dcqcn;
+    mode.congestion.dcqcn = v.dcqcn;
     runner::GenericPoint p;
     p.label = v.label;
     p.params = {{"mode", "ecn+dcqcn"},

@@ -50,19 +50,21 @@ constexpr sim::SimDuration kMeasure = 300_ms;
 constexpr sim::SimDuration kDrain = 50_ms;
 constexpr std::uint64_t kJitterStream = 0x9fc;
 
-/// A fat-tree of 8 hosts, 4 per leaf, one spine; two-class when `qos_on`:
-/// SL0 (latency) -> VL0 on the high-priority arbitration table, SL1 (bulk)
-/// -> VL1 — the QosConfig defaults.
-cluster::ClusterConfig fat_tree(bool qos_on, double trunk_scale) {
-  cluster::ClusterConfig ccfg{.nodes = 8,
-                              .topology = cluster::TopologyKind::kFatTree,
-                              .leaf_width = 4,
-                              .spines = 1,
-                              .trunk_bandwidth_scale = trunk_scale};
-  qos::QosConfig q;
-  q.enabled = qos_on;
-  q.apply(ccfg.fabric);
-  return ccfg;
+/// A fat-tree of 8 hosts, 4 per leaf, one spine.
+cluster::ClusterConfig fat_tree(double trunk_scale) {
+  return {.nodes = 8,
+          .topology = cluster::TopologyKind::kFatTree,
+          .leaf_width = 4,
+          .spines = 1,
+          .trunk_bandwidth_scale = trunk_scale};
+}
+
+/// `mode`, two-class when `qos_on`: SL0 (latency) -> VL0 on the
+/// high-priority arbitration table, SL1 (bulk) -> VL1 — the QosConfig
+/// defaults.
+Mode with_qos(Mode mode, bool qos_on) {
+  mode.qos.enabled = qos_on;
+  return mode;
 }
 
 /// Part 1: the fig_pfc fat-tree victim rerun under `pfc`. Aggressors n1..n3
@@ -75,7 +77,7 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
                                const runner::TrialContext& ctx) {
   // Fat trunks, as in fig_pfc: only PFC backpressure ever fills them. The
   // bulk SL is inert while qos is off: SL1 still maps to the single lane.
-  FlowWorld world(ctx, fat_tree(qos_on, 8.0), pfc);
+  FlowWorld world(ctx, fat_tree(8.0), with_qos(pfc, qos_on));
   std::vector<Flow> flows;
   for (std::uint32_t i = 1; aggressors_on && i <= 3; ++i) {
     flows.push_back({i, 4, qos::kBulkSl});
@@ -102,9 +104,9 @@ std::vector<double> run_victim(bool aggressors_on, bool qos_on,
 /// (= the collective's delivered bandwidth).
 std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
                                          const runner::TrialContext& ctx) {
-  cluster::ClusterConfig ccfg = fat_tree(qos_on, 1.0);  // the trunk IS it
+  cluster::ClusterConfig ccfg = fat_tree(1.0);  // the trunk IS it
   ccfg.pcpus_per_node = 2;
-  FlowWorld world(ctx, ccfg);
+  FlowWorld world(ctx, ccfg, with_qos({}, qos_on));
 
   // Ranks striped across the leaves; the collective marks its own QPs
   // bulk (SL1) — nothing to configure here, that is the default contract.
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
   constexpr std::string_view kReads[] = {"--buf-pkts"};
   const auto opts = parse_cli(argc, argv, kReads);
   const Mode pfc = Buffers(opts).pfc();
-  const std::uint32_t buf = pfc.buf_pkts;
+  const std::uint32_t buf = pfc.congestion.buffer_pkts;
 
   using Ctx = const runner::TrialContext&;
   struct Row {

@@ -45,22 +45,21 @@ using namespace resex::sim::literals;
 constexpr sim::SimDuration kMeasure = 400_ms;
 constexpr std::uint32_t kSpines = 4;
 
-std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
-                               std::uint64_t ecmp_seed,
+std::vector<double> run_spread(bool alltoall,
+                               const routing::RoutingConfig& route,
                                const runner::TrialContext& ctx) {
   // 8:1: hosts 0..7 on leaf 0 incast host 8 on leaf 1. all-to-all: 4 hosts
   // per leaf, every cross-leaf ordered pair active (16 flows each way).
   // Each endpoint auto-pins its domain to a free PCPU; all-to-all hosts
   // 4 send + 1 recv endpoints per node.
-  cluster::ClusterConfig cfg{.nodes = alltoall ? 8u : 9u,
-                             .pcpus_per_node = alltoall ? 6u : 2u,
-                             .topology = cluster::TopologyKind::kFatTree,
-                             .leaf_width = alltoall ? 4u : 8u,
-                             .spines = kSpines,
-                             .trunk_bandwidth_scale = 1.0};
-  cfg.fabric.routing.mode = mode;
-  cfg.fabric.routing.ecmp_seed = ecmp_seed;
-  FlowWorld world(ctx, cfg);
+  FlowWorld world(ctx,
+                  {.nodes = alltoall ? 8u : 9u,
+                   .pcpus_per_node = alltoall ? 6u : 2u,
+                   .topology = cluster::TopologyKind::kFatTree,
+                   .leaf_width = alltoall ? 4u : 8u,
+                   .spines = kSpines,
+                   .trunk_bandwidth_scale = 1.0},
+                  {.name = to_string(route.mode), .routing = route});
 
   std::vector<Flow> flows;
   if (alltoall) {
@@ -98,9 +97,10 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
           world.counter("fabric.route_rehash")};
 }
 
-/// The striped-ring PFC all-reduce (bench_fig_allreduce's deadlock case),
-/// with and without routing lane shifts.
-std::vector<double> run_ring(bool vl_shift, const runner::TrialContext& ctx) {
+/// The striped-ring PFC all-reduce (bench_fig_allreduce's deadlock case)
+/// under `mode`: PFC with or without routing lane shifts.
+std::vector<double> run_ring(const Mode& mode,
+                             const runner::TrialContext& ctx) {
   constexpr std::uint32_t kRanks = 8;
   constexpr std::uint32_t kLeafWidth = (kRanks + 1) / 2;
   FlowWorld world(ctx,
@@ -110,10 +110,7 @@ std::vector<double> run_ring(bool vl_shift, const runner::TrialContext& ctx) {
                    .leaf_width = kLeafWidth,
                    .spines = 1,
                    .trunk_bandwidth_scale = 1.0},
-                  {.name = "pfc",
-                   .buf_pkts = 64,
-                   .pfc = true,
-                   .vl_shift = vl_shift});
+                  mode);
 
   collective::CollectiveConfig coll;
   coll.ranks = kRanks;
@@ -167,8 +164,10 @@ int main(int argc, char** argv) {
       p.params = {{"pattern", alltoall ? "alltoall" : "incast8"},
                   {"mode", m.name},
                   {"spines", std::to_string(kSpines)}};
-      p.run = [alltoall, m, ecmp_seed](const runner::TrialContext& ctx) {
-        return run_spread(alltoall, m.mode, ecmp_seed, ctx);
+      const resex::routing::RoutingConfig route{.mode = m.mode,
+                                                .ecmp_seed = ecmp_seed};
+      p.run = [alltoall, route](const runner::TrialContext& ctx) {
+        return run_spread(alltoall, route, ctx);
       };
       points.push_back(std::move(p));
     }
@@ -194,13 +193,16 @@ int main(int argc, char** argv) {
                "mid-run moves).\n\n";
 
   // --- table 2: PFC deadlock vs lane shifts ---------------------------------
+  // This bench does not read --buf-pkts: both rows run 64-packet buffers.
+  const Buffers buffers(opts);
   std::vector<runner::GenericPoint> ring_points;
-  for (const bool shift : {false, true}) {
+  for (const Mode& mode : {buffers.pfc(), buffers.pfc_vlshift()}) {
     runner::GenericPoint p;
-    p.label = shift ? "striped-ring pfc+vlshift" : "striped-ring pfc";
-    p.params = {{"pattern", "ring"}, {"vl_shift", shift ? "1" : "0"}};
-    p.run = [shift](const runner::TrialContext& ctx) {
-      return run_ring(shift, ctx);
+    p.label = "striped-ring " + mode.name;
+    p.params = {{"pattern", "ring"},
+                {"vl_shift", mode.routing.vl_shift ? "1" : "0"}};
+    p.run = [mode](const runner::TrialContext& ctx) {
+      return run_ring(mode, ctx);
     };
     ring_points.push_back(std::move(p));
   }

@@ -16,6 +16,7 @@
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
 #include "hv/node.hpp"
+#include "qos/config.hpp"
 #include "routing/config.hpp"
 #include "routing/table.hpp"
 #include "sim/rng.hpp"
@@ -181,10 +182,12 @@ void BM_ChannelPacketCycle(benchmark::State& state) {
   const auto lanes = static_cast<std::uint8_t>(state.range(0));
   sim::Simulation sim;
   fabric::FabricConfig cfg;
-  if (lanes > 1) {
-    cfg.qos_enabled = true;
-    cfg.num_vls = lanes;
-  }
+  // Both lanes in the low table at equal weights: plain WRR between them.
+  qos::QosConfig{.enabled = lanes > 1,
+                 .num_vls = lanes,
+                 .high_mask = 0,
+                 .hi_limit = 0}
+      .apply(cfg);
   fabric::Fabric fab(sim, cfg);
   hv::Node node{sim, "A", 8};
   fabric::Hca& hca = fab.add_node(node);

@@ -3,9 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "congestion/dcqcn.hpp"
+#include "core/fabric_setup.hpp"
 #include "core/testbed.hpp"
-#include "fault/fault.hpp"
 #include "sim/observe.hpp"
 #include "sim/rng.hpp"
 
@@ -85,42 +84,16 @@ ClusterScenarioResult run_cluster_scenario(
   ccfg.leaf_width = config.leaf_width;
   ccfg.spines = config.spines;
   ccfg.trunk_bandwidth_scale = config.trunk_bandwidth_scale;
-  config.congestion.apply(ccfg.fabric);
-  config.qos.apply(ccfg.fabric);
-  // Routing rides after qos: reserve_shift_lane grows num_vls *above* the
-  // applied SL->VL map, so no service level maps onto the shift lane.
-  ccfg.fabric.routing = config.routing;
-  if (config.routing.vl_shift) ccfg.fabric.reserve_shift_lane();
+  core::apply_fabric(config, ccfg.fabric);
   Cluster cluster(ccfg);
   sim::Observer observer(
       cluster.sim(),
       {config.trace_path, config.collect_metrics, config.metrics_period},
       result.metrics, result.metrics_series, result.cost);
-
-  // --- DCQCN rate control (resex::congestion), if enabled --------------------
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (config.congestion.rate_control && config.congestion.ecn_kmax > 0) {
-    rate_controller = std::make_unique<congestion::RateController>(
-        cluster.fabric(), config.congestion.dcqcn);
-  }
-
-  // --- fault injection -------------------------------------------------------
-  const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fault_plan.any()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault_plan, sim::derive(config.seed, 0xFA17));
-    // Control-path delay windows land on the first contended host's dom0.
-    injector->arm(cluster.fabric(), &cluster.node(0));
-    cluster.sim().metrics().gauge_fn(
-        "fault.drops_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->drops_injected());
-        });
-    cluster.sim().metrics().gauge_fn(
-        "fault.corrupts_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->corrupts_injected());
-        });
-  }
+  // Control-path delay windows land on the first contended host's dom0.
+  const core::FabricControls controls(cluster.fabric(), config.congestion,
+                                      fault::FaultPlan::parse(config.faults),
+                                      config.seed, &cluster.node(0));
 
   // --- deploy ---------------------------------------------------------------
   std::vector<std::unique_ptr<benchex::Service>> services;

@@ -64,10 +64,6 @@ struct CongestionConfig {
   /// tail-dropping (requires finite buffers).
   bool pfc = false;
 
-  [[nodiscard]] bool any() const noexcept {
-    return buffer_pkts > 0 || ecn_kmax > 0 || buffer_bytes > 0 ||
-           pool_bytes > 0;
-  }
   /// Copy the fabric-enforced knobs into a fabric config.
   void apply(fabric::FabricConfig& fabric) const noexcept {
     fabric.port_buffer_pkts = buffer_pkts;

@@ -2,8 +2,7 @@
 
 #include <memory>
 
-#include "congestion/dcqcn.hpp"
-#include "fault/fault.hpp"
+#include "core/fabric_setup.hpp"
 #include "sim/observe.hpp"
 #include "sim/rng.hpp"
 
@@ -77,45 +76,18 @@ double measure_base_total_us(ScenarioConfig config) {
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   TestbedConfig tb_cfg;
-  tb_cfg.scheduler.subwindows = config.sched_subwindows;
-  config.congestion.apply(tb_cfg.fabric);
-  config.qos.apply(tb_cfg.fabric);
+  apply_fabric(config, tb_cfg.fabric);
   Testbed tb(tb_cfg);
   ScenarioResult result;
   sim::Observer observer(
       tb.sim(),
       {config.trace_path, config.collect_metrics, config.metrics_period},
       result.metrics, result.metrics_series, result.cost);
-
-  // --- DCQCN rate control (resex::congestion), if enabled --------------------
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (config.congestion.rate_control && config.congestion.ecn_kmax > 0) {
-    rate_controller = std::make_unique<congestion::RateController>(
-        tb.fabric(), config.congestion.dcqcn);
-  }
-
-  // --- fault injection (resex::fault), if a plan is given --------------------
-  const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fault_plan.any()) {
-    // Stream 0xFA17 keeps the injector's draws clear of every workload
-    // stream; keying on the scenario seed makes fault runs replicable.
-    injector = std::make_unique<fault::FaultInjector>(
-        fault_plan, sim::derive(config.seed, 0xFA17));
-    // Node A hosts dom0 and the controller — control-path delay windows
-    // apply to its hypercalls.
-    injector->arm(tb.fabric(), &tb.node_a());
-    // Surface the injector's tallies in the per-trial metrics snapshot, next
-    // to the fabric's own health counters (retransmits, qp errors).
-    tb.sim().metrics().gauge_fn(
-        "fault.drops_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->drops_injected());
-        });
-    tb.sim().metrics().gauge_fn(
-        "fault.corrupts_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->corrupts_injected());
-        });
-  }
+  // Node A hosts dom0 and the controller: control-path delay windows apply
+  // to its hypercalls.
+  const FabricControls controls(tb.fabric(), config.congestion,
+                                fault::FaultPlan::parse(config.faults),
+                                config.seed, &tb.node_a());
 
   // --- deploy the workloads --------------------------------------------------
   std::vector<benchex::Service*> reporting;
@@ -160,9 +132,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                                   ? *config.baseline_mean_us
                                   : measure_base_total_us(config);
 
-    ibmon::IbMonConfig mon_cfg{.sample_period = config.ibmon_period,
-                               .mtu_bytes = tb.fabric().config().mtu_bytes};
-    if (fault_plan.any()) {
+    ibmon::IbMonConfig mon_cfg{.mtu_bytes = tb.fabric().config().mtu_bytes};
+    if (controls.faults_on()) {
       // Under fault injection the rings can go silent (flapped link, stalled
       // HCA); let the controller detect the gap and hold its last healthy
       // observation rather than pricing on it.
@@ -188,10 +159,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                           config.reporting_weight, result.baseline_mean_us);
     }
     if (interferer != nullptr) {
-      // The interferer is charged for its usage but provides no latency
-      // feedback (its SLA is best-effort).
-      controller->monitor(interferer->server_domain(), nullptr,
-                          config.intf_weight);
+      // The interferer is charged for its usage at weight 1 but provides no
+      // latency feedback (its SLA is best-effort).
+      controller->monitor(interferer->server_domain(), nullptr);
     }
     controller->start();
   }

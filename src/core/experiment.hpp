@@ -62,16 +62,11 @@ struct ScenarioConfig {
   std::optional<double> baseline_mean_us{};
   /// StaticReservation: permanent cap applied to the interferer.
   double static_cap_pct = 10.0;
-  /// Priority weights for the Resos distribution (Section V-C: "Resos can
-  /// also be distributed unequally, e.g., based on priority of the VMs").
-  /// A higher-weight VM gets a larger share of the epoch's I/O Resos.
+  /// Priority weight of each reporting VM in the Resos distribution
+  /// (Section V-C: "Resos can also be distributed unequally, e.g., based on
+  /// priority of the VMs"); the interferer's is 1. A higher-weight VM gets a
+  /// larger share of the epoch's I/O Resos.
   double reporting_weight = 1.0;
-  double intf_weight = 1.0;
-  sim::SimDuration ibmon_period = 100 * sim::kMicrosecond;
-  /// Split each scheduler slice into this many sub-windows (cap enforcement
-  /// granularity; 1 = paper-faithful whole-slice windows). See
-  /// hv::SchedulerConfig::subwindows.
-  std::uint32_t sched_subwindows = 1;
 
   // Fault injection (resex::fault).
   /// Fault-plan spec string (see fault::FaultPlan::parse). Empty = no faults;

@@ -26,14 +26,13 @@ struct TestbedConfig {
   // PCPU per VM. Client-side CPU is never the measured resource.
   std::uint32_t node_b_pcpus = 8;
   fabric::FabricConfig fabric{};
-  hv::SchedulerConfig scheduler{};
 };
 
 class Testbed {
  public:
   explicit Testbed(TestbedConfig config = {})
-      : node_a_(sim_, "A", config.node_a_pcpus, config.scheduler),
-        node_b_(sim_, "B", config.node_b_pcpus, config.scheduler),
+      : node_a_(sim_, "A", config.node_a_pcpus),
+        node_b_(sim_, "B", config.node_b_pcpus),
         fabric_(sim_, config.fabric),
         hca_a_(&fabric_.add_node(node_a_)),
         hca_b_(&fabric_.add_node(node_b_)) {}

@@ -259,6 +259,8 @@ struct FabricConfig {
     return lossy() || ecn_kmax_pkts > 0;
   }
 
+  bool operator==(const FabricConfig&) const = default;
+
   [[nodiscard]] double ns_per_byte() const noexcept {
     return 1e9 / link_bytes_per_sec;
   }

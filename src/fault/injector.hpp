@@ -36,7 +36,6 @@ class FaultInjector final : public fabric::FaultHook {
   /// The injector must outlive the simulation run.
   void arm(fabric::Fabric& fabric, hv::Node* control_node = nullptr);
 
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::uint64_t drops_injected() const noexcept {
     return drops_;
   }

@@ -17,12 +17,9 @@ CreditScheduler::CreditScheduler(sim::Simulation& sim,
   if (config_.min_cap_pct <= 0.0 || config_.min_cap_pct > 100.0) {
     throw std::invalid_argument("CreditScheduler: bad min_cap_pct");
   }
-  if (config_.subwindows == 0 ||
-      config_.slice / std::max<SimDuration>(config_.subwindows, 1) <
-          static_cast<SimDuration>(10 * sim::kMicrosecond)) {
+  if (config_.slice < static_cast<SimDuration>(10 * sim::kMicrosecond)) {
     throw std::invalid_argument(
-        "CreditScheduler: subwindows must be >= 1 and leave a sub-slice of "
-        "at least 10 us");
+        "CreditScheduler: the slice must be at least 10 us");
   }
 }
 
@@ -156,7 +153,7 @@ void CreditScheduler::relayout(std::uint32_t pcpu) {
   // conserves the allocated time exactly. (The per-window clamp-and-clip
   // this replaces could overlap windows and sum past the slice once many
   // VCPUs or tiny caps pushed the cursor over the end.)
-  const SimDuration slice = config_.effective_slice();
+  const SimDuration slice = config_.slice;
   const auto slice_d = static_cast<double>(slice);
   std::vector<SimDuration> len(n, 0);
   std::vector<double> frac(n, 0.0);

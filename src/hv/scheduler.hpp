@@ -24,17 +24,6 @@ namespace resex::hv {
 struct SchedulerConfig {
   SimDuration slice = kDefaultSlice;
   double min_cap_pct = 1.0;  // floor so a VM can always make some progress
-  /// Split every VCPU's per-slice allocation into this many equal-period
-  /// sub-windows (the layout runs on slice/subwindows). 1 = Xen-like single
-  /// contiguous window per slice (default). Higher values shorten the gap a
-  /// capped VM waits between windows, which shrinks the Fig. 4 plateau at
-  /// low caps at the cost of more context switches.
-  std::uint32_t subwindows = 1;
-
-  /// Period the window layout actually runs on.
-  [[nodiscard]] SimDuration effective_slice() const noexcept {
-    return subwindows > 1 ? slice / subwindows : slice;
-  }
 };
 
 class CreditScheduler {
@@ -52,8 +41,7 @@ class CreditScheduler {
   /// Create a schedule for a fresh VCPU before attaching it. The returned
   /// schedule is a full-PCPU window; attach() immediately re-lays it out.
   [[nodiscard]] SliceSchedule initial_schedule() const {
-    const SimDuration slice = config_.effective_slice();
-    return SliceSchedule(slice, 0, slice);
+    return SliceSchedule(config_.slice, 0, config_.slice);
   }
 
   /// Pin `vcpu` to `pcpu` with the given weight and cap.

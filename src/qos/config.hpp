@@ -53,8 +53,6 @@ struct QosConfig {
   /// the weight count. Throws std::invalid_argument on bad input.
   void set_vl_weights(std::string_view spec);
 
-  [[nodiscard]] bool any() const noexcept { return enabled; }
-
   /// Copy the fabric-enforced knobs into a fabric config (no-op while
   /// disabled, so default scenarios keep the exact historical FabricConfig).
   void apply(fabric::FabricConfig& fabric) const noexcept;

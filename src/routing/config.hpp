@@ -54,6 +54,8 @@ struct RoutingConfig {
   /// shift headroom (FabricConfig::reserve_shift_lane); validated by Fabric.
   bool vl_shift = false;
 
+  bool operator==(const RoutingConfig&) const = default;
+
   [[nodiscard]] bool multipath() const noexcept {
     return mode != RouteMode::kStatic;
   }

@@ -1,5 +1,6 @@
 #include "runner/trial.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "runner/thread_pool.hpp"
@@ -38,13 +39,17 @@ std::vector<PointOutcome> run_trials(std::vector<GenericPoint> points,
     }
   }
 
-  ThreadPool pool(opts.resolved_jobs());
+  ThreadPool pool(trial_workers(opts, trials.size()));
   parallel_for(pool, trials.size(), [&](std::size_t i) {
     const TrialContext& ctx = trials[i];
     out[ctx.point].trials[ctx.replicate].values =
         points[ctx.point].run(ctx);
   });
   return out;
+}
+
+std::size_t trial_workers(const RunnerOptions& opts, std::size_t trials) {
+  return std::max<std::size_t>(1, std::min(opts.resolved_jobs(), trials));
 }
 
 std::string tagged_path(const std::string& path, const std::string& tag) {

@@ -96,12 +96,17 @@ struct PointOutcome {
   std::vector<TrialOutcome> trials;
 };
 
-/// Run every point opts.seeds times on a pool of opts.resolved_jobs()
-/// workers. opts.seed overrides every point's base seed; --trace and the
+/// Run every point opts.seeds times on a pool of trial_workers() workers.
+/// opts.seed overrides every point's base seed; --trace and the
 /// metrics flags reach each trial through its context. Outcomes are ordered
 /// by (point, replicate) whatever the pool size.
 [[nodiscard]] std::vector<PointOutcome> run_trials(
     std::vector<GenericPoint> points, const RunnerOptions& opts);
+
+/// The workers run_trials starts for `trials` trials: opts.resolved_jobs(),
+/// but never more than there are trials (and at least one).
+[[nodiscard]] std::size_t trial_workers(const RunnerOptions& opts,
+                                        std::size_t trials);
 
 /// `path` with `tag` inserted before its file extension ("out.json", ".x"
 /// -> "out.x.json"), or appended when it has none. Empty stays empty.

@@ -20,6 +20,7 @@
 #include "cluster/migration.hpp"
 #include "cluster/topology.hpp"
 #include "core/cluster_exchange.hpp"
+#include "core/fabric_setup.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 
@@ -108,10 +109,7 @@ struct IncastResult {
 IncastResult run_incast(int senders, int msgs, std::uint32_t bytes,
                         const CongestionConfig& congestion) {
   IncastWorld w(senders, congestion);
-  std::unique_ptr<RateController> ctrl;
-  if (congestion.rate_control) {
-    ctrl = std::make_unique<RateController>(*w.fabric, congestion.dcqcn);
-  }
+  const core::FabricControls controls(*w.fabric, congestion, {}, 1, nullptr);
   std::vector<std::vector<Cqe>> cqes(static_cast<std::size_t>(senders));
   IncastResult r;
   r.times.resize(static_cast<std::size_t>(senders));
@@ -132,7 +130,7 @@ IncastResult run_incast(int senders, int msgs, std::uint32_t bytes,
   r.drops = w.congested_port().buf_drops();
   r.marks = w.congested_port().ecn_marks();
   r.retx = w.retransmits();
-  if (ctrl) {
+  if (const RateController* ctrl = controls.rate_controller()) {
     r.cnps = ctrl->cnps();
     r.rate_cuts = ctrl->rate_cuts();
   }

@@ -266,30 +266,11 @@ TEST(CreditScheduler, SetWeightRebalances) {
   EXPECT_THROW(sched.set_weight(a, 0.0), std::invalid_argument);
 }
 
-TEST(CreditScheduler, SubwindowsShortenTheLayoutPeriod) {
+TEST(CreditScheduler, SliceBelowTheFloorIsRejected) {
   Simulation sim;
-  SchedulerConfig cfg;
-  cfg.subwindows = 4;
-  EXPECT_EQ(cfg.effective_slice(), kDefaultSlice / 4);
-  CreditScheduler sched(sim, 1, cfg);
-  Vcpu v(sim, 1, sched.initial_schedule());
-  sched.attach(v, 0, 256.0, /*cap_pct=*/25.0);
-  // Same CPU share as the single-window layout...
-  EXPECT_NEAR(v.schedule().duty_cycle(), 0.25, 1e-6);
-  // ...but delivered every 2.5 ms instead of every 10 ms, so the longest
-  // off-CPU gap a capped VM can hit shrinks by 4x.
-  EXPECT_EQ(v.schedule().slice(), kDefaultSlice / 4);
-  EXPECT_EQ(v.schedule().window_length(), kDefaultSlice / 16);
-}
-
-TEST(CreditScheduler, SubwindowConfigIsValidated) {
-  Simulation sim;
-  SchedulerConfig zero;
-  zero.subwindows = 0;
-  EXPECT_THROW(CreditScheduler(sim, 1, zero), std::invalid_argument);
-  SchedulerConfig shredded;  // sub-slice would drop below the 10 us floor
-  shredded.subwindows = 1'000'000;
-  EXPECT_THROW(CreditScheduler(sim, 1, shredded), std::invalid_argument);
+  SchedulerConfig tiny;
+  tiny.slice = 5 * sim::kMicrosecond;
+  EXPECT_THROW(CreditScheduler(sim, 1, tiny), std::invalid_argument);
 }
 
 TEST(CreditScheduler, LoadOfChecksBounds) {

@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "../fabric/fabric_fixture.hpp"
+#include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
 #include "congestion/dcqcn.hpp"
+#include "core/fabric_setup.hpp"
 #include "qos/arbiter.hpp"
 #include "qos/config.hpp"
 #include "runner/runner.hpp"
@@ -345,13 +347,10 @@ FatTreeResult run_fat_tree_victim(bool qos_on) {
   // and XOFFs at 9.6, leaving 6.4 packets for the worst case of 3 feeders x
   // 2 in-flight — the same bound the 1-class pfc suite provisions for a
   // whole 16-packet port (DESIGN.md spells the per-class bound out).
-  cc.fabric.port_buffer_pkts = 32;
-  cc.fabric.pfc_enabled = true;
-  if (qos_on) {
-    qos::QosConfig q;
-    q.enabled = true;
-    q.apply(cc.fabric);
-  }
+  cluster::ClusterScenarioConfig settings;
+  settings.congestion = {.buffer_pkts = 32, .pfc = true};
+  settings.qos.enabled = qos_on;
+  core::apply_fabric(settings, cc.fabric);
   cluster::Cluster cl(cc);
   auto& sim = cl.sim();
 

@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "../fabric/fabric_fixture.hpp"
+#include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
 #include "collective/collective.hpp"
+#include "core/fabric_setup.hpp"
 #include "qos/config.hpp"
 #include "routing/config.hpp"
 #include "routing/table.hpp"
@@ -215,13 +217,10 @@ cluster::ClusterConfig striped_config(std::uint32_t nodes, bool vl_shift) {
   cc.leaf_width = (nodes + 1) / 2;
   cc.spines = 1;
   cc.trunk_bandwidth_scale = 1.0;
-  if (vl_shift) {
-    qos::QosConfig q;
-    q.enabled = true;
-    q.apply(cc.fabric);
-    cc.fabric.routing.vl_shift = true;
-    cc.fabric.reserve_shift_lane();
-  }
+  cluster::ClusterScenarioConfig settings;
+  settings.qos.enabled = vl_shift;
+  settings.routing.vl_shift = vl_shift;
+  core::apply_fabric(settings, cc.fabric);
   return cc;
 }
 

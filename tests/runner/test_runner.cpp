@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "cluster/scenario.hpp"
@@ -332,6 +334,34 @@ TEST(RunTrials, GenericPointsRunAndAggregate) {
   EXPECT_EQ(aggs[0][1].n, 4u);
   EXPECT_DOUBLE_EQ(aggs[0][1].mean, 1.0);
   EXPECT_DOUBLE_EQ(aggs[0][1].ci95, 0.0);  // zero spread
+}
+
+TEST(RunTrials, StartsNoMoreWorkersThanTrials) {
+  RunnerOptions opts;
+  opts.jobs = 8;
+  EXPECT_EQ(trial_workers(opts, 2), 2u);
+  EXPECT_EQ(trial_workers(opts, 20), 8u);
+  EXPECT_EQ(trial_workers(opts, 0), 1u);
+  opts.jobs = 1;
+  EXPECT_EQ(trial_workers(opts, 2), 1u);
+
+  // Two trials at --jobs 8: while they run, the process holds the calling
+  // thread and two workers, not eight.
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no per-thread listing";
+  GenericPoint p;
+  p.label = "threads";
+  p.run = [&tasks](const TrialContext&) {
+    const auto it = std::filesystem::directory_iterator(tasks);
+    return std::vector<double>{static_cast<double>(
+        std::distance(begin(it), end(it)))};
+  };
+  opts.jobs = 8;
+  opts.seeds = 2;
+  const auto outcomes = run_trials({p}, opts);
+  for (const auto& trial : outcomes[0].trials) {
+    EXPECT_LE(trial.values[0], 3.0) << "threads while a trial ran";
+  }
 }
 
 TEST(ResultSink, TableShapesFollowReplication) {
