@@ -36,7 +36,6 @@ CollectiveGroup::CollectiveGroup(sim::Simulation& sim,
                                  std::vector<RankHome> homes,
                                  CollectiveConfig config)
     : sim_(sim), cfg_(config), setup_barrier_(sim), start_barrier_(sim),
-      done_trigger_(sim),
       step_duration_ns_(&sim.metrics().histogram("coll_step_duration_ns")),
       coll_bytes_(&sim.metrics().counter("coll_bytes")),
       coll_steps_(&sim.metrics().counter("coll_steps")) {
@@ -270,14 +269,6 @@ const std::vector<std::uint32_t>& CollectiveGroup::step_log(
   return ranks_.at(r).step_log;
 }
 
-hv::Domain& CollectiveGroup::rank_domain(std::uint32_t r) {
-  auto* d = ranks_.at(r).domain;
-  if (d == nullptr) {
-    throw std::logic_error("collective: rank domain not created yet");
-  }
-  return *d;
-}
-
 void CollectiveGroup::start() {
   if (started_) {
     throw std::logic_error("collective: group already started");
@@ -323,7 +314,6 @@ void CollectiveGroup::finish_rank() {
   result_.ok = !aborted_;
   result_.finished_at = sim_.now();
   done_ = true;
-  done_trigger_.fire();
 }
 
 void CollectiveGroup::apply_recv(std::uint32_t r, std::uint32_t imm) {

@@ -109,8 +109,6 @@ class CollectiveGroup {
   [[nodiscard]] const CollectiveResult& result() const noexcept {
     return result_;
   }
-  /// Fires once when the last rank finishes (successfully or aborted).
-  [[nodiscard]] sim::Trigger& done_trigger() noexcept { return done_trigger_; }
 
   /// Pipeline steps in one iteration of the schedule.
   [[nodiscard]] std::uint32_t steps_per_iteration() const noexcept {
@@ -130,9 +128,6 @@ class CollectiveGroup {
   /// Global step ids rank r completed, in completion order.
   [[nodiscard]] const std::vector<std::uint32_t>& step_log(
       std::uint32_t r) const;
-  /// The guest domain hosting rank r (valid once setup ran; used by
-  /// CollectiveService to retire domains after a round).
-  [[nodiscard]] hv::Domain& rank_domain(std::uint32_t r);
 
  private:
   struct SendOp {
@@ -202,7 +197,6 @@ class CollectiveGroup {
   std::uint32_t finished_ = 0;
   sim::Trigger setup_barrier_;
   sim::Trigger start_barrier_;
-  sim::Trigger done_trigger_;
   CollectiveResult result_{};
   obs::Histogram* step_duration_ns_;
   obs::Counter* coll_bytes_;

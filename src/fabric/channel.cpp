@@ -240,13 +240,11 @@ Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
   Flow nf;
   nf.qp = qp;
   nf.vl = vl;
-  // A QP appearing on a new lane keeps its configured arbitration weight and
-  // rate-limit parameters (with a fresh bucket): weight and rate are per-QP
-  // knobs, the lane is a per-packet property.
+  // A QP appearing on a new lane keeps its configured rate-limit parameters
+  // (with a fresh bucket): the rate is a per-QP knob, the lane is a
+  // per-packet property.
   for (const auto& f : flows_) {
     if (f.qp != qp) continue;
-    nf.weight = f.weight;
-    nf.grants_left = f.weight;
     nf.rate_bytes_per_sec = f.rate_bytes_per_sec;
     nf.bucket_cap = f.bucket_cap;
     nf.tokens = f.bucket_cap;
@@ -256,28 +254,6 @@ Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
   flows_.push_back(nf);
   flow_index_[key] = static_cast<std::uint32_t>(flows_.size());
   return flows_.back();
-}
-
-void Channel::set_flow_weight(QpNum qp, std::uint32_t weight) {
-  const std::uint32_t w = std::max<std::uint32_t>(weight, 1);
-  bool found = false;
-  for (auto& f : flows_) {
-    if (f.qp != qp) continue;
-    f.weight = w;
-    f.grants_left = w;
-    found = true;
-  }
-  if (found) return;
-  Flow& f = flow_for(qp);
-  f.weight = w;
-  f.grants_left = w;
-}
-
-std::uint32_t Channel::flow_weight(QpNum qp) const {
-  for (const auto& f : flows_) {
-    if (f.qp == qp) return f.weight;
-  }
-  return 1;
 }
 
 void Channel::apply_rate_limit(Flow& f, double bytes_per_sec,
@@ -454,13 +430,7 @@ void Channel::launch(Flow& f, std::size_t pos) {
   if (f.rate_bytes_per_sec > 0.0) {
     f.tokens -= static_cast<double>(pkt.bytes);
   }
-  if (f.grants_left > 1 && !f.packets.empty()) {
-    --f.grants_left;
-    vl_cursor_[f.vl] = pos;  // keep the grant on this flow
-  } else {
-    f.grants_left = f.weight;
-    vl_cursor_[f.vl] = pos + 1;
-  }
+  vl_cursor_[f.vl] = pos + 1;
 
   // Fault injection happens at the instant the packet wins arbitration:
   // a dropped packet still consumes its serialization time (the sender's
@@ -557,12 +527,10 @@ void Channel::try_start() {
     // PFC is known for, and what more lanes remove.
     return;
   }
-  // Weighted round-robin with per-flow token buckets within the lane, from
-  // the lane's own cursor (heavy lanes never skew fairness inside quiet
-  // ones): grant the first flow that has a packet and the tokens to send
-  // it. A flow keeps the grant for up to `weight` consecutive packets — the
-  // priority control of newer IB HCAs; the token bucket is their
-  // bandwidth-limit control.
+  // Round-robin with per-flow token buckets within the lane, from the
+  // lane's own cursor (heavy lanes never skew fairness inside quiet ones):
+  // grant the first flow that has a packet and the tokens to send it. The
+  // token bucket is the bandwidth-limit control of newer IB HCAs.
   const std::size_t n = flows_.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t pos = (vl_cursor_[vl] + probe) % n;

@@ -102,18 +102,12 @@ class Channel {
   }
 
   /// Queue one packet for transmission. Packets of the same QP stay FIFO;
-  /// packets of different QPs are arbitrated round-robin, one MTU per grant
-  /// (weighted if per-QP weights are set).
+  /// packets of different QPs are arbitrated round-robin, one MTU per grant.
   void enqueue(detail::Packet pkt);
 
   // --- hardware QoS (Section I: "Newer generation InfiniBand cards allow
   // controls such as setting a limit on bandwidth for different traffic
   // flows and giving priority to certain traffic flows over others") -------
-
-  /// Weighted round-robin: a flow with weight w gets up to w consecutive
-  /// packet grants per arbitration visit (default 1).
-  void set_flow_weight(QpNum qp, std::uint32_t weight);
-  [[nodiscard]] std::uint32_t flow_weight(QpNum qp) const;
 
   /// Token-bucket rate limit for one QP's flow, bytes/second (0 = none).
   /// Burst capacity is one MTU plus `burst_bytes`.
@@ -177,8 +171,8 @@ class Channel {
   // config.qos_enabled, otherwise one. Packets ride the lane of their
   // transfer's VL; each lane has its own backlog, buffer share, ECN marker
   // and pause state. With more than one lane the egress runs the two-table
-  // VL arbiter before the per-QP WRR; a single lane skips it and is plain
-  // per-QP WRR, with pause frames carrying the bitmap 0b1.
+  // VL arbiter before the per-QP round robin; a single lane skips it and is
+  // plain per-QP round robin, with pause frames carrying the bitmap 0b1.
 
   /// Per-priority PFC: a downstream port pauses only the lanes set in
   /// `mask` (bit v = VL v), the class bitmap of an 802.1Qbb/IBA pause
@@ -215,8 +209,6 @@ class Channel {
     QpNum qp = 0;
     std::uint8_t vl = 0;  // virtual lane (always 0 on a single-lane channel)
     std::deque<detail::Packet> packets;
-    std::uint32_t weight = 1;
-    std::uint32_t grants_left = 1;  // WRR grants remaining this visit
     // Token bucket (rate limiting). Tokens are bytes.
     double rate_bytes_per_sec = 0.0;  // 0 = unlimited
     double tokens = 0.0;
@@ -229,10 +221,10 @@ class Channel {
   void apply_rate_limit(Flow& f, double bytes_per_sec,
                         std::uint32_t burst_bytes);
   /// Pick the next packet and put it on the wire, unless busy: lane
-  /// arbitration (multi-lane only), then per-QP WRR within the lane.
+  /// arbitration (multi-lane only), then per-QP round robin within the lane.
   void try_start();
   /// Dequeue `f`'s head packet (at flows_[pos]) and put it on the wire,
-  /// advancing its lane's cursor with the WRR grant bookkeeping.
+  /// moving its lane's cursor past it.
   void launch(Flow& f, std::size_t pos);
   /// The packet on the wire finished serializing: free the transmitter,
   /// schedule the packet's delivery unless it was dropped, and arbitrate

@@ -735,15 +735,6 @@ void Fabric::add_trunk(std::uint32_t a, std::uint32_t b,
   nexthop_.invalidate();
 }
 
-void Fabric::set_route(std::uint32_t at, std::uint32_t dst,
-                       std::uint32_t via) {
-  Channel* out = trunk(at, via);
-  if (out == nullptr) {
-    throw std::invalid_argument("Fabric::set_route: via is not trunk-adjacent");
-  }
-  nexthop_.set(at, dst, {via, out});
-}
-
 void Fabric::add_route_candidate(std::uint32_t at, std::uint32_t dst,
                                  std::uint32_t via) {
   Channel* out = trunk(at, via);
@@ -752,13 +743,6 @@ void Fabric::add_route_candidate(std::uint32_t at, std::uint32_t dst,
         "Fabric::add_route_candidate: via is not trunk-adjacent");
   }
   nexthop_.add(at, dst, {via, out});
-}
-
-std::vector<std::uint32_t> Fabric::route_candidates(std::uint32_t at,
-                                                    std::uint32_t dst) const {
-  std::vector<std::uint32_t> vias;
-  for (const auto& c : nexthop_.candidates(at, dst)) vias.push_back(c.via);
-  return vias;
 }
 
 std::uint8_t Fabric::shifted_vl(std::uint8_t vl, std::uint32_t src_hca,

@@ -171,12 +171,12 @@ class Hca {
 /// on the same switch take exactly one hop (uplink -> downlink), unchanged.
 /// Multi-switch topologies add switches with `add_switch()`, wire them with
 /// directed trunk channel pairs via `add_trunk()`, and steer traffic with
-/// per-switch routing tables (`set_route`); a switch without a table entry
-/// falls back to a direct trunk to the destination switch. Every trunk is a
-/// full Channel — store-and-forward hops compose: each hop charges its own
-/// serialization + propagation, and cross-switch flows arbitrate per-QP
-/// against whatever else shares the trunk (migration traffic interferes with
-/// tenant QPs here).
+/// per-switch routing tables (`add_route_candidate`); a switch without a
+/// table entry falls back to a direct trunk to the destination switch. Every
+/// trunk is a full Channel — store-and-forward hops compose: each hop charges
+/// its own serialization + propagation, and cross-switch flows arbitrate
+/// per-QP against whatever else shares the trunk (migration traffic
+/// interferes with tenant QPs here).
 class Fabric {
  public:
   explicit Fabric(sim::Simulation& sim, FabricConfig config = {});
@@ -200,24 +200,15 @@ class Fabric {
                  double bandwidth_scale = 1.0);
 
   /// Routing table entry: packets at switch `at` destined for an HCA on
-  /// switch `dst` leave on the trunk towards `via` (trunk-adjacent to `at`).
-  /// Without an entry the switch requires a direct trunk to `dst`. Replaces
-  /// any previously installed candidate set for (at, dst).
-  void set_route(std::uint32_t at, std::uint32_t dst, std::uint32_t via);
-
-  /// Append an equal-cost next hop for (at, dst) — resex::routing multipath.
+  /// switch `dst` may leave on the trunk towards `via` (trunk-adjacent to
+  /// `at`). Without an entry the switch requires a direct trunk to `dst`.
+  /// Each call appends an equal-cost next hop — resex::routing multipath.
   /// The first candidate installed is the one static mode forwards on (and
   /// topology builders install the historical single route first, keeping
   /// static byte-identical); ECMP hashes flows across the whole set and
   /// adaptive picks the least-loaded member. Duplicate `via`s are ignored.
   void add_route_candidate(std::uint32_t at, std::uint32_t dst,
                            std::uint32_t via);
-
-  /// The installed candidate next hops for (at, dst): explicit routes, or
-  /// empty when the pair would use the direct-trunk fallback (broker pricing
-  /// and tests; not the forwarding path, which uses the compiled table).
-  [[nodiscard]] std::vector<std::uint32_t> route_candidates(
-      std::uint32_t at, std::uint32_t dst) const;
 
   /// The virtual lane a transfer travels after deadlock-avoidance lane
   /// shifts (routing.vl_shift): routes that go "down" the switch order —

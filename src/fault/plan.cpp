@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/report.hpp"
+
 namespace resex::fault {
 
 namespace {
@@ -126,16 +128,20 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
 
 std::string FaultPlan::to_string() const {
   std::ostringstream out;
+  // Shortest round-trip renderings, so parse() rebuilds every value exactly
+  // (a stream's default six significant digits would not).
+  using sim::format_double;
   const auto ms = [](sim::SimDuration ns) {
-    return static_cast<double>(ns) / static_cast<double>(sim::kMillisecond);
+    return format_double(static_cast<double>(ns) /
+                         static_cast<double>(sim::kMillisecond));
   };
   const char* sep = "";
   if (drop_rate > 0.0) {
-    out << "drop=" << drop_rate;
+    out << "drop=" << format_double(drop_rate);
     sep = ",";
   }
   if (corrupt_rate > 0.0) {
-    out << sep << "corrupt=" << corrupt_rate;
+    out << sep << "corrupt=" << format_double(corrupt_rate);
     sep = ",";
   }
   for (const auto& f : flaps) {
@@ -150,8 +156,8 @@ std::string FaultPlan::to_string() const {
   }
   for (const auto& d : control_delays) {
     out << sep << "ctl=" << ms(d.at) << ':' << ms(d.duration) << ':'
-        << static_cast<double>(d.extra) /
-               static_cast<double>(sim::kMicrosecond);
+        << format_double(static_cast<double>(d.extra) /
+                         static_cast<double>(sim::kMicrosecond));
     sep = ",";
   }
   for (const auto& sq : squeezes) {

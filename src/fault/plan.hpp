@@ -104,7 +104,8 @@ struct FaultPlan {
   /// plan.
   [[nodiscard]] static FaultPlan parse(std::string_view spec);
 
-  /// Canonical spec string round-trip (for logging and test assertions).
+  /// Canonical spec string: parse(to_string()) rebuilds this plan exactly
+  /// (for logging and test assertions).
   [[nodiscard]] std::string to_string() const;
 };
 

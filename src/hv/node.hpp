@@ -21,7 +21,6 @@ namespace resex::hv {
 struct DomainConfig {
   std::string name = "vm";
   std::size_t mem_pages = 2048;  // 8 MiB default guest address space
-  double weight = 256.0;
   double cap_pct = 100.0;
   /// PCPU to pin to; kAutoPin picks the next unused PCPU.
   static constexpr std::uint32_t kAutoPin = ~std::uint32_t{0};
@@ -140,8 +139,7 @@ class Node {
     auto dom = std::make_unique<Domain>(sim_, id, config.name,
                                         config.mem_pages,
                                         scheduler_.initial_schedule());
-    scheduler_.attach(dom->vcpu(), config.pcpu, config.weight,
-                      config.cap_pct);
+    scheduler_.attach(dom->vcpu(), config.pcpu, config.cap_pct);
     domains_.push_back(std::move(dom));
     return *domains_.back();
   }

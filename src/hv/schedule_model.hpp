@@ -7,7 +7,7 @@
 // the VCPU is runnable during [k*S + begin, k*S + end). For a single VCPU
 // pinned to its own PCPU with cap c the window is [k*S, k*S + c*S/100); when
 // several VCPUs share a PCPU the scheduler lays their windows out
-// back-to-back in proportion to weight (see CreditScheduler).
+// back-to-back in equal, cap-limited shares (see CreditScheduler).
 //
 // All queries are closed-form (no per-tick events), which is what makes the
 // simulation fast enough for second-long epochs at nanosecond resolution.

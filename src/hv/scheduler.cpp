@@ -23,21 +23,16 @@ CreditScheduler::CreditScheduler(sim::Simulation& sim,
   }
 }
 
-void CreditScheduler::attach(Vcpu& vcpu, std::uint32_t pcpu, double weight,
-                             double cap_pct) {
+void CreditScheduler::attach(Vcpu& vcpu, std::uint32_t pcpu, double cap_pct) {
   if (pcpu >= pcpus_.size()) {
     throw std::out_of_range("CreditScheduler::attach: no such PCPU");
   }
   if (states_.contains(&vcpu)) {
     throw std::logic_error("CreditScheduler::attach: VCPU already attached");
   }
-  if (weight <= 0.0) {
-    throw std::invalid_argument("CreditScheduler::attach: weight must be > 0");
-  }
   VcpuState st;
   st.vcpu = &vcpu;
   st.pcpu = pcpu;
-  st.weight = weight;
   st.cap_pct = std::clamp(cap_pct, config_.min_cap_pct, 100.0);
   states_.emplace(&vcpu, st);
   pcpus_[pcpu].push_back(&vcpu);
@@ -88,19 +83,6 @@ double CreditScheduler::cap(const Vcpu& vcpu) const {
   return state_of(vcpu).cap_pct;
 }
 
-void CreditScheduler::set_weight(Vcpu& vcpu, double weight) {
-  if (weight <= 0.0) {
-    throw std::invalid_argument("CreditScheduler::set_weight: weight <= 0");
-  }
-  VcpuState& st = state_of(vcpu);
-  st.weight = weight;
-  relayout(st.pcpu);
-}
-
-double CreditScheduler::weight(const Vcpu& vcpu) const {
-  return state_of(vcpu).weight;
-}
-
 std::uint32_t CreditScheduler::pcpu_of(const Vcpu& vcpu) const {
   return state_of(vcpu).pcpu;
 }
@@ -116,25 +98,23 @@ void CreditScheduler::relayout(std::uint32_t pcpu) {
   const auto& pinned = pcpus_[pcpu];
   if (pinned.empty()) return;
 
-  // Water-filling: distribute the PCPU among pinned VCPUs proportionally to
-  // weight, never exceeding a VCPU's cap; surplus from capped VCPUs is
-  // re-offered to the rest (the credit scheduler's work-conserving share).
+  // Water-filling: distribute the PCPU equally among pinned VCPUs, never
+  // exceeding a VCPU's cap; surplus from capped VCPUs is re-offered to the
+  // rest (the credit scheduler's work-conserving share).
   const std::size_t n = pinned.size();
   std::vector<double> alloc(n, 0.0);
   std::vector<bool> capped(n, false);
   double pool = 1.0;
   for (int round = 0; round < 16 && pool > 1e-9; ++round) {
-    double total_weight = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!capped[i]) total_weight += state_of(*pinned[i]).weight;
-    }
-    if (total_weight <= 0.0) break;
+    const auto uncapped = static_cast<double>(
+        std::count(capped.begin(), capped.end(), false));
+    if (uncapped == 0.0) break;
+    const double offer = pool / uncapped;
     double consumed = 0.0;
     bool newly_capped = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (capped[i]) continue;
       const VcpuState& st = state_of(*pinned[i]);
-      const double offer = pool * st.weight / total_weight;
       const double limit = st.cap_pct / 100.0;
       double next = alloc[i] + offer;
       if (next >= limit) {

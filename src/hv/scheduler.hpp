@@ -1,13 +1,15 @@
 #pragma once
-// Credit-scheduler model: weights and caps over pinned VCPUs.
+// Credit-scheduler model: caps over pinned VCPUs.
 //
-// Xen's credit scheduler gives each VCPU CPU time proportional to its weight,
-// bounded above by its cap (percent of one PCPU). We reproduce the
-// steady-state allocation as a per-slice window layout: every VCPU pinned to
-// a PCPU gets a contiguous window per 10 ms slice whose length is its
-// weighted, cap-limited share (water-filling). The paper's configuration —
-// one VCPU per PCPU — degenerates to a [0, cap% * slice) window, exactly the
-// behaviour its Section III describes.
+// Xen's credit scheduler shares a PCPU among its VCPUs in proportion to their
+// weights, each bounded above by its cap (percent of one PCPU). Every domain
+// here runs at the default weight, so the shares are equal and the cap is the
+// whole control surface. We reproduce the steady-state allocation as a
+// per-slice window layout: every VCPU pinned to a PCPU gets a contiguous
+// window per 10 ms slice whose length is its equal, cap-limited share
+// (water-filling). The paper's configuration — one VCPU per PCPU —
+// degenerates to a [0, cap% * slice) window, exactly the behaviour its
+// Section III describes.
 //
 // Note on cap conventions: real Xen uses cap == 0 to mean "uncapped"; to keep
 // the arithmetic honest we instead use cap == 100 as the uncapped default and
@@ -44,9 +46,8 @@ class CreditScheduler {
     return SliceSchedule(config_.slice, 0, config_.slice);
   }
 
-  /// Pin `vcpu` to `pcpu` with the given weight and cap.
-  void attach(Vcpu& vcpu, std::uint32_t pcpu, double weight = 256.0,
-              double cap_pct = 100.0);
+  /// Pin `vcpu` to `pcpu` with the given cap.
+  void attach(Vcpu& vcpu, std::uint32_t pcpu, double cap_pct = 100.0);
 
   /// Remove a VCPU from scheduling (domain teardown).
   void detach(Vcpu& vcpu);
@@ -54,9 +55,6 @@ class CreditScheduler {
   /// Set the cap (percent of a PCPU, clamped to [min_cap, 100]).
   void set_cap(Vcpu& vcpu, double cap_pct);
   [[nodiscard]] double cap(const Vcpu& vcpu) const;
-
-  void set_weight(Vcpu& vcpu, double weight);
-  [[nodiscard]] double weight(const Vcpu& vcpu) const;
 
   /// PCPU a VCPU is pinned to.
   [[nodiscard]] std::uint32_t pcpu_of(const Vcpu& vcpu) const;
@@ -68,7 +66,6 @@ class CreditScheduler {
   struct VcpuState {
     Vcpu* vcpu = nullptr;
     std::uint32_t pcpu = 0;
-    double weight = 256.0;
     double cap_pct = 100.0;
   };
 

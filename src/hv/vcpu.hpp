@@ -35,7 +35,7 @@ class Vcpu {
   }
   [[nodiscard]] sim::Simulation& simulation() const noexcept { return sim_; }
 
-  /// Replace the run schedule (cap/weight change). Re-plans any in-flight
+  /// Replace the run schedule (cap change). Re-plans any in-flight
   /// work item: CPU time already accumulated under the old schedule counts,
   /// the remainder completes under the new one.
   void update_schedule(const SliceSchedule& schedule);

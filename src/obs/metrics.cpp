@@ -17,22 +17,6 @@ const char* to_string(MetricKind k) noexcept {
   return "?";
 }
 
-std::uint64_t Histogram::approx_quantile(double q) const noexcept {
-  if (count_ == 0) return 0;
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count_));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen > rank) {
-      // Upper bound of bucket i: values with bit_width i are < 2^i.
-      return i == 0 ? 0 : (i >= 64 ? max_ : (std::uint64_t{1} << i) - 1);
-    }
-  }
-  return max_;
-}
-
 MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
                                                   MetricKind kind) {
   if (const auto it = index_.find(name); it != index_.end()) {

@@ -75,10 +75,6 @@ class Histogram {
     return buckets_.at(i);
   }
 
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]) — a
-  /// factor-of-two approximation, which is what a log histogram can promise.
-  [[nodiscard]] std::uint64_t approx_quantile(double q) const noexcept;
-
   static std::size_t bucket_of(std::uint64_t v) noexcept {
     std::size_t w = 0;
     while (v != 0) {

@@ -19,18 +19,6 @@ void Tracer::enable(std::size_t capacity) {
   enabled_ = true;
 }
 
-void Tracer::clear() noexcept {
-  next_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-}
-
-void Tracer::flush_stream() {
-  if (sink_ == nullptr || count_ == 0) return;
-  for_each([this](const TraceEvent& ev) { sink_->append(ev); });
-  clear();
-}
-
 void Tracer::for_each(
     const std::function<void(const TraceEvent&)>& fn) const {
   if (count_ == 0) return;
@@ -119,15 +107,10 @@ void append_event_fields(std::string& out, const TraceEvent& ev) {
   out.push_back('"');
 }
 
-// Single source of truth for both the batch writers and TraceStream, so a
-// streamed trace is byte-identical to a saved one when the ring never
-// wrapped.
-
 void append_chrome_prefix(std::string& out, std::uint64_t dropped) {
   out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   // Metadata first: lets viewers name the single sim-thread track and
-  // records how many events the ring dropped (0 in a well-sized ring, and
-  // always 0 when streaming — the sink absorbs every flush).
+  // records how many events the ring dropped (0 in a well-sized ring).
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
          "\"args\":{\"name\":\"resex-sim\"}},";
   out += "{\"name\":\"dropped_events\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
@@ -196,50 +179,6 @@ void write_trace_jsonl(std::ostream& os, const Tracer& tracer) {
     }
   });
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
-}
-
-// --- TraceStream -------------------------------------------------------------
-
-TraceStream::TraceStream(const std::string& path)
-    : os_(std::make_unique<std::ofstream>(path,
-                                          std::ios::binary | std::ios::trunc)),
-      path_(path), jsonl_(is_jsonl_path(path)) {
-  if (!*os_) {
-    throw std::runtime_error("TraceStream: cannot open '" + path + "'");
-  }
-  buf_.reserve(1u << 16);
-  if (!jsonl_) append_chrome_prefix(buf_, 0);
-}
-
-TraceStream::~TraceStream() {
-  try {
-    finish();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-    // Destructor-path best effort; call finish() to observe write errors.
-  }
-}
-
-void TraceStream::append(const TraceEvent& ev) {
-  if (finished_) return;
-  jsonl_ ? append_jsonl_event(buf_, ev) : append_chrome_event(buf_, ev);
-  ++written_;
-  if (buf_.size() > (1u << 20)) flush_buffer();
-}
-
-void TraceStream::flush_buffer() {
-  os_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
-}
-
-void TraceStream::finish() {
-  if (finished_) return;
-  finished_ = true;
-  if (!jsonl_) buf_ += "\n]}\n";
-  flush_buffer();
-  os_->flush();
-  if (!*os_) {
-    throw std::runtime_error("TraceStream: write to '" + path_ + "' failed");
-  }
 }
 
 void save_trace(const std::string& path, const Tracer& tracer) {

@@ -6,9 +6,7 @@
 // records {name, category, sim_ts_ns, args} events into a fixed-capacity
 // per-simulation ring (newest events win when it wraps) and exports them as
 // Chrome trace_event JSON — loadable in Perfetto / chrome://tracing — or as
-// one-object-per-line JSONL. For runs whose full trace matters more than a
-// bounded memory footprint, attach a TraceStream (stream_to): the ring then
-// flushes to the file every time it fills instead of overwriting.
+// one-object-per-line JSONL.
 //
 // Cost model: recording is only ever enabled for runs that asked for a
 // trace (`--trace`). The RESEX_TRACE_* macros and SpanScope compile down to
@@ -24,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,46 +46,6 @@ struct TraceEvent {
   TraceArg a{};
   TraceArg b{};
   TraceArg c{};
-};
-
-/// Incremental trace writer: the streaming counterpart of save_trace. Opens
-/// `path` eagerly (format by extension, like save_trace), appends events as
-/// they are handed over, and writes the format's tail on finish(). A trace
-/// that never wrapped streams to byte-identical output as save_trace would
-/// produce; a long run flushes the ring through this sink every time it
-/// fills instead of overwriting its oldest events (Tracer::stream_to).
-class TraceStream {
- public:
-  /// Opens `path` and writes the format prefix. Throws std::runtime_error
-  /// when the file cannot be opened.
-  explicit TraceStream(const std::string& path);
-  TraceStream(const TraceStream&) = delete;
-  TraceStream& operator=(const TraceStream&) = delete;
-  /// Finishes the file if finish() was not called (best-effort: errors are
-  /// swallowed; call finish() to observe them).
-  ~TraceStream();
-
-  /// Append one event.
-  void append(const TraceEvent& ev);
-
-  /// Write the format tail and flush. Idempotent. Throws std::runtime_error
-  /// if the underlying write failed at any point.
-  void finish();
-
-  [[nodiscard]] std::uint64_t events_written() const noexcept {
-    return written_;
-  }
-  [[nodiscard]] bool finished() const noexcept { return finished_; }
-
- private:
-  void flush_buffer();
-
-  std::unique_ptr<std::ofstream> os_;
-  std::string path_;
-  std::string buf_;
-  bool jsonl_ = false;
-  bool finished_ = false;
-  std::uint64_t written_ = 0;
 };
 
 class Tracer {
@@ -131,18 +88,6 @@ class Tracer {
     push(TraceEvent{name, "counter", 'C', *clock_, 0, TraceArg{key, value}});
   }
 
-  /// Attach a streaming sink: whenever the ring fills, its contents are
-  /// flushed through `sink` (oldest first) and the ring empties, so nothing
-  /// is ever dropped. Pass nullptr to detach. The sink must outlive the
-  /// attachment; call flush_stream() + TraceStream::finish() at the end of
-  /// the run to emit the tail still sitting in the ring.
-  void stream_to(TraceStream* sink) noexcept { sink_ = sink; }
-  [[nodiscard]] TraceStream* stream() const noexcept { return sink_; }
-
-  /// Hand every retained event to the attached sink (recording order) and
-  /// empty the ring. No-op without a sink.
-  void flush_stream();
-
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   /// Events overwritten because the ring wrapped.
@@ -152,12 +97,8 @@ class Tracer {
   /// Visit the retained events oldest-to-newest (recording order).
   void for_each(const std::function<void(const TraceEvent&)>& fn) const;
 
-  /// Drop all recorded events (capacity and enabled state unchanged).
-  void clear() noexcept;
-
  private:
   void push(const TraceEvent& ev) {
-    if (count_ == ring_.size() && sink_ != nullptr) flush_stream();
     ring_[next_] = ev;
     next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
     if (count_ < ring_.size()) {
@@ -173,7 +114,6 @@ class Tracer {
   std::size_t next_ = 0;   // slot the next event lands in
   std::size_t count_ = 0;  // events retained
   std::uint64_t dropped_ = 0;
-  TraceStream* sink_ = nullptr;
 };
 
 /// RAII span: records one complete event covering its own lifetime. When the

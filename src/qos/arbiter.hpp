@@ -70,12 +70,12 @@ class VlArbiter {
  private:
   struct TableState {
     std::uint8_t cursor = 0;
-    std::uint32_t grants_left = 0;  // further grants the cursor VL may keep
+    std::uint32_t extra_grants = 0;  // further grants the cursor VL may keep
   };
 
   [[nodiscard]] std::uint8_t wrr(TableState& t, std::uint8_t mask) noexcept {
-    if (t.grants_left > 0 && (mask & (1u << t.cursor)) != 0) {
-      --t.grants_left;
+    if (t.extra_grants > 0 && (mask & (1u << t.cursor)) != 0) {
+      --t.extra_grants;
       return t.cursor;
     }
     for (std::uint8_t probe = 1; probe <= cfg_.num_vls; ++probe) {
@@ -84,7 +84,7 @@ class VlArbiter {
       if ((mask & (1u << vl)) == 0) continue;
       t.cursor = vl;
       const std::uint32_t w = cfg_.weight[vl] > 0 ? cfg_.weight[vl] : 1;
-      t.grants_left = w - 1;
+      t.extra_grants = w - 1;
       return vl;
     }
     // Unreachable: mask is non-empty within num_vls. Keep the compiler and

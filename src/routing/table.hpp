@@ -39,15 +39,6 @@ class NextHopTable {
     [[nodiscard]] bool empty() const noexcept { return count == 0; }
   };
 
-  /// Replace the candidate list for (at, dst) with a single entry — the
-  /// semantics of the pre-multipath set_route call.
-  void set(std::uint32_t at, std::uint32_t dst, Candidate c) {
-    auto& list = build_[key(at, dst)];
-    list.clear();
-    list.push_back(c);
-    compiled_ = false;
-  }
-
   /// Append an equal-cost candidate for (at, dst). Duplicate `via`s are
   /// ignored so topology builders can install rotations without bookkeeping.
   void add(std::uint32_t at, std::uint32_t dst, Candidate c) {
@@ -93,15 +84,6 @@ class NextHopTable {
   [[nodiscard]] Span lookup(std::uint32_t at, std::uint32_t dst) const {
     const Entry& e = entries_[static_cast<std::size_t>(at) * n_ + dst];
     return Span{candidates_.data() + e.offset, e.count};
-  }
-
-  /// Build-phase introspection (broker pricing, tests): the candidate list
-  /// for (at, dst) as currently installed, empty span if none.
-  [[nodiscard]] std::vector<Candidate> candidates(std::uint32_t at,
-                                                  std::uint32_t dst) const {
-    const auto it = build_.find(key(at, dst));
-    if (it == build_.end()) return {};
-    return it->second;
   }
 
  private:

@@ -1,9 +1,7 @@
 #include "sim/report.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -125,53 +123,6 @@ void Table::write_csv(std::ostream& os, int precision) const {
       os << (c == 0 ? "" : ",") << csv_escape(format_cell(row[c], precision));
     }
     os << '\n';
-  }
-}
-
-void Table::write_json(std::ostream& os) const {
-  struct JsonCell {
-    std::string operator()(std::monostate) const { return "null"; }
-    std::string operator()(std::int64_t v) const { return std::to_string(v); }
-    std::string operator()(double v) const {
-      // JSON has no NaN/Infinity literals.
-      if (!std::isfinite(v)) return "null";
-      return format_double(v);
-    }
-    std::string operator()(const std::string& s) const {
-      return "\"" + json_escape(s) + "\"";
-    }
-  };
-  os << "[\n";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    os << "  {";
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << "\"" << json_escape(columns_[c])
-         << "\": " << std::visit(JsonCell{}, rows_[r][c]);
-    }
-    os << "}" << (r + 1 < rows_.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-}
-
-void Table::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("Table::save_json: cannot open " + path);
-  }
-  write_json(out);
-  if (!out) {
-    throw std::runtime_error("Table::save_json: write failed for " + path);
-  }
-}
-
-void Table::save_csv(const std::string& path, int precision) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("Table::save_csv: cannot open " + path);
-  }
-  write_csv(out, precision);
-  if (!out) {
-    throw std::runtime_error("Table::save_csv: write failed for " + path);
   }
 }
 

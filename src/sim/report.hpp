@@ -45,17 +45,6 @@ class Table {
   /// Render as CSV (RFC-4180 quoting for strings containing separators).
   void write_csv(std::ostream& os, int precision = 6) const;
 
-  /// Write CSV to a file path; throws std::runtime_error on I/O failure.
-  void save_csv(const std::string& path, int precision = 6) const;
-
-  /// Render as a JSON array of row objects keyed by column name. Integers
-  /// and doubles become JSON numbers (shortest round-trip form), empty cells
-  /// become null. Byte-deterministic for identical tables.
-  void write_json(std::ostream& os) const;
-
-  /// Write JSON to a file path; throws std::runtime_error on I/O failure.
-  void save_json(const std::string& path) const;
-
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<Cell>> rows_;

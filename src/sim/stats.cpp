@@ -20,24 +20,6 @@ void Welford::add(double x) {
   }
 }
 
-void Welford::merge(const Welford& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  sum_ += other.sum_;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Welford::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -49,13 +31,6 @@ void Samples::add(double x) {
   values_.push_back(x);
   summary_.add(x);
   sorted_valid_ = false;
-}
-
-void Samples::clear() {
-  values_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
-  summary_.reset();
 }
 
 double Samples::percentile(double p) const {
@@ -99,28 +74,6 @@ void Histogram::add(double x) {
   ++counts_[idx];
 }
 
-double ks_statistic(const Samples& a, const Samples& b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("ks_statistic: empty sample");
-  }
-  std::vector<double> sa = a.values();
-  std::vector<double> sb = b.values();
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  std::size_t i = 0, j = 0;
-  double d = 0.0;
-  while (i < sa.size() && j < sb.size()) {
-    const double x = std::min(sa[i], sb[j]);
-    while (i < sa.size() && sa[i] <= x) ++i;
-    while (j < sb.size() && sb[j] <= x) ++j;
-    d = std::max(d, std::abs(static_cast<double>(i) / na -
-                             static_cast<double>(j) / nb));
-  }
-  return d;
-}
-
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) {
     throw std::invalid_argument("SlidingWindow: capacity must be > 0");
@@ -135,11 +88,6 @@ void SlidingWindow::add(double x) {
     values_[head_] = x;
     head_ = (head_ + 1) % capacity_;
   }
-}
-
-void SlidingWindow::clear() {
-  values_.clear();
-  head_ = 0;
 }
 
 double SlidingWindow::mean() const {

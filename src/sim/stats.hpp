@@ -12,8 +12,6 @@ namespace resex::sim {
 class Welford {
  public:
   void add(double x);
-  void merge(const Welford& other);
-  void reset() { *this = Welford{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -39,7 +37,6 @@ class Samples {
  public:
   void add(double x);
   void reserve(std::size_t n) { values_.reserve(n); }
-  void clear();
 
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
@@ -97,12 +94,6 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Two-sample Kolmogorov–Smirnov statistic: sup |F_a(x) - F_b(x)| over the
-/// empirical CDFs. Used by the distribution-level figure checks (e.g. the
-/// interfered latency histogram must differ from the normal one far beyond
-/// sampling noise). Both samples must be non-empty.
-[[nodiscard]] double ks_statistic(const Samples& a, const Samples& b);
-
 /// Sliding-window latency statistics (used by the in-VM reporting agent and
 /// the interference detector): mean/stddev over the most recent `capacity`
 /// observations.
@@ -111,7 +102,6 @@ class SlidingWindow {
   explicit SlidingWindow(std::size_t capacity);
 
   void add(double x);
-  void clear();
 
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] double mean() const;

@@ -12,8 +12,8 @@ if(NOT SRC_DIR)
 endif()
 
 # Bottom to top.
-set(RANKS routing mem obs sim finance hv trace fabric qos congestion fault
-          ibmon benchex core cluster collective runner)
+set(RANKS routing mem obs sim finance hv trace fabric qos collective
+          congestion fault ibmon benchex core cluster runner)
 
 # Upward edges that are allowed, each to one header-only, stdlib-only file:
 #  - obs uses sim's time units; sim itself sits on obs (metrics, tracer).

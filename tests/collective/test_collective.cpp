@@ -3,9 +3,8 @@
 // binomial broadcast correctness, the 2*S*(N-1)/N wire-byte closed form,
 // byte-identical step ordering across --jobs counts, the stalled-ring
 // regression (a mid-collective link flap must terminate through the RC retry
-// budget with flushed QPs, not wedge the step barrier), CollectiveService
-// rounds + migration over a cluster, and the broker's io price tracking
-// collective phases.
+// budget with flushed QPs, not wedge the step barrier), and the broker's io
+// price tracking collective phases.
 
 #include "collective/collective.hpp"
 
@@ -18,7 +17,6 @@
 #include "cluster/broker.hpp"
 #include "cluster/migration.hpp"
 #include "cluster/topology.hpp"
-#include "collective/service.hpp"
 #include "core/cluster_exchange.hpp"
 #include "fault/fault.hpp"
 #include "runner/runner.hpp"
@@ -317,35 +315,9 @@ TEST(CollectiveFaults, StalledRingTerminatesThroughRetryBudgetWithFlushedQps) {
   EXPECT_GT(metrics.counter("fabric.wr_flushes").value(), 0u);
 }
 
-// --- CollectiveService over the cluster --------------------------------------
+// --- the broker prices collective phases ------------------------------------
 
-TEST(CollectiveService, RunsRoundsAndAppliesQueuedMigration) {
-  World w(4, /*pcpus=*/4);
-  ServiceConfig scfg;
-  scfg.collective.ranks = 4;
-  scfg.collective.payload_bytes = 64 * sizeof(double);
-  scfg.collective.chunk_bytes = 256;
-  scfg.rounds = 3;
-  scfg.inter_round_gap = sim::kMillisecond;
-  CollectiveService svc(w.cluster, scfg, {0, 1, 2, 3});
-  svc.start();
-  // Queue a move of rank 1 onto node 3 once round 0 is underway; it must
-  // only take effect at the next round boundary.
-  w.cluster.sim().schedule_in(10 * sim::kMicrosecond,
-                              [&svc] { svc.migrate_rank(1, 3); });
-  w.cluster.sim().run();
-
-  ASSERT_TRUE(svc.done());
-  EXPECT_EQ(svc.rounds_completed(), 3u);
-  EXPECT_EQ(svc.migrations(), 1u);
-  EXPECT_TRUE(svc.last_result().ok);
-  const std::vector<std::uint32_t> want{0, 3, 2, 3};
-  EXPECT_EQ(svc.placement(), want);
-  // Per-round domains were retired: no PCPU leak across 3 rounds.
-  EXPECT_GE(w.cluster.node(1).free_pcpu_count(), 2u);
-}
-
-TEST(CollectiveService, BrokerIoPriceTracksCollectivePhases) {
+TEST(CollectiveGroup, BrokerIoPriceTracksCollectivePhases) {
   World w(4, /*pcpus=*/4);
   auto& sim = w.cluster.sim();
   core::ClusterExchange exchange;
@@ -356,14 +328,16 @@ TEST(CollectiveService, BrokerIoPriceTracksCollectivePhases) {
   broker.start();
 
   // ~12 MiB on each wire at 1 GB/s: the collective spans several broker
-  // quote periods, then the fabric goes idle.
-  ServiceConfig scfg;
-  scfg.collective.ranks = 4;
-  scfg.collective.payload_bytes = 8 << 20;
-  scfg.collective.chunk_bytes = 256 * 1024;
-  scfg.collective.iterations = 2;
-  CollectiveService svc(w.cluster, scfg, {0, 1, 2, 3});
-  svc.start();
+  // quote periods, then the fabric goes idle. No broker-specific code is
+  // needed: the collective drives the per-port channel counters the broker
+  // already prices from.
+  CollectiveConfig cfg;
+  cfg.ranks = 4;
+  cfg.payload_bytes = 8 << 20;
+  cfg.chunk_bytes = 256 * 1024;
+  cfg.iterations = 2;
+  CollectiveGroup group(sim, w.homes(), cfg);
+  group.start();
 
   double busy_price = -1.0;
   sim.schedule_in(16 * sim::kMillisecond, [&] {
@@ -376,8 +350,8 @@ TEST(CollectiveService, BrokerIoPriceTracksCollectivePhases) {
   });
   sim.run_until(80 * sim::kMillisecond);
 
-  ASSERT_TRUE(svc.done());
-  ASSERT_TRUE(svc.last_result().ok);
+  ASSERT_TRUE(group.done());
+  ASSERT_TRUE(group.result().ok);
   // Mid-collective the host port is near-saturated; after it ends the
   // quoted io price collapses back towards zero.
   EXPECT_GT(busy_price, 0.5);

@@ -174,9 +174,11 @@ TEST(Evaluation, MeasureBaseHelper) {
 }
 
 TEST(Evaluation, InterferenceShiftsTheWholeDistribution) {
-  // Figure 1 at the distribution level: the interfered latency sample is
-  // KS-distinguishable from the normal one at (far beyond) any reasonable
-  // significance, while a same-seed rerun is KS-identical.
+  // Figure 1 at the distribution level: a same-seed rerun reproduces the
+  // normal latency sample exactly, while the interfered sample sits above
+  // it almost everywhere: its 5th percentile exceeds the normal 95th, so the
+  // two empirical CDFs differ by at least 0.9 (the Kolmogorov-Smirnov
+  // distance) at the normal 95th percentile.
   ScenarioConfig cfg;
   cfg.warmup = 100_ms;
   cfg.duration = 500_ms;
@@ -185,13 +187,13 @@ TEST(Evaluation, InterferenceShiftsTheWholeDistribution) {
   const auto base1 = run_scenario(base_cfg);
   const auto base2 = run_scenario(base_cfg);
   const auto intf = run_scenario(cfg);
-  EXPECT_DOUBLE_EQ(
-      sim::ks_statistic(base1.reporting[0].client_latency_us,
-                        base2.reporting[0].client_latency_us),
-      0.0);
-  EXPECT_GT(sim::ks_statistic(base1.reporting[0].client_latency_us,
-                              intf.reporting[0].client_latency_us),
-            0.9);
+  const sim::Samples& normal = base1.reporting[0].client_latency_us;
+  const sim::Samples& interfered = intf.reporting[0].client_latency_us;
+  EXPECT_EQ(normal.values(), base2.reporting[0].client_latency_us.values());
+  EXPECT_GT(interfered.percentile(5.0), normal.percentile(95.0))
+      << "normal p50/p95 " << normal.percentile(50.0) << "/"
+      << normal.percentile(95.0) << ", interfered p5/p50 "
+      << interfered.percentile(5.0) << "/" << interfered.percentile(50.0);
 }
 
 TEST(Evaluation, ScenarioResultShapes) {

@@ -151,32 +151,8 @@ TEST_F(ChannelFixture, BacklogVisibleWhileQueued) {
   EXPECT_EQ(chan.backlog_packets(), 0u);
 }
 
-TEST_F(ChannelFixture, WrrWeightBiasesGrants) {
-  // Flow A weight 3, flow B weight 1: A should get ~3x the grants while
-  // both are backlogged.
-  chan.set_flow_weight(ep_a.qp->num(), 3);
-  enqueue_message(*ep_a.qp, 30 * 1024);
-  enqueue_message(*ep_b.qp, 30 * 1024);
-  world.sim.run_until(20_us);  // mid-contention snapshot
-  std::size_t a = 0, b = 0;
-  for (const auto& [t, qp] : delivered) {
-    (qp == ep_a.qp->num() ? a : b) += 1;
-  }
-  ASSERT_GT(b, 0u);
-  const double ratio = static_cast<double>(a) / static_cast<double>(b);
-  EXPECT_NEAR(ratio, 3.0, 0.8);
-}
-
-TEST_F(ChannelFixture, FlowWeightDefaultsAndQuery) {
-  EXPECT_EQ(chan.flow_weight(ep_a.qp->num()), 1u);
-  chan.set_flow_weight(ep_a.qp->num(), 5);
-  EXPECT_EQ(chan.flow_weight(ep_a.qp->num()), 5u);
-  chan.set_flow_weight(ep_a.qp->num(), 0);  // clamped to 1
-  EXPECT_EQ(chan.flow_weight(ep_a.qp->num()), 1u);
-  EXPECT_DOUBLE_EQ(chan.flow_rate_limit(ep_a.qp->num()), 0.0);
-}
-
 TEST_F(ChannelFixture, RateLimitCapsThroughput) {
+  EXPECT_DOUBLE_EQ(chan.flow_rate_limit(ep_a.qp->num()), 0.0);  // default
   // 100 MB/s = 0.1 bytes/ns. 64 KiB should take ~655 us instead of ~65 us.
   chan.set_flow_rate_limit(ep_a.qp->num(), 100e6);
   enqueue_message(*ep_a.qp, 64 * 1024);
@@ -221,7 +197,7 @@ TEST_F(ChannelFixture, RateTimerWakesIdleChannel) {
 
 TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
   // Property: while an unthrottled flow stays backlogged the link never
-  // idles, no matter how weights, rate limiters and packet sizes mix. With
+  // idles, no matter how rate limiters and packet sizes mix. With
   // test_config's 1 ns/byte wire, that pins every inter-delivery gap to the
   // next packet's serialization time and the makespan to total-bytes + one
   // propagation delay.
@@ -232,7 +208,6 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
     delivered.emplace_back(world.sim.now(), p.transfer->src_qp->num());
     sizes.push_back(p.bytes);
   });
-  chan.set_flow_weight(ep_b.qp->num(), 2);
   chan.set_flow_rate_limit(ep_c.qp->num(), 200e6);  // 0.2 B/ns, 1/5 line rate
 
   std::uint64_t total_bytes = 0;
@@ -243,7 +218,7 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
     total_packets += cfg.packets_for(bytes);
   };
   // A: the unthrottled backlog that outlasts everyone (multi-MTU messages
-  // with a short tail packet). B: full-MTU and sub-MTU messages at weight 2.
+  // with a short tail packet). B: full-MTU and sub-MTU messages.
   // C: sub-MTU messages through the token bucket.
   for (int i = 0; i < 20; ++i) offer(ep_a, 2 * 1024 + 512);
   for (int i = 0; i < 8; ++i) offer(ep_b, 1024);
@@ -268,25 +243,24 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
 TEST_F(ChannelFixture, WrrDoesNotStarveAnyFlowUnderMixedMtu) {
   Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src3");
-  chan.set_flow_weight(ep_b.qp->num(), 2);
   chan.set_flow_rate_limit(ep_c.qp->num(), 200e6);
   enqueue_message(*ep_a.qp, 40 * 1024);
   for (int i = 0; i < 16; ++i) enqueue_message(*ep_b.qp, 700);
   for (int i = 0; i < 4; ++i) enqueue_message(*ep_c.qp, 1024);
   world.sim.run();
 
-  // Every flow is served within the first WRR round (weights sum to 4).
+  // Every flow is served within the first round-robin round (three flows).
   const auto first_grant = [&](QpNum qp) {
     for (std::size_t i = 0; i < delivered.size(); ++i) {
       if (delivered[i].second == qp) return i;
     }
     return delivered.size();
   };
-  EXPECT_LT(first_grant(ep_a.qp->num()), 4u);
-  EXPECT_LT(first_grant(ep_b.qp->num()), 4u);
-  EXPECT_LT(first_grant(ep_c.qp->num()), 4u);
+  EXPECT_LT(first_grant(ep_a.qp->num()), 3u);
+  EXPECT_LT(first_grant(ep_b.qp->num()), 3u);
+  EXPECT_LT(first_grant(ep_c.qp->num()), 3u);
   // While both unthrottled flows are backlogged, A never waits longer than
-  // the other flows' combined weight between its own grants (B's 2 plus at
+  // one grant per other flow between its own grants (one B packet plus at
   // most one C packet whenever its bucket has tokens).
   sim::SimTime last_b = 0;
   for (const auto& [t, qp] : delivered) {
@@ -296,7 +270,7 @@ TEST_F(ChannelFixture, WrrDoesNotStarveAnyFlowUnderMixedMtu) {
   for (const auto& [t, qp] : delivered) {
     if (t > last_b) break;  // contention over: B drained
     run_without_a = qp == ep_a.qp->num() ? 0 : run_without_a + 1;
-    EXPECT_LE(run_without_a, 3u) << "flow A starved at t=" << t;
+    EXPECT_LE(run_without_a, 2u) << "flow A starved at t=" << t;
   }
 }
 

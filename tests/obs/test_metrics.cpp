@@ -68,15 +68,6 @@ TEST(Histogram, MinHandlesZeroObservation) {
   EXPECT_EQ(h.max(), 5u);
 }
 
-TEST(Histogram, ApproxQuantileReturnsBucketUpperBound) {
-  Histogram h;
-  for (int i = 0; i < 99; ++i) h.observe(10);  // bucket 4: [8,16)
-  h.observe(1'000'000);                        // bucket 20
-  EXPECT_EQ(h.approx_quantile(0.5), 15u);      // within a factor of two of 10
-  EXPECT_EQ(h.approx_quantile(0.0), 10u);      // exact min
-  EXPECT_EQ(h.approx_quantile(1.0), 1'000'000u);  // exact max
-}
-
 TEST(MetricsRegistry, GetOrCreateReturnsStableReference) {
   MetricsRegistry reg;
   Counter& a = reg.counter("x");

@@ -76,19 +76,6 @@ TEST(Tracer, RingKeepsNewestAndCountsDropped) {
   EXPECT_EQ(kept, (std::vector<double>{6, 7, 8, 9}));  // oldest-to-newest
 }
 
-TEST(Tracer, ClearKeepsCapacityAndEnabledState) {
-  SimTime clock = 0;
-  Tracer t(&clock);
-  t.enable(8);
-  t.instant("a", "test");
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_TRUE(t.enabled());
-  EXPECT_EQ(t.capacity(), 8u);
-  t.instant("b", "test");
-  EXPECT_EQ(t.size(), 1u);
-}
-
 TEST(Tracer, SpanScopeRecordsCompleteEvent) {
   SimTime clock = 100;
   Tracer t(&clock);
@@ -243,90 +230,6 @@ TEST(TraceExport, SaveTraceThrowsOnUnwritablePath) {
   t.enable(4);
   EXPECT_THROW(save_trace("/nonexistent-dir/trace.json", t),
                std::runtime_error);
-}
-
-// --- streaming --------------------------------------------------------------
-
-TEST(TraceStream, RingFlushesOnFillAndDropsNothing) {
-  const std::string path = ::testing::TempDir() + "resex_stream_test.jsonl";
-  SimTime clock = 0;
-  Tracer t(&clock);
-  t.enable(8);  // tiny ring: 100 events would drop 92 without the stream
-  {
-    TraceStream stream(path);
-    t.stream_to(&stream);
-    for (int i = 0; i < 100; ++i) {
-      clock = static_cast<SimTime>(1000 * (i + 1));
-      t.instant("e", "test", {"i", static_cast<double>(i)});
-    }
-    t.flush_stream();
-    stream.finish();
-    EXPECT_EQ(stream.events_written(), 100u);
-  }
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(t.size(), 0u);  // flushed, not retained
-
-  std::ifstream is(path);
-  std::string line;
-  std::size_t lines = 0;
-  SimTime prev = 0;
-  while (std::getline(is, line)) {
-    ++lines;
-    EXPECT_TRUE(JsonChecker(line).valid()) << line;
-    // Flush order preserves recording order across ring fills.
-    const auto pos = line.find("\"ts_ns\":");
-    ASSERT_NE(pos, std::string::npos);
-    const auto ts = static_cast<SimTime>(std::stoull(line.substr(pos + 8)));
-    EXPECT_GT(ts, prev);
-    prev = ts;
-  }
-  EXPECT_EQ(lines, 100u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceStream, ChromeBytesMatchSaveTraceWhenRingNeverWraps) {
-  // The streamed file must be byte-identical to what save_trace writes for
-  // the same events, so downstream tooling cannot tell the modes apart.
-  const std::string streamed = ::testing::TempDir() + "resex_streamed.json";
-  const std::string saved = ::testing::TempDir() + "resex_saved.json";
-
-  SimTime clock_a = 0;
-  Tracer a(&clock_a);
-  {
-    TraceStream stream(streamed);
-    a.stream_to(&stream);
-    sample_tracer(clock_a, a);
-    a.flush_stream();
-    stream.finish();
-  }
-
-  SimTime clock_b = 0;
-  Tracer b(&clock_b);
-  sample_tracer(clock_b, b);  // plenty of capacity: nothing dropped
-  save_trace(saved, b);
-
-  std::stringstream sa, sb;
-  sa << std::ifstream(streamed).rdbuf();
-  sb << std::ifstream(saved).rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
-  EXPECT_TRUE(JsonChecker(sa.str()).valid());
-  std::remove(streamed.c_str());
-  std::remove(saved.c_str());
-}
-
-TEST(TraceStream, FinishIsIdempotentAndThrowsOnUnwritablePath) {
-  EXPECT_THROW(TraceStream("/nonexistent-dir/trace.json"),
-               std::runtime_error);
-  const std::string path = ::testing::TempDir() + "resex_stream_fin.json";
-  TraceStream stream(path);
-  stream.finish();
-  stream.finish();  // idempotent
-  EXPECT_TRUE(stream.finished());
-  std::ifstream is(path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  EXPECT_TRUE(JsonChecker(ss.str()).valid()) << ss.str();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(MultiNodeFabric, TrunkHopsComposeLinearly) {
     if (switches >= 3) {
       // No direct trunk between the end switches: route via the line.
       for (std::uint32_t s = 0; s + 1 < switches; ++s) {
-        fabric.set_route(s, switches - 1, s + 1);
+        fabric.add_route_candidate(s, switches - 1, s + 1);
       }
     }
     hv::Node src_node(sim, "src", 4), dst_node(sim, "dst", 4);

@@ -60,13 +60,9 @@ TEST(RoutingTable, CompilesBuildCandidatesIntoDenseSpans) {
   t.add(0, 2, {10, &port_a});
   t.add(0, 2, {11, &port_b});
   t.add(0, 2, {10, &port_a});  // duplicate via: dropped
-  t.set(1, 2, {12, &port_c});
+  t.add(1, 2, {12, &port_c});
   EXPECT_TRUE(t.has(0, 2));
   EXPECT_FALSE(t.has(2, 0));
-  const auto cands = t.candidates(0, 2);
-  ASSERT_EQ(cands.size(), 2u);
-  EXPECT_EQ(cands[0].via, 10u);
-  EXPECT_EQ(cands[1].via, 11u);
 
   t.compile(3);
   ASSERT_TRUE(t.compiled());
@@ -82,7 +78,7 @@ TEST(RoutingTable, CompilesBuildCandidatesIntoDenseSpans) {
   EXPECT_EQ(t.lookup(1, 0).count, 0u);
 }
 
-TEST(RoutingTable, SetReplacesAndInvalidateForcesRecompile) {
+TEST(RoutingTable, AddAfterCompileAndInvalidateForcesRecompile) {
   int port_a = 0, port_b = 0;
   routing::NextHopTable<int> t;
   t.add(0, 1, {5, &port_a});
@@ -90,11 +86,14 @@ TEST(RoutingTable, SetReplacesAndInvalidateForcesRecompile) {
   ASSERT_TRUE(t.compiled());
   t.invalidate();
   EXPECT_FALSE(t.compiled());
-  t.set(0, 1, {6, &port_b});  // replace the candidate set wholesale
+  t.add(0, 1, {6, &port_b});  // appended after the first compile
+  EXPECT_FALSE(t.compiled());
   t.compile(2);
   const auto span = t.lookup(0, 1);
-  ASSERT_EQ(span.count, 1u);
-  EXPECT_EQ(span[0].via, 6u);
+  ASSERT_EQ(span.count, 2u);
+  EXPECT_EQ(span[0].via, 5u);
+  EXPECT_EQ(span[1].via, 6u);
+  EXPECT_EQ(span[1].port, &port_b);
 }
 
 // --- ECMP hash ---------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,25 +53,6 @@ TEST(Table, CsvEscapesSpecials) {
   EXPECT_EQ(os.str(), "s\n\"a,b\"\n\"q\"\"uote\"\n");
 }
 
-TEST(Table, SaveCsvRoundTrips) {
-  const std::string path = "/tmp/resex_test_table.csv";
-  Table t({"col"});
-  t.add_row({Cell{std::int64_t{7}}});
-  t.save_csv(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "col");
-  std::getline(in, line);
-  EXPECT_EQ(line, "7");
-  std::remove(path.c_str());
-}
-
-TEST(Table, SaveCsvThrowsOnBadPath) {
-  Table t({"c"});
-  EXPECT_THROW(t.save_csv("/nonexistent-dir/x.csv"), std::runtime_error);
-}
-
 TEST(Table, RowAccessors) {
   Table t({"a"});
   t.add_row({Cell{std::int64_t{5}}});
@@ -93,32 +72,6 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
-}
-
-TEST(Table, JsonBasic) {
-  Table t({"name", "value", "empty"});
-  t.add_row({Cell{std::string{"x"}}, Cell{2.5}, Cell{std::monostate{}}});
-  t.add_row({Cell{std::string{"y"}}, Cell{std::int64_t{7}}, Cell{1.0}});
-  std::ostringstream os;
-  t.write_json(os);
-  EXPECT_EQ(os.str(),
-            "[\n"
-            "  {\"name\": \"x\", \"value\": 2.5, \"empty\": null},\n"
-            "  {\"name\": \"y\", \"value\": 7, \"empty\": 1}\n"
-            "]\n");
-}
-
-TEST(Table, SaveJsonRoundTrips) {
-  const std::string path = "/tmp/resex_test_table.json";
-  Table t({"col"});
-  t.add_row({Cell{std::int64_t{7}}});
-  t.save_json(path);
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "[\n  {\"col\": 7}\n]\n");
-  std::remove(path.c_str());
-  EXPECT_THROW(t.save_json("/nonexistent-dir/x.json"), std::runtime_error);
 }
 
 TEST(PrintHeading, ContainsTitle) {

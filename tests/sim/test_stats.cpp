@@ -35,31 +35,6 @@ TEST(Welford, KnownMeanAndVariance) {
   EXPECT_DOUBLE_EQ(w.sum(), 40.0);
 }
 
-TEST(Welford, MergeMatchesCombinedStream) {
-  Welford a, b, all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Welford, MergeWithEmptySides) {
-  Welford a, b;
-  a.add(1.0);
-  a.merge(b);  // empty rhs
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);  // empty lhs
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Samples, PercentilesExact) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -87,14 +62,6 @@ TEST(Samples, AddAfterPercentileInvalidatesCache) {
   EXPECT_DOUBLE_EQ(s.median(), 10.0);
   s.add(20.0);
   EXPECT_DOUBLE_EQ(s.median(), 15.0);
-}
-
-TEST(Samples, ClearResets) {
-  Samples s;
-  s.add(3.0);
-  s.clear();
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
 TEST(Histogram, RejectsBadConstruction) {
@@ -133,46 +100,6 @@ TEST(Histogram, BinEdgesAndCenters) {
   EXPECT_DOUBLE_EQ(h.bin_center(3), 87.5);
 }
 
-TEST(KsStatistic, IdenticalSamplesAreZero) {
-  Samples a, b;
-  for (int i = 0; i < 100; ++i) {
-    a.add(i);
-    b.add(i);
-  }
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 0.0);
-}
-
-TEST(KsStatistic, DisjointSamplesAreOne) {
-  Samples a, b;
-  for (int i = 0; i < 50; ++i) {
-    a.add(i);
-    b.add(i + 1000);
-  }
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 1.0);
-}
-
-TEST(KsStatistic, ShiftedDistributionsScoreBetween) {
-  Samples a, b;
-  for (int i = 0; i < 1000; ++i) {
-    a.add(i % 100);
-    b.add(i % 100 + 50);  // half-overlapping uniforms
-  }
-  const double d = ks_statistic(a, b);
-  EXPECT_GT(d, 0.4);
-  EXPECT_LT(d, 0.6);
-}
-
-TEST(KsStatistic, SymmetricAndRejectsEmpty) {
-  Samples a, b;
-  a.add(1.0);
-  a.add(2.0);
-  b.add(1.5);
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), ks_statistic(b, a));
-  Samples empty;
-  EXPECT_THROW((void)ks_statistic(a, empty), std::invalid_argument);
-  EXPECT_THROW((void)ks_statistic(empty, a), std::invalid_argument);
-}
-
 TEST(SlidingWindow, RejectsZeroCapacity) {
   EXPECT_THROW(SlidingWindow(0), std::invalid_argument);
 }
@@ -199,15 +126,6 @@ TEST(SlidingWindow, StddevMatchesSample) {
   SlidingWindow w(5);
   for (double x : {2.0, 4.0, 4.0, 4.0, 6.0}) w.add(x);
   EXPECT_NEAR(w.stddev(), std::sqrt(2.0), 1e-12);
-}
-
-TEST(SlidingWindow, ClearEmpties) {
-  SlidingWindow w(4);
-  w.add(1.0);
-  w.clear();
-  EXPECT_EQ(w.count(), 0u);
-  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(w.stddev(), 0.0);
 }
 
 }  // namespace
