@@ -11,6 +11,7 @@
 
 #include "core/experiment.hpp"
 #include "fabric/channel.hpp"
+#include "fabric/endpoint.hpp"
 #include "fabric/hca.hpp"
 #include "fabric/types.hpp"
 #include "finance/binomial.hpp"
@@ -108,12 +109,12 @@ void BM_EventQueueTimerChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueTimerChurn);
 
 // The fat-tree workload's event mix in steady state: each iteration pops the
-// earliest event and pushes one more, 95% of them at one of three fixed
+// earliest event and posts one more, 95% of them at one of three fixed
 // delays (propagation 200 ns, a trunk MTU's 476 ns, a host MTU's 953 ns),
-// with ~25 near events and 8 far RTO-style timers pending; every eighth
-// iteration cancels the oldest timer and arms a new one. Arg = lanes: 0
-// leaves every push on the heap, 1 declares the three delays. Time per
-// iteration is one push+pop.
+// with ~25 near posts and 8 far RTO-style timers pending; every eighth
+// iteration cancels the oldest timer and pushes a new one. Arg = lanes: 0
+// leaves every post on the heap, 1 declares the three delays. Time per
+// iteration is one post+pop.
 void BM_EventQueueFixedDelayMix(benchmark::State& state) {
   constexpr sim::SimDuration kRto = 1'000'000;
   constexpr std::size_t kNear = 25;
@@ -134,13 +135,14 @@ void BM_EventQueueFixedDelayMix(benchmark::State& state) {
     const std::uint64_t u = rng.uniform_u64(100);
     d = u < 47 ? 200 : u < 71 ? 953 : u < 95 ? 476 : 1 + rng.uniform_u64(2000);
   }
+  const sim::PostFn nop = [](void*) {};
   sim::SimTime now = 0;
   std::vector<sim::EventHandle> timers(kTimers);
   for (std::size_t i = 0; i < kTimers; ++i) {
-    timers[i] = q.push_after(now, kRto + i, [] {});
+    timers[i] = q.push(now + kRto + i, [] {});
   }
   for (std::size_t i = 0; i < kNear; ++i) {
-    (void)q.push_after(now, delays[i], [] {});
+    q.post(now, delays[i], nop, nullptr);
   }
   std::size_t i = kNear;
   for (auto _ : state) {
@@ -148,11 +150,11 @@ void BM_EventQueueFixedDelayMix(benchmark::State& state) {
     q.pop_due(~sim::SimTime{0}, ev);
     now = ev.time;
     benchmark::DoNotOptimize(ev.time);
-    (void)q.push_after(now, delays[i++ % kPattern], [] {});
+    q.post(now, delays[i++ % kPattern], nop, nullptr);
     if (i % 8 == 0) {
       sim::EventHandle& rto = timers[(i / 8) % kTimers];
       rto.cancel();
-      rto = q.push_after(now, kRto, [] {});
+      rto = q.push(now + kRto, [] {});
     }
   }
   state.counters["depth"] = static_cast<double>(q.size());
@@ -216,6 +218,80 @@ void BM_ChannelPacketCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_ChannelPacketCycle)->Arg(1)->Arg(2);
+
+// The kernel's half of a packet hop, as Channel drives it: each tx-complete
+// post makes the delivery post one propagation delay out and the next
+// tx-complete one MTU serialization out, 64 packets per iteration. Arg =
+// lanes: 0 leaves both delays on the heap, 1 declares them. Items are
+// events.
+void BM_ChannelPostCycle(benchmark::State& state) {
+  constexpr sim::SimDuration kProp = 200;
+  constexpr sim::SimDuration kTx = 953;
+  struct Port {
+    sim::Simulation sim;
+    std::uint32_t left = 0;
+    std::uint64_t delivered = 0;
+    static void tx_done(void* p) {
+      auto* port = static_cast<Port*>(p);
+      port->sim.post_in(kProp, &Port::deliver, p);
+      if (--port->left > 0) port->sim.post_in(kTx, &Port::tx_done, p);
+    }
+    static void deliver(void* p) { ++static_cast<Port*>(p)->delivered; }
+  };
+  Port port;
+  if (state.range(0) != 0) {
+    port.sim.declare_fixed_delay(kProp);
+    port.sim.declare_fixed_delay(kTx);
+  }
+  for (auto _ : state) {
+    port.left = 64;
+    port.sim.post_in(kTx, &Port::tx_done, &port);
+    port.sim.run();
+  }
+  benchmark::DoNotOptimize(port.delivered);
+  state.SetItemsProcessed(state.iterations() * 128);
+}
+BENCHMARK(BM_ChannelPostCycle)->Arg(0)->Arg(1);
+
+// One RDMA write of Arg bytes from post until Hca::start_transfer returns:
+// the WQE pickup event, validation and segmentation onto the uplink. The
+// uplink queues one run entry per message, so a 2 MB write (2048 packets)
+// costs what a 4 KB one does. The transfer then drains untimed.
+void BM_HcaStartTransfer(benchmark::State& state) {
+  const auto bytes = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulation sim;
+  fabric::Fabric fab(sim, fabric::FabricConfig{});
+  hv::Node node_a{sim, "A", 8};
+  hv::Node node_b{sim, "B", 8};
+  fabric::Hca& hca_a = fab.add_node(node_a);
+  fabric::Hca& hca_b = fab.add_node(node_b);
+  const auto endpoint = [](hv::Node& node, fabric::Hca& hca, std::size_t len) {
+    return fabric::make_endpoint(
+        hca, node.create_domain({.name = "vm", .mem_pages = 2048}), len, 64);
+  };
+  fabric::Endpoint a = endpoint(node_a, hca_a, bytes);
+  fabric::Endpoint b = endpoint(node_b, hca_b, bytes);
+  fabric::Fabric::connect(*a.qp, *b.qp);
+  fabric::SendWr wr;
+  wr.opcode = fabric::Opcode::kRdmaWrite;
+  wr.local_addr = a.buf;
+  wr.lkey = a.mr.lkey;
+  wr.length = bytes;
+  wr.remote_addr = b.buf;
+  wr.rkey = b.mr.rkey;
+  for (auto _ : state) {
+    hca_a.post_send(*a.qp, wr);
+    sim.step();  // the pickup: process_wqe -> start_transfer
+    benchmark::DoNotOptimize(hca_a.uplink().backlog_packets());
+    state.PauseTiming();
+    sim.run();
+    while (a.send_cq->poll()) {
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HcaStartTransfer)->Arg(4096)->Arg(2 << 20)->Iterations(64);
 
 void BM_RngNextU64(benchmark::State& state) {
   sim::Rng rng(1);

@@ -15,7 +15,7 @@ Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
       lanes_(config.qos_enabled
                  ? std::clamp<std::uint8_t>(config.num_vls, 1, qos::kMaxVls)
                  : 1) {
-  // Every packet schedules its tx-complete one serialization time out (an
+  // Every packet posts its tx-complete one serialization time out (an
   // MTU's, for all but a message's last packet) and its delivery one
   // propagation delay after that.
   sim_.declare_fixed_delay(config_.propagation_delay);
@@ -251,7 +251,8 @@ Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
     nf.tokens_updated = sim_.now();
     break;
   }
-  flows_.push_back(nf);
+  if (nf.rate_bytes_per_sec > 0.0) ++limited_flows_;
+  flows_.push_back(std::move(nf));
   flow_index_[key] = static_cast<std::uint32_t>(flows_.size());
   return flows_.back();
 }
@@ -259,6 +260,13 @@ Channel::Flow& Channel::flow_for(QpNum qp, std::uint8_t vl) {
 void Channel::apply_rate_limit(Flow& f, double bytes_per_sec,
                                std::uint32_t burst_bytes) {
   const bool was_limited = f.rate_bytes_per_sec > 0.0;
+  if (was_limited != (bytes_per_sec > 0.0)) {
+    if (was_limited) {
+      --limited_flows_;
+    } else {
+      ++limited_flows_;
+    }
+  }
   if (was_limited) {
     // Settle the bucket at the old rate before switching: a controller that
     // adjusts the rate every few tens of microseconds (DCQCN recovery) must
@@ -316,7 +324,7 @@ bool Channel::may_send(Flow& f, std::uint32_t bytes) {
 
 sim::SimTime Channel::eligible_at(const Flow& f) const {
   const double needed =
-      static_cast<double>(f.packets.front().bytes) - f.tokens;
+      static_cast<double>(f.packets.front().next.bytes) - f.tokens;
   if (needed <= 0.0) return sim_.now();
   const double wait_ns = needed / f.rate_bytes_per_sec * 1e9;
   return sim_.now() + static_cast<sim::SimDuration>(wait_ns) + 1;
@@ -382,24 +390,67 @@ void Channel::enqueue(detail::Packet pkt) {
       }
     }
   }
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().instant(
-        "pkt.enqueue", "fabric",
-        {"qp", static_cast<double>(pkt.transfer->src_qp->num())},
-        {"bytes", static_cast<double>(pkt.bytes)});
-    sim_.tracer().counter(name_.c_str(), "backlog",
-                          static_cast<double>(backlog_packets() + 1));
-  }
-  backlog_bytes_ += pkt.bytes;
-  vl_backlog_bytes_[vl] += pkt.bytes;
-  ++vl_backlog_pkts_[vl];
-  if (pool_ != nullptr) pool_->acquire(pkt.bytes);
-  flow_for(pkt.transfer->src_qp->num(), vl).packets.push_back(std::move(pkt));
-  ++backlog_pkts_;
+  const QpNum qp = pkt.transfer->src_qp->num();
+  if (sim_.tracer().enabled()) trace_enqueue(qp, pkt.bytes);
+  account(vl, 1, pkt.bytes);
+  flow_for(qp, vl).packets.push_back(Queued{std::move(pkt)});
   // Per-lane XOFF on the post-admission occupancy (this packet counts).
   if (pfc_on_ && !vl_xoff_[vl]) check_xoff(vl);
   // A paused lane leaves the others free, so try_start applies the gate.
   if (!busy_) try_start();
+}
+
+void Channel::enqueue_run(std::shared_ptr<detail::Transfer> transfer,
+                          std::uint64_t psn, bool psn_step) {
+  if (!sink_) {
+    throw std::logic_error("Channel '" + name_ + "': no sink connected");
+  }
+  // The queue entry keeps the transfer alive while packets remain in it.
+  const detail::Transfer& t = *transfer;
+  const std::uint8_t vl = t.vl < lanes_ ? t.vl : 0;
+  const QpNum qp = t.src_qp->num();
+  const std::uint32_t count = t.total_packets;
+  const std::uint32_t first = t.packet_bytes(0, config_.mtu_bytes);
+  const bool traced = sim_.tracer().enabled();
+  // The first packet is counted and arbitrated alone, as the first of
+  // `count` enqueue() calls is: it may launch now, before the rest count.
+  if (traced) trace_enqueue(qp, first);
+  account(vl, 1, first);
+  flow_for(qp, vl).packets.push_back(Queued{
+      detail::Packet{std::move(transfer), 0, first, psn, false, false}, count,
+      psn_step});
+  if (!busy_) try_start();
+  if (count == 1) return;
+  // The rest only join the backlog. Each later enqueue() would retry an
+  // arbitration that failed above; at the same instant, behind the same
+  // flow head, the retry fails the same way and changes nothing.
+  if (traced) {
+    // One at a time, so each counter reads the backlog it would have.
+    for (std::uint32_t i = 1; i < count; ++i) {
+      const std::uint32_t bytes = t.packet_bytes(i, config_.mtu_bytes);
+      trace_enqueue(qp, bytes);
+      account(vl, 1, bytes);
+    }
+  } else {
+    account(vl, count - 1, t.wire_length - first);
+  }
+}
+
+void Channel::account(std::uint8_t vl, std::uint64_t packets,
+                      std::uint64_t bytes) {
+  backlog_pkts_ += packets;
+  backlog_bytes_ += bytes;
+  vl_backlog_pkts_[vl] += packets;
+  vl_backlog_bytes_[vl] += bytes;
+  if (pool_ != nullptr) pool_->acquire(bytes);
+}
+
+void Channel::trace_enqueue(QpNum qp, std::uint32_t bytes) {
+  sim_.tracer().instant("pkt.enqueue", "fabric",
+                        {"qp", static_cast<double>(qp)},
+                        {"bytes", static_cast<double>(bytes)});
+  sim_.tracer().counter(name_.c_str(), "backlog",
+                        static_cast<double>(backlog_packets() + 1));
 }
 
 void Channel::arm_rate_timer() {
@@ -417,12 +468,21 @@ void Channel::arm_rate_timer() {
 }
 
 void Channel::launch(Flow& f, std::size_t pos) {
-  detail::Packet pkt = std::move(f.packets.front());
-  f.packets.pop_front();
+  detail::Packet pkt;
+  if (Queued& head = f.packets.front(); head.count > 1) {
+    // Cut the run's next packet; the entry keeps the rest.
+    pkt = head.next;
+    --head.count;
+    detail::Packet& next = head.next;
+    ++next.index;
+    if (head.psn_step) ++next.psn;
+    next.bytes = next.transfer->packet_bytes(next.index, config_.mtu_bytes);
+  } else {
+    pkt = std::move(f.packets.pop_front().next);
+  }
   --backlog_pkts_;
-  backlog_bytes_ -= std::min<std::uint64_t>(backlog_bytes_, pkt.bytes);
-  auto& vbytes = vl_backlog_bytes_[f.vl];
-  vbytes -= std::min<std::uint64_t>(vbytes, pkt.bytes);
+  backlog_bytes_ -= pkt.bytes;
+  vl_backlog_bytes_[f.vl] -= pkt.bytes;
   --vl_backlog_pkts_[f.vl];
   if (pool_ != nullptr) pool_->release(pkt.bytes);
   // The departure may have drained this lane below XON: resume upstreams.
@@ -476,24 +536,25 @@ void Channel::launch(Flow& f, std::size_t pos) {
     sim_.tracer().counter(name_.c_str(), "backlog",
                           static_cast<double>(backlog_packets()));
   }
-  // The packet waits in the in-flight FIFO, not in the events: they carry
-  // only `this`.
+  // The packet waits in the in-flight FIFO, not in the events: they are
+  // posts of `this`.
   tx_delivers_ = fate != PacketFate::kDrop;
   if (tx_delivers_) in_flight_.push_back(std::move(pkt));
-  sim_.schedule_in(tx, [this] { on_tx_done(); });
+  sim_.post_in(
+      tx, [](void* self) { static_cast<Channel*>(self)->on_tx_done(); }, this);
 }
 
 void Channel::on_tx_done() {
   busy_ = false;
   if (tx_delivers_) {
-    sim_.schedule_in(config_.propagation_delay, [this] {
-      detail::Packet pkt = std::move(in_flight_.front());
-      in_flight_.pop_front();
-      sink_(std::move(pkt));
-    });
+    sim_.post_in(
+        config_.propagation_delay,
+        [](void* self) { static_cast<Channel*>(self)->deliver(); }, this);
   }
   try_start();
 }
+
+void Channel::deliver() { sink_(in_flight_.pop_front()); }
 
 void Channel::try_start() {
   if (busy_) return;
@@ -507,14 +568,24 @@ void Channel::try_start() {
     // per-priority escape from HoL blocking: a pause frame against the bulk
     // lane leaves every other lane in the mask.
     std::uint8_t eligible = 0;
-    for (auto& f : flows_) {
-      if (f.packets.empty()) continue;
-      if (vl_pause_refs_[f.vl] > 0) continue;
-      if (!may_send(f, f.packets.front().bytes)) {
-        rate_blocked = true;
-        continue;
+    if (limited_flows_ == 0) {
+      // No bucket to refill: every head packet may go, so a lane competes
+      // when it holds a packet and is not paused.
+      for (std::uint8_t v = 0; v < lanes_; ++v) {
+        if (vl_backlog_pkts_[v] > 0 && vl_pause_refs_[v] == 0) {
+          eligible |= static_cast<std::uint8_t>(1u << v);
+        }
       }
-      eligible |= static_cast<std::uint8_t>(1u << f.vl);
+    } else {
+      for (auto& f : flows_) {
+        if (f.packets.empty()) continue;
+        if (vl_pause_refs_[f.vl] > 0) continue;
+        if (!may_send(f, f.packets.front().next.bytes)) {
+          rate_blocked = true;
+          continue;
+        }
+        eligible |= static_cast<std::uint8_t>(1u << f.vl);
+      }
     }
     // Two-table arbitration picks the lane.
     vl = arbiter_.pick(eligible);
@@ -531,12 +602,15 @@ void Channel::try_start() {
   // lane's own cursor (heavy lanes never skew fairness inside quiet ones):
   // grant the first flow that has a packet and the tokens to send it. The
   // token bucket is the bandwidth-limit control of newer IB HCAs.
+  // The cursor is at most n (one past the last flow granted), so the scan
+  // wraps with a compare.
   const std::size_t n = flows_.size();
-  for (std::size_t probe = 0; probe < n; ++probe) {
-    const std::size_t pos = (vl_cursor_[vl] + probe) % n;
+  std::size_t pos = vl_cursor_[vl] < n ? vl_cursor_[vl] : 0;
+  for (std::size_t probe = 0; probe < n; ++probe, ++pos) {
+    if (pos == n) pos = 0;
     Flow& f = flows_[pos];
     if (f.vl != vl || f.packets.empty()) continue;
-    if (!may_send(f, f.packets.front().bytes)) {
+    if (!may_send(f, f.packets.front().next.bytes)) {
       rate_blocked = true;
       continue;
     }

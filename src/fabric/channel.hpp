@@ -11,14 +11,15 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fabric/fault_hook.hpp"
 #include "fabric/types.hpp"
 #include "qos/arbiter.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulation.hpp"
 
 namespace resex::fabric {
@@ -68,9 +69,7 @@ class SwitchBufferPool {
       : capacity_(capacity_bytes), alpha_(alpha) {}
 
   void acquire(std::uint64_t bytes) noexcept { occupied_ += bytes; }
-  void release(std::uint64_t bytes) noexcept {
-    occupied_ = occupied_ >= bytes ? occupied_ - bytes : 0;
-  }
+  void release(std::uint64_t bytes) noexcept { occupied_ -= bytes; }
   [[nodiscard]] std::uint64_t occupied() const noexcept { return occupied_; }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
   /// Per-port admission limit right now, in bytes. Never 0: a full pool
@@ -104,6 +103,16 @@ class Channel {
   /// Queue one packet for transmission. Packets of the same QP stay FIFO;
   /// packets of different QPs are arbitrated round-robin, one MTU per grant.
   void enqueue(detail::Packet pkt);
+
+  /// Queue every packet of `transfer` as one run entry (pull segmentation,
+  /// host uplinks only: a run skips switch-port admission). Each packet is
+  /// cut from the run when it wins arbitration: index i carries
+  /// `transfer->packet_bytes(i, mtu)` bytes and PSN `psn + i` (`psn` for
+  /// all when `psn_step` is false). Backlog counts, gauges, trace events,
+  /// arbitration and the fault hook see exactly what `total_packets`
+  /// enqueue() calls in index order would show them, at O(1) cost.
+  void enqueue_run(std::shared_ptr<detail::Transfer> transfer,
+                   std::uint64_t psn, bool psn_step);
 
   // --- hardware QoS (Section I: "Newer generation InfiniBand cards allow
   // controls such as setting a limit on bandwidth for different traffic
@@ -205,10 +214,19 @@ class Channel {
   }
 
  private:
+  /// One entry of a flow's queue: a single packet (count 1), or a run of
+  /// `count` consecutive packets of one transfer that launch() cuts one at
+  /// a time.
+  struct Queued {
+    detail::Packet next;      // the next packet to send
+    std::uint32_t count = 1;  // packets left in the entry
+    bool psn_step = false;    // a run: each next packet takes the next PSN
+  };
+
   struct Flow {
     QpNum qp = 0;
     std::uint8_t vl = 0;  // virtual lane (always 0 on a single-lane channel)
-    std::deque<detail::Packet> packets;
+    sim::Ring<Queued> packets;
     // Token bucket (rate limiting). Tokens are bytes.
     double rate_bytes_per_sec = 0.0;  // 0 = unlimited
     double tokens = 0.0;
@@ -217,6 +235,10 @@ class Channel {
   };
 
   Flow& flow_for(QpNum qp, std::uint8_t vl = 0);
+  /// Add packets to the backlog counts (and the switch pool) of lane `vl`.
+  void account(std::uint8_t vl, std::uint64_t packets, std::uint64_t bytes);
+  /// The `pkt.enqueue` instant and backlog counter of one arriving packet.
+  void trace_enqueue(QpNum qp, std::uint32_t bytes);
   /// Apply one rate-limit update to one (qp, vl) flow, settling its bucket.
   void apply_rate_limit(Flow& f, double bytes_per_sec,
                         std::uint32_t burst_bytes);
@@ -230,6 +252,8 @@ class Channel {
   /// schedule the packet's delivery unless it was dropped, and arbitrate
   /// the next one.
   void on_tx_done();
+  /// The oldest in-flight packet reached the far end: hand it to the sink.
+  void deliver();
   /// Port-wide occupancy in this port's accounting unit (bytes or packets).
   [[nodiscard]] std::uint64_t occupancy_units() const noexcept;
   /// Occupancy of lane `vl` in this port's accounting unit.
@@ -265,13 +289,16 @@ class Channel {
   // flows_ position + 1 of flow (qp, vl) at qp * kMaxVls + vl; 0 = none yet.
   // QpNums are allocated densely per fabric, so the table stays small.
   std::vector<std::uint32_t> flow_index_;
+  // Flows with a token bucket. While there are none, lane eligibility is
+  // read from vl_backlog_pkts_ without touching a flow.
+  std::size_t limited_flows_ = 0;
   std::uint64_t backlog_pkts_ = 0;  // packets across all flows' queues
   bool busy_ = false;
   bool tx_delivers_ = false;  // the packet on the wire reaches the sink
   // Launched packets that will reach the sink, in launch order. Every
   // delivery trails its tx-complete by the same propagation delay, so
   // deliveries fire in launch order and each pops the front.
-  std::deque<detail::Packet> in_flight_;
+  sim::Ring<detail::Packet> in_flight_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   sim::SimDuration busy_time_ = 0;

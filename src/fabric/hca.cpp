@@ -235,13 +235,10 @@ void Hca::start_transfer(QueuePair& src, QueuePair& dst, SendWr wr,
     // its packets are merely waiting for arbitration.
     t->rto = cfg.retransmit_timeout + 8 * cfg.serialization_time(t->wire_length);
   }
-  for (std::uint32_t i = 0; i < t->total_packets; ++i) {
-    const std::uint64_t offset = std::uint64_t{i} * cfg.mtu_bytes;
-    const auto bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        cfg.mtu_bytes, t->wire_length - offset));
-    uplink_->enqueue(
-        detail::Packet{t, i, bytes, reliable ? src.advance_psn() : 0, false});
-  }
+  // One run entry for the whole message: the uplink cuts each packet as it
+  // wins arbitration, from a PSN range reserved here.
+  const std::uint64_t psn = reliable ? src.reserve_psns(t->total_packets) : 0;
+  uplink_->enqueue_run(t, psn, reliable);
   if (reliable) arm_retransmit(t);
 }
 
@@ -267,11 +264,8 @@ void Hca::on_retransmit_timeout(const std::shared_ptr<detail::Transfer>& t) {
   for (std::uint32_t i = 0; i < t->total_packets; ++i) {
     if (t->received[i]) continue;
     ++missing;
-    const std::uint64_t offset = std::uint64_t{i} * cfg.mtu_bytes;
-    const auto bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        cfg.mtu_bytes, t->wire_length - offset));
-    uplink_->enqueue(
-        detail::Packet{t, i, bytes, t->src_qp->advance_psn(), false});
+    uplink_->enqueue(detail::Packet{t, i, t->packet_bytes(i, cfg.mtu_bytes),
+                                    t->src_qp->advance_psn(), false, false});
   }
   RESEX_TRACE_INSTANT(fabric_->simulation().tracer(), "transfer.retransmit",
                       "fault",
@@ -303,11 +297,8 @@ void Hca::fast_retransmit(const std::shared_ptr<detail::Transfer>& t) {
   for (std::uint32_t i = t->rcv_contig; i < t->max_rcv_index; ++i) {
     if (t->received[i]) continue;
     ++missing;
-    const std::uint64_t offset = std::uint64_t{i} * cfg.mtu_bytes;
-    const auto bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        cfg.mtu_bytes, t->wire_length - offset));
-    uplink_->enqueue(
-        detail::Packet{t, i, bytes, t->src_qp->advance_psn(), false});
+    uplink_->enqueue(detail::Packet{t, i, t->packet_bytes(i, cfg.mtu_bytes),
+                                    t->src_qp->advance_psn(), false, false});
   }
   if (missing == 0) return;
   retransmits_->add();

@@ -60,6 +60,12 @@ class QueuePair {
   /// Next packet sequence number for this QP's send direction (RC transport;
   /// recorded on each packet for trace fidelity and retransmit accounting).
   [[nodiscard]] std::uint64_t advance_psn() noexcept { return send_psn_++; }
+  /// Reserve `n` consecutive PSNs at once and return the first.
+  [[nodiscard]] std::uint64_t reserve_psns(std::uint32_t n) noexcept {
+    const std::uint64_t first = send_psn_;
+    send_psn_ += n;
+    return first;
+  }
   [[nodiscard]] std::uint64_t send_psn() const noexcept { return send_psn_; }
 
   /// Queue a receive WQE (consumed in FIFO order by incoming messages).

@@ -2,6 +2,7 @@
 // Common types for the InfiniBand fabric model: work requests, wire-format
 // completion queue entries, packets, and the fabric configuration.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -302,6 +303,15 @@ struct Transfer {
   std::uint32_t rnr_retries_used = 0;
   /// Sim time the first packet was enqueued (wire-latency span start).
   sim::SimTime started_at = 0;
+
+  /// Bytes of packet `i` when the wire_length bytes are cut into packets of
+  /// `mtu` bytes: a full MTU for every packet but the last.
+  [[nodiscard]] std::uint32_t packet_bytes(std::uint32_t i,
+                                           std::uint32_t mtu) const noexcept {
+    const std::uint64_t offset = std::uint64_t{i} * mtu;
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(mtu, wire_length - offset));
+  }
 
   // --- reliable-transport state (used only when the fabric has a fault
   // hook installed; empty/idle otherwise so the fast path is unchanged) ---

@@ -15,6 +15,7 @@
 // byte-deterministic regardless of registration interleaving.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,12 +77,7 @@ class Histogram {
   }
 
   static std::size_t bucket_of(std::uint64_t v) noexcept {
-    std::size_t w = 0;
-    while (v != 0) {
-      ++w;
-      v >>= 1;
-    }
-    return w;
+    return static_cast<std::size_t>(std::bit_width(v));
   }
 
  private:

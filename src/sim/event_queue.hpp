@@ -17,26 +17,28 @@
 // Cancellation is eager and O(log n): the key leaves the heap and the
 // capture is destroyed at cancel(), so the heap holds live events only.
 //
-// Fixed-delay lanes sit beside the heap. add_lane(d) declares a delay; a
-// push_after(now, d, fn) with a declared d appends its key to that delay's
-// lane, a power-of-two ring, in O(1). As long as `now` never decreases (it
-// is the caller's clock), every key appended to one lane has a time and a
-// seq no smaller than the one before it, so a lane is already sorted by
-// (time, seq). pop_due takes the earliest of the heap top and the lane
-// fronts by (time, seq) — seq is shared by heap and lanes, so the global
-// order is exactly the heap-only order. Cancelling a lane event marks its
-// key dead and, at the front, advances the lane past dead keys: a lane's
-// front is always live, which keeps size(), empty() and next_time() exact.
+// Fixed-delay lanes sit beside the heap and hold posts: callback-free
+// events, a plain `void(void*)` function and its argument, that cannot be
+// cancelled. add_lane(d) declares a delay; post(now, d, fn, ctx) with a
+// declared d appends (now + d, seq, fn, ctx) to that delay's lane, a
+// power-of-two ring, in O(1); an undeclared d goes to the heap instead. As
+// long as `now` never decreases (it is the caller's clock), every post
+// appended to one lane has a time and a seq no smaller than the one before
+// it, so a lane is already sorted by (time, seq). pop_due takes the earliest
+// of the heap top and the lane fronts by (time, seq). seq is drawn from one
+// counter at push or post time, by heap and lanes alike, so where an event
+// waits cannot change when it fires: the global order is exactly the order
+// of a heap holding every event.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace resex::sim {
@@ -166,20 +168,26 @@ class EventHandle {
   std::uint32_t gen_ = 0;
 };
 
-/// A popped event: its time and its callback, owned by the caller.
+/// A post's function: run as `fn(ctx)`.
+using PostFn = void (*)(void*);
+
+/// A popped event, owned by the caller: its time and either a heap event's
+/// callback or a post's function and argument (then `fn` is empty).
 struct Event {
   SimTime time = 0;
   Callback fn;
+  PostFn post = nullptr;
+  void* ctx = nullptr;
 };
 
-/// Min-heap of timed callbacks, with FIFO lanes for declared fixed delays.
-/// Not thread-safe by design: the kernel is single-threaded and
+/// Min-heap of timed callbacks, with FIFO lanes of posts for declared fixed
+/// delays. Not thread-safe by design: the kernel is single-threaded and
 /// deterministic. Handles hold its address, so it is neither copyable nor
 /// movable.
 class EventQueue {
  public:
   /// Most fixed delays one queue gives a lane; later declarations are
-  /// ignored and their pushes go to the heap.
+  /// ignored and their posts go to the heap.
   static constexpr std::size_t kMaxLanes = 8;
 
   EventQueue() = default;
@@ -191,7 +199,7 @@ class EventQueue {
     return push_heap(t, std::move(fn));
   }
 
-  /// Give pushes of delay `delay` their own FIFO lane. Declaring a delay
+  /// Give posts of delay `delay` their own FIFO lane. Declaring a delay
   /// twice, or more than kMaxLanes delays, changes nothing.
   void add_lane(SimDuration delay) {
     for (std::size_t i = 0; i < lane_count_; ++i) {
@@ -201,35 +209,36 @@ class EventQueue {
     lane_delay_[lane_count_++] = delay;
   }
 
-  /// Schedule `fn` to run at `now + delay`: on the delay's lane if it has
-  /// one, else on the heap. Precondition: `now` never decreases from one
-  /// call to the next (it is the owner's clock), which keeps every lane
-  /// sorted.
-  [[gnu::always_inline]] EventHandle push_after(SimTime now,
-                                               SimDuration delay,
-                                               Callback&& fn) {
+  /// Schedule `fn(ctx)` at `now + delay`, not cancellable: on the delay's
+  /// lane if it has one, else on the heap. Precondition: `now` never
+  /// decreases from one call to the next (it is the owner's clock), which
+  /// keeps every lane sorted.
+  [[gnu::always_inline]] void post(SimTime now, SimDuration delay, PostFn fn,
+                                   void* ctx) {
     for (std::size_t i = 0; i < lane_count_; ++i) {
       if (lane_delay_[i] == delay) {
-        return push_lane(static_cast<std::uint8_t>(i), now + delay,
-                         std::move(fn));
+        lanes_[i].push_back(Post{now + delay, next_seq_++, fn, ctx});
+        nonempty_ |= 1u << i;
+        ++posted_;
+        return;
       }
     }
-    return push_heap(now + delay, std::move(fn));
+    push_heap(now + delay, [fn, ctx] { fn(ctx); });
   }
 
   /// True if no events are pending.
   [[nodiscard]] bool empty() const noexcept {
-    return heap_.empty() && lane_live_ == 0;
+    return heap_.empty() && posted_ == 0;
   }
 
   /// Time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] SimTime next_time() const noexcept {
-    const Key* best = heap_.empty() ? nullptr : &heap_.front();
+    SimTime best = heap_.empty() ? ~SimTime{0} : heap_.front().time;
     for (std::uint32_t m = nonempty_; m != 0; m &= m - 1) {
-      const Key& f = lanes_[std::countr_zero(m)].front();
-      if (best == nullptr || f.time < best->time) best = &f;
+      const SimTime t = lanes_[std::countr_zero(m)].front().time;
+      if (t < best) best = t;
     }
-    return best->time;
+    return best;
   }
 
   /// If the earliest pending event is due at or before `limit`, move it into
@@ -238,20 +247,21 @@ class EventQueue {
     if (nonempty_ != 0) {
       // The earliest lane front, then the heap top if it is earlier still.
       std::uint32_t m = nonempty_;
-      Lane* lane = &lanes_[std::countr_zero(m)];
+      std::uint32_t best = std::countr_zero(m);
       for (m &= m - 1; m != 0; m &= m - 1) {
-        Lane& l = lanes_[std::countr_zero(m)];
-        if (before(l.front(), lane->front())) lane = &l;
+        const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+        if (before(lanes_[i].front(), lanes_[best].front())) best = i;
       }
-      const Key front = lane->front();
+      Ring<Post>& lane = lanes_[best];
+      const Post& front = lane.front();
       if (heap_.empty() || before(front, heap_.front())) {
         if (front.time > limit) return false;
-        lane->pop_front();
-        if (lane->empty()) {
-          nonempty_ &= ~(1u << static_cast<std::uint32_t>(lane - lanes_));
-        }
-        --lane_live_;
-        take(front, out);
+        out.time = front.time;
+        out.post = front.fn;
+        out.ctx = front.ctx;
+        (void)lane.pop_front();
+        if (lane.empty()) nonempty_ &= ~(1u << best);
+        --posted_;
         return true;
       }
     }
@@ -260,20 +270,28 @@ class EventQueue {
     const Key last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0, last);
-    take(top, out);
+    out.time = top.time;
+    out.fn = std::move(fns_[top.slot]);
+    out.post = nullptr;
+    release(top.slot);
     return true;
   }
 
-  /// Remove and return the earliest pending event. Precondition: !empty().
+  /// Remove and return the earliest pending event, a post wrapped as its
+  /// callback. Precondition: !empty().
   [[nodiscard]] Event pop() {
     Event ev;
     pop_due(~SimTime{0}, ev);
+    if (ev.post != nullptr) {
+      ev.fn = [fn = ev.post, ctx = ev.ctx] { fn(ctx); };
+      ev.post = nullptr;
+    }
     return ev;
   }
 
   /// Number of pending events.
   [[nodiscard]] std::size_t size() const noexcept {
-    return heap_.size() + lane_live_;
+    return heap_.size() + posted_;
   }
 
  private:
@@ -286,48 +304,20 @@ class EventQueue {
   };
   struct Slot {
     std::uint32_t gen = 0;
-    // While pending: the index of the slot's key in heap_, or, with
-    // kLaneBit set, lane_pos(lane, index in the lane's ring).
-    std::uint32_t pos = 0;
+    std::uint32_t pos = 0;  // while pending: the index of its key in heap_
   };
-
-  /// One fixed delay's keys in (time, seq) order: a ring indexed by
-  /// free-running head/tail counters masked to its power-of-two size. A key
-  /// whose event was cancelled has slot kDead; the front is never dead.
-  struct Lane {
-    std::vector<Key> ring;
-    std::uint32_t mask = 0;  // ring.size() - 1 once the ring is allocated
-    std::uint32_t head = 0;
-    std::uint32_t tail = 0;
-
-    [[nodiscard]] bool empty() const noexcept { return head == tail; }
-    [[nodiscard]] const Key& front() const noexcept {
-      return ring[head & mask];
-    }
-    /// Drop the front key and any dead keys behind it.
-    void pop_front() noexcept {
-      do {
-        ++head;
-      } while (head != tail && ring[head & mask].slot == kDead);
-    }
+  struct Post {
+    SimTime time;
+    std::uint64_t seq;
+    PostFn fn;
+    void* ctx;
   };
 
   static constexpr std::size_t kArity = 4;
-  // A lane position packs the lane (3 bits) above a ring index of up to
-  // 2^28 - 1; a heap index (24 bytes per key) stays far below kLaneBit.
-  static constexpr std::uint32_t kLaneBit = 1u << 31;
-  static constexpr int kLaneShift = 28;
-  static constexpr std::uint32_t kRingMask = (1u << kLaneShift) - 1;
-  static_assert(kMaxLanes <= (kLaneBit >> kLaneShift));
-  static constexpr std::uint32_t kDead = ~std::uint32_t{0};
 
-  static bool before(const Key& a, const Key& b) noexcept {
+  template <typename A, typename B>
+  static bool before(const A& a, const B& b) noexcept {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  }
-
-  static std::uint32_t lane_pos(std::uint32_t lane,
-                                std::uint32_t index) noexcept {
-    return kLaneBit | lane << kLaneShift | index;
   }
 
   // The push and pop paths are forced inline: they are the kernel's inner
@@ -355,40 +345,6 @@ class EventQueue {
     heap_.emplace_back();
     sift_up(heap_.size() - 1, Key{t, next_seq_++, slot});
     return EventHandle{this, slot, slots_[slot].gen};
-  }
-
-  [[gnu::always_inline]] EventHandle push_lane(std::uint8_t i, SimTime t,
-                                               Callback&& fn) {
-    const std::uint32_t slot = acquire(std::move(fn));
-    Lane& lane = lanes_[i];
-    if (lane.tail - lane.head == lane.ring.size()) grow(i);
-    const std::uint32_t pos = lane.tail++ & lane.mask;
-    lane.ring[pos] = Key{t, next_seq_++, slot};
-    slots_[slot].pos = lane_pos(i, pos);
-    nonempty_ |= 1u << i;
-    ++lane_live_;
-    return EventHandle{this, slot, slots_[slot].gen};
-  }
-
-  /// Double a full ring, compacting its live keys to the start.
-  void grow(std::uint8_t i) {
-    Lane& lane = lanes_[i];
-    const std::size_t size = lane.ring.empty() ? 16 : lane.ring.size() * 2;
-    if (size > std::size_t{kRingMask} + 1) {
-      throw std::length_error("EventQueue: lane ring full");
-    }
-    std::vector<Key> ring(size);
-    std::uint32_t n = 0;
-    for (std::uint32_t c = lane.head; c != lane.tail; ++c) {
-      const Key& k = lane.ring[c & lane.mask];
-      if (k.slot == kDead) continue;
-      slots_[k.slot].pos = lane_pos(i, n);
-      ring[n++] = k;
-    }
-    lane.ring = std::move(ring);
-    lane.mask = static_cast<std::uint32_t>(lane.ring.size()) - 1;
-    lane.head = 0;
-    lane.tail = n;
   }
 
   void place(std::size_t i, const Key& k) noexcept {
@@ -425,13 +381,6 @@ class EventQueue {
     place(i, k);
   }
 
-  /// Hand a popped key's event to `out` and free its slot.
-  [[gnu::always_inline]] void take(const Key& k, Event& out) {
-    out.time = k.time;
-    out.fn = std::move(fns_[k.slot]);
-    release(k.slot);
-  }
-
   /// Return a slot, whose callback has been moved out, to the free list;
   /// its generation moves on, so every handle to the departed event goes
   /// stale.
@@ -447,27 +396,14 @@ class EventQueue {
 
   void cancel(std::uint32_t slot, std::uint32_t gen) {
     if (slots_[slot].gen != gen) return;
-    const std::uint32_t pos = slots_[slot].pos;
-    if ((pos & kLaneBit) != 0) {
-      const std::uint32_t l = (pos & ~kLaneBit) >> kLaneShift;
-      const std::uint32_t i = pos & kRingMask;
-      Lane& lane = lanes_[l];
-      lane.ring[i].slot = kDead;
-      if (i == (lane.head & lane.mask)) {
-        lane.pop_front();
-        if (lane.empty()) nonempty_ &= ~(1u << l);
-      }
-      --lane_live_;
-    } else {
-      const std::size_t i = pos;
-      const Key last = heap_.back();
-      heap_.pop_back();
-      if (i < heap_.size()) {
-        if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
-          sift_up(i, last);
-        } else {
-          sift_down(i, last);
-        }
+    const std::size_t i = slots_[slot].pos;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+      if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+        sift_up(i, last);
+      } else {
+        sift_down(i, last);
       }
     }
     // The queue is consistent before the capture dies: its destructor may
@@ -481,11 +417,11 @@ class EventQueue {
   std::vector<Callback> fns_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
-  Lane lanes_[kMaxLanes];
+  Ring<Post> lanes_[kMaxLanes];
   SimDuration lane_delay_[kMaxLanes] = {};
   std::size_t lane_count_ = 0;
-  std::uint32_t nonempty_ = 0;   // bit i: lanes_[i] holds a key
-  std::size_t lane_live_ = 0;    // pending events across all lanes
+  std::uint32_t nonempty_ = 0;  // bit i: lanes_[i] holds a post
+  std::size_t posted_ = 0;      // posts pending across all lanes
 };
 
 inline void EventHandle::cancel() {

@@ -15,9 +15,7 @@ EventHandle Simulation::schedule_at(SimTime t, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Simulation::schedule_at: time is in the past");
   }
-  // now_ never decreases, so pushes at a declared delay from it reach their
-  // lane in (time, seq) order.
-  return queue_.push_after(now_, t - now_, std::move(fn));
+  return queue_.push(t, std::move(fn));
 }
 
 void Simulation::spawn(Task task) {
@@ -57,7 +55,11 @@ std::uint64_t Simulation::dispatch(SimTime limit, std::uint64_t budget) {
     if (!queue_.pop_due(limit, ev)) break;
     assert(ev.time >= now_);
     now_ = ev.time;
-    ev.fn();
+    if (ev.post != nullptr) {
+      ev.post(ev.ctx);
+    } else {
+      ev.fn();
+    }
     ++events_processed_;
     ++ran;
     rethrow_pending_error();

@@ -35,14 +35,21 @@ class Simulation {
   /// Schedule a callback at absolute time `t` (must be >= now()).
   EventHandle schedule_at(SimTime t, Callback fn);
 
-  /// Declare a delay that many events are scheduled with (a link's
-  /// propagation or MTU serialization time). Events `dt` from now with a
-  /// declared `dt` skip the heap for a FIFO lane, in the same order.
-  void declare_fixed_delay(SimDuration dt) { queue_.add_lane(dt); }
-
   /// Schedule a callback `dt` from now.
   EventHandle schedule_in(SimDuration dt, Callback fn) {
     return schedule_at(now_ + dt, std::move(fn));
+  }
+
+  /// Declare a delay that many posts are made with (a link's propagation or
+  /// MTU serialization time). Posts `dt` from now with a declared `dt` skip
+  /// the heap for a FIFO lane, in the same order.
+  void declare_fixed_delay(SimDuration dt) { queue_.add_lane(dt); }
+
+  /// Run `fn(ctx)` `dt` from now: the packet path's event, with no capture
+  /// to store and no handle, so it cannot be cancelled. It fires in the
+  /// same (time, seq) order as a callback scheduled at the same point.
+  void post_in(SimDuration dt, PostFn fn, void* ctx) {
+    queue_.post(now_, dt, fn, ctx);
   }
 
   /// Detach a Task onto this simulation; it starts running at the current

@@ -119,6 +119,29 @@ TEST(Simulation, EventsProcessedCounter) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
+TEST(Simulation, PostsCountAsEventsAndFireInPostOrder) {
+  Simulation sim;
+  sim.declare_fixed_delay(3_us);
+  std::vector<int> order;
+  const auto log = [](void* p) {
+    auto* o = static_cast<std::vector<int>*>(p);
+    o->push_back(static_cast<int>(o->size()) * 10 + 1);
+  };
+  // A lane post made before a heap event at the same instant fires first;
+  // one made after it fires after it.
+  sim.post_in(3_us, log, &order);
+  sim.schedule_in(3_us, [&] { order.push_back(2); });
+  sim.post_in(3_us, log, &order);
+  // An undeclared delay falls back to the heap, still after the heap event
+  // made before it.
+  sim.schedule_in(5_us, [&] { order.push_back(4); });
+  sim.post_in(5_us, log, &order);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 21, 4, 41}));
+  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_EQ(sim.now(), 5_us);
+}
+
 TEST(Simulation, CancelledEventDoesNotRun) {
   Simulation sim;
   bool ran = false;
