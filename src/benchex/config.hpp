@@ -44,10 +44,6 @@ struct BenchExConfig {
   std::uint32_t queue_depth = 0;
   std::uint32_t cq_entries = 4096;
 
-  /// Per-report CPU charge for the in-VM monitoring agent (the paper
-  /// measures ~10 us per latency report).
-  sim::SimDuration agent_report_cost = 10 * sim::kMicrosecond;
-
   /// Samples before this time are discarded (warm-up).
   sim::SimTime metrics_start = 0;
 

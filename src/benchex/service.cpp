@@ -7,6 +7,12 @@
 
 namespace resex::benchex {
 
+namespace {
+/// Per-report CPU charge for the in-VM monitoring agent (the paper
+/// measures ~10 us per latency report).
+constexpr sim::SimDuration kAgentReportCost = 10 * sim::kMicrosecond;
+}  // namespace
+
 Service::Service(fabric::Hca& server_hca, fabric::Hca& client_hca,
                  const BenchExConfig& config, std::string name,
                  bool with_agent)
@@ -126,8 +132,8 @@ sim::Task Service::server_loop(Incarnation& inc) {
     double total = ptime + ctime + wtime;
 
     if (with_agent_) {
-      co_await verbs.vcpu().consume(config_.agent_report_cost);
-      total += sim::to_us(config_.agent_report_cost);
+      co_await verbs.vcpu().consume(kAgentReportCost);
+      total += sim::to_us(kAgentReportCost);
       agent_.report(total);
     }
 

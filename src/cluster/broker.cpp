@@ -8,6 +8,16 @@
 
 namespace resex::cluster {
 
+namespace {
+/// The destination's blended price must undercut the source's by at least
+/// this much, or the move is not worth its blackout.
+constexpr double kMinPriceAdvantage = 0.05;
+/// No re-migration of the same service within this window.
+constexpr sim::SimDuration kCooldown = 100 * sim::kMillisecond;
+/// Agent reports required before the signal is trusted.
+constexpr std::uint64_t kMinReports = 32;
+}  // namespace
+
 ClusterBroker::ClusterBroker(Cluster& cluster, core::ClusterExchange& exchange,
                              MigrationEngine& engine, BrokerConfig config)
     : cluster_(&cluster), exchange_(&exchange), engine_(&engine),
@@ -173,20 +183,19 @@ void ClusterBroker::post_quotes() {
 
 void ClusterBroker::decide() {
   auto& sim = cluster_->sim();
-  if (engine_->in_progress() || requested_ >= config_.max_migrations) return;
+  if (engine_->in_progress()) return;
 
   // Worst offender above the SLA threshold; registration order breaks ties.
   Managed* worst = nullptr;
   double worst_ratio = 1.0 + config_.sla_threshold_pct / 100.0;
   for (auto& m : services_) {
-    if (m.last_migration &&
-        sim.now() - *m.last_migration < config_.cooldown) {
+    if (m.last_migration && sim.now() - *m.last_migration < kCooldown) {
       continue;
     }
     const auto* agent = m.svc->agent();
     if (agent == nullptr || m.baseline_us <= 0.0) continue;
     const auto snap = agent->snapshot();
-    if (snap.reports < config_.min_reports) continue;
+    if (snap.reports < kMinReports) continue;
     const double ratio = snap.mean_us / m.baseline_us;
     if (ratio > worst_ratio) {
       worst = &m;
@@ -212,7 +221,7 @@ void ClusterBroker::decide() {
   const auto* dst_quote =
       exchange_->cheapest(1, src, 1.0, 0.25, 0.75, qos_class);
   if (src_quote == nullptr || dst_quote == nullptr) return;
-  if (score(*dst_quote) + config_.min_price_advantage > score(*src_quote)) {
+  if (score(*dst_quote) + kMinPriceAdvantage > score(*src_quote)) {
     return;
   }
 

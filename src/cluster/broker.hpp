@@ -28,14 +28,6 @@ struct BrokerConfig {
   /// Trigger when agent mean exceeds baseline by this percentage (the
   /// paper's Section VII SLA threshold).
   double sla_threshold_pct = 15.0;
-  /// The destination's blended price must undercut the source's by at least
-  /// this much, or the move is not worth its blackout.
-  double min_price_advantage = 0.05;
-  /// No re-migration of the same service within this window.
-  sim::SimDuration cooldown = 100 * sim::kMillisecond;
-  std::uint32_t max_migrations = ~std::uint32_t{0};
-  /// Agent reports required before the signal is trusted.
-  std::uint64_t min_reports = 32;
 };
 
 class ClusterBroker {

@@ -7,8 +7,20 @@
 
 namespace resex::cluster {
 
-MigrationEngine::MigrationEngine(Cluster& cluster, MigrationConfig config)
-    : cluster_(&cluster), config_(config) {
+namespace {
+/// Bytes per signaled RDMA write; one chunk in flight at a time.
+constexpr std::uint32_t kChunkBytes = 256 * 1024;
+/// Pre-copy rounds after the full copy before forcing stop-and-copy.
+constexpr std::uint32_t kMaxPrecopyRounds = 8;
+/// Stop-and-copy once a round's dirty set is at or below this many pages.
+constexpr std::size_t kStopPages = 64;
+/// Grace after the last in-flight response drains, letting the server
+/// finish its accounting and park before its VCPU is frozen.
+constexpr sim::SimDuration kQuiesceDelay = 200 * sim::kMicrosecond;
+constexpr std::uint32_t kLinkCqEntries = 1024;
+}  // namespace
+
+MigrationEngine::MigrationEngine(Cluster& cluster) : cluster_(&cluster) {
   auto& metrics = cluster_->sim().metrics();
   migrations_counter_ = &metrics.counter("cluster.migrations");
   bytes_counter_ = &metrics.counter("cluster.migration_bytes");
@@ -34,10 +46,10 @@ sim::ValueTask<MigrationEngine::Link*> MigrationEngine::link_for(
   // Full split-driver control path on both dom0s: link bring-up is not free.
   link->src_pd = co_await sv.alloc_pd();
   link->dst_pd = co_await dv.alloc_pd();
-  link->src_send_cq = co_await sv.create_cq(config_.link_cq_entries);
-  link->src_recv_cq = co_await sv.create_cq(config_.link_cq_entries);
-  link->dst_send_cq = co_await dv.create_cq(config_.link_cq_entries);
-  link->dst_recv_cq = co_await dv.create_cq(config_.link_cq_entries);
+  link->src_send_cq = co_await sv.create_cq(kLinkCqEntries);
+  link->src_recv_cq = co_await sv.create_cq(kLinkCqEntries);
+  link->dst_send_cq = co_await dv.create_cq(kLinkCqEntries);
+  link->dst_recv_cq = co_await dv.create_cq(kLinkCqEntries);
   link->src_qp = co_await sv.create_qp(link->src_pd, *link->src_send_cq,
                                        *link->src_recv_cq);
   link->dst_qp = co_await dv.create_qp(link->dst_pd, *link->dst_send_cq,
@@ -46,18 +58,16 @@ sim::ValueTask<MigrationEngine::Link*> MigrationEngine::link_for(
   // low-priority lane when qos is on (inert otherwise).
   link->src_qp->set_service_level(qos::kBulkSl);
   link->dst_qp->set_service_level(qos::kBulkSl);
-  link->src_buf = src.node().dom0().allocator().allocate(config_.chunk_bytes,
-                                                         mem::kPageSize);
-  link->dst_buf = dst.node().dom0().allocator().allocate(config_.chunk_bytes,
-                                                         mem::kPageSize);
+  link->src_buf =
+      src.node().dom0().allocator().allocate(kChunkBytes, mem::kPageSize);
+  link->dst_buf =
+      dst.node().dom0().allocator().allocate(kChunkBytes, mem::kPageSize);
   const auto access = mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
                       mem::Access::kRemoteRead;
   link->src_mr =
-      co_await sv.reg_mr(link->src_pd, link->src_buf, config_.chunk_bytes,
-                         access);
+      co_await sv.reg_mr(link->src_pd, link->src_buf, kChunkBytes, access);
   link->dst_mr =
-      co_await dv.reg_mr(link->dst_pd, link->dst_buf, config_.chunk_bytes,
-                         access);
+      co_await dv.reg_mr(link->dst_pd, link->dst_buf, kChunkBytes, access);
   fabric::Fabric::connect(*link->src_qp, *link->dst_qp);
   Link* out = link.get();
   links_.emplace(key, std::move(link));
@@ -69,7 +79,7 @@ sim::ValueTask<bool> MigrationEngine::transfer(Link& link,
   auto& verbs = *link.src_verbs;
   while (bytes > 0) {
     const auto n = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(bytes, config_.chunk_bytes));
+        std::min<std::uint64_t>(bytes, kChunkBytes));
     fabric::SendWr wr;
     wr.wr_id = ++wr_seq_;
     wr.opcode = fabric::Opcode::kRdmaWrite;
@@ -115,8 +125,7 @@ sim::Task MigrationEngine::run(benchex::Service& svc, std::uint32_t dst_node) {
   std::uint32_t rounds = 0;
   while (ok) {
     const auto dirty = memory.collect_dirty_pages();
-    if (dirty.size() <= config_.stop_pages ||
-        rounds >= config_.max_precopy_rounds) {
+    if (dirty.size() <= kStopPages || rounds >= kMaxPrecopyRounds) {
       pending_pages = dirty.size();
       break;
     }
@@ -135,7 +144,7 @@ sim::Task MigrationEngine::run(benchex::Service& svc, std::uint32_t dst_node) {
   while (svc.outstanding() > 0 && sim.now() < drain_deadline) {
     co_await sim.delay(20 * sim::kMicrosecond);
   }
-  co_await sim.delay(config_.quiesce_delay);
+  co_await sim.delay(kQuiesceDelay);
   old_dom.vcpu().pause();
   const std::uint64_t final_pages =
       pending_pages + memory.collect_dirty_pages().size();

@@ -27,19 +27,6 @@
 
 namespace resex::cluster {
 
-struct MigrationConfig {
-  /// Bytes per signaled RDMA write; one chunk in flight at a time.
-  std::uint32_t chunk_bytes = 256 * 1024;
-  /// Pre-copy rounds after the full copy before forcing stop-and-copy.
-  std::uint32_t max_precopy_rounds = 8;
-  /// Stop-and-copy once a round's dirty set is at or below this many pages.
-  std::size_t stop_pages = 64;
-  /// Grace after the last in-flight response drains, letting the server
-  /// finish its accounting and park before its VCPU is frozen.
-  sim::SimDuration quiesce_delay = 200 * sim::kMicrosecond;
-  std::uint32_t link_cq_entries = 1024;
-};
-
 struct MigrationStats {
   std::uint64_t migrations = 0;  // completed
   std::uint64_t failed = 0;      // aborted (migration QP died)
@@ -51,7 +38,7 @@ struct MigrationStats {
 
 class MigrationEngine {
  public:
-  explicit MigrationEngine(Cluster& cluster, MigrationConfig config = {});
+  explicit MigrationEngine(Cluster& cluster);
 
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
@@ -91,7 +78,6 @@ class MigrationEngine {
   [[nodiscard]] sim::ValueTask<bool> transfer(Link& link, std::uint64_t bytes);
 
   Cluster* cluster_;
-  MigrationConfig config_;
   MigrationStats stats_;
   std::uint32_t active_ = 0;
   std::uint64_t wr_seq_ = 0;

@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cluster/broker.hpp"
 #include "core/fabric_setup.hpp"
 #include "core/testbed.hpp"
 #include "sim/observe.hpp"
@@ -79,11 +80,7 @@ ClusterScenarioResult run_cluster_scenario(
 
   ClusterConfig ccfg;
   ccfg.nodes = config.nodes;
-  ccfg.pcpus_per_node = config.pcpus_per_node;
   ccfg.topology = config.topology;
-  ccfg.leaf_width = config.leaf_width;
-  ccfg.spines = config.spines;
-  ccfg.trunk_bandwidth_scale = config.trunk_bandwidth_scale;
   core::apply_fabric(config, ccfg.fabric);
   Cluster cluster(ccfg);
   sim::Observer observer(
@@ -99,8 +96,8 @@ ClusterScenarioResult run_cluster_scenario(
   std::vector<std::unique_ptr<benchex::Service>> services;
   std::vector<std::unique_ptr<benchex::Service>> interferers;
   for (std::uint32_t i = 0; i < pairs; ++i) {
-    auto cfg = core::reporting_config(config.reporting_buffer,
-                                      config.reporting_rate,
+    auto cfg = core::reporting_config(64 * 1024,
+                                      ClusterScenarioConfig::reporting_rate,
                                       sim::derive(config.seed, i));
     cfg.metrics_start = config.warmup;
     services.push_back(std::make_unique<benchex::Service>(
@@ -110,7 +107,7 @@ ClusterScenarioResult run_cluster_scenario(
   if (config.with_interferers) {
     for (std::uint32_t i = 0; i < pairs; ++i) {
       // Stream ids 100.. keep interferer draws clear of reporting ids 0...
-      auto cfg = core::interferer_config(config.intf_buffer, config.intf_depth,
+      auto cfg = core::interferer_config(2 * 1024 * 1024, 2,
                                          sim::derive(config.seed, 100 + i));
       cfg.metrics_start = config.warmup;
       interferers.push_back(std::make_unique<benchex::Service>(
@@ -124,8 +121,8 @@ ClusterScenarioResult run_cluster_scenario(
   std::unique_ptr<MigrationEngine> engine;
   std::unique_ptr<ClusterBroker> broker;
   if (config.migration_enabled) {
-    engine = std::make_unique<MigrationEngine>(cluster, config.migration);
-    BrokerConfig bcfg = config.broker;
+    engine = std::make_unique<MigrationEngine>(cluster);
+    BrokerConfig bcfg;
     bcfg.sla_threshold_pct = config.sla_threshold_pct;
     broker =
         std::make_unique<ClusterBroker>(cluster, exchange, *engine, bcfg);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "benchex/service.hpp"
-#include "cluster/broker.hpp"
 #include "cluster/migration.hpp"
 #include "congestion/config.hpp"
 #include "qos/config.hpp"
@@ -36,23 +35,18 @@ namespace resex::cluster {
 struct ClusterScenarioConfig {
   /// Total nodes; must be a positive multiple of 4 (placement above).
   std::uint32_t nodes = 8;
+  /// Fat-tree shape, node PCPUs and trunk bandwidth are ClusterConfig's
+  /// defaults.
   TopologyKind topology = TopologyKind::kStar;
-  std::uint32_t leaf_width = 4;
-  std::uint32_t spines = 2;
-  double trunk_bandwidth_scale = 2.0;
-  std::uint32_t pcpus_per_node = 4;
 
-  // Workloads (the paper's 64KB reporting VM and 2MB interferer).
-  std::uint32_t reporting_buffer = 64 * 1024;
-  double reporting_rate = 2000.0;
-  std::uint32_t intf_buffer = 2 * 1024 * 1024;
-  std::uint32_t intf_depth = 2;
+  // Workloads: the paper's 64KB reporting VM at this rate (requests/s) and
+  // its 2MB interferer at queue depth 2 (core::reporting_config and
+  // core::interferer_config at their defaults).
+  static constexpr double reporting_rate = 2000.0;
   bool with_interferers = true;
 
   // Placement policy under test.
   bool migration_enabled = true;
-  BrokerConfig broker{};
-  MigrationConfig migration{};
   double sla_threshold_pct = 15.0;
   /// Client-latency SLA limit; measured from a solo calibration run (no
   /// interferers, no migration) when unset.

@@ -18,8 +18,7 @@ Cluster::Cluster(ClusterConfig config)
   nodes_.reserve(config_.nodes);
   for (std::uint32_t i = 0; i < config_.nodes; ++i) {
     nodes_.push_back(std::make_unique<hv::Node>(
-        sim_, "n" + std::to_string(i), config_.pcpus_per_node,
-        config_.scheduler));
+        sim_, "n" + std::to_string(i), config_.pcpus_per_node));
   }
   switch (config_.topology) {
     case TopologyKind::kStar: build_star(); break;

@@ -39,7 +39,6 @@ struct ClusterConfig {
   /// typically fatter than edge ports).
   double trunk_bandwidth_scale = 2.0;
   fabric::FabricConfig fabric{};
-  hv::SchedulerConfig scheduler{};
 };
 
 /// Owns the simulation, the fabric, and all nodes ("n0".."n<N-1>") of one

@@ -15,31 +15,16 @@ namespace resex::congestion {
 
 /// DCQCN-flavoured rate-control parameters (Zhu et al., SIGCOMM'15 notation
 /// in comments). Defaults are scaled to the simulated 1 GiB/s host ports.
+/// The knobs fig_incast sweeps live here; the controller's timers and
+/// increase steps are constants in dcqcn.cpp.
 struct DcqcnConfig {
   /// Destination-side CNP pacing: at most one CNP per flow per interval,
   /// regardless of how many marked packets arrive (DCQCN's 50 us timer).
   sim::SimDuration cnp_interval = 50 * sim::kMicrosecond;
   /// EWMA gain g for the congestion estimate alpha.
   double alpha_g = 1.0 / 16.0;
-  /// Period of the alpha decay timer (no-CNP periods reduce alpha).
-  sim::SimDuration alpha_timer = 55 * sim::kMicrosecond;
-  /// Period of the rate-increase timer (fast recovery / AI / HI stages).
-  sim::SimDuration increase_period = 55 * sim::kMicrosecond;
-  /// Rounds of pure fast recovery (RC converges towards RT) before additive
-  /// increase starts raising the target rate.
-  std::uint32_t fast_recovery_rounds = 5;
-  /// Additive-increase step R_AI, bytes/second.
-  double additive_increase = 5.0 * 1024 * 1024;
-  /// Hyper-increase step R_HAI, bytes/second, after `hyper_after` further
-  /// CNP-free rounds.
-  double hyper_increase = 50.0 * 1024 * 1024;
-  std::uint32_t hyper_after = 10;
   /// Rate floor: a flow is never cut below this, bytes/second.
   double min_rate = 1.0 * 1024 * 1024;
-  /// Once the current rate recovers to this fraction of line rate the cap is
-  /// removed entirely (deviation from DCQCN, which keeps the limiter forever:
-  /// removing it restores the exact uncongested arbitration fast path).
-  double uncap_fraction = 0.99;
 };
 
 /// Everything a scenario needs to turn congestion on: fabric-side buffering

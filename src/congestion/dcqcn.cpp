@@ -6,6 +6,26 @@
 
 namespace resex::congestion {
 
+namespace {
+/// Period of the alpha decay timer (no-CNP periods reduce alpha).
+constexpr sim::SimDuration kAlphaTimer = 55 * sim::kMicrosecond;
+/// Period of the rate-increase timer (fast recovery / AI / HI stages).
+constexpr sim::SimDuration kIncreasePeriod = 55 * sim::kMicrosecond;
+/// Rounds of pure fast recovery (RC converges towards RT) before additive
+/// increase starts raising the target rate.
+constexpr std::uint32_t kFastRecoveryRounds = 5;
+/// Additive-increase step R_AI, bytes/second.
+constexpr double kAdditiveIncrease = 5.0 * 1024 * 1024;
+/// Hyper-increase step R_HAI, bytes/second, after `kHyperAfter` further
+/// CNP-free rounds.
+constexpr double kHyperIncrease = 50.0 * 1024 * 1024;
+constexpr std::uint32_t kHyperAfter = 10;
+/// Once the current rate recovers to this fraction of line rate the cap is
+/// removed entirely (deviation from DCQCN, which keeps the limiter forever:
+/// removing it restores the exact uncongested arbitration fast path).
+constexpr double kUncapFraction = 0.99;
+}  // namespace
+
 RateController::RateController(fabric::Fabric& fabric, DcqcnConfig config)
     : fabric_(fabric), sim_(fabric.simulation()), cfg_(config) {
   auto& metrics = sim_.metrics();
@@ -48,7 +68,7 @@ void RateController::on_marked_arrival(fabric::QueuePair& src_qp) {
   RESEX_TRACE_INSTANT(sim_.tracer(), "congestion.cnp", "congestion",
                       {"qp", static_cast<double>(src_qp.num())});
   // The CNP travels the reverse path; model it as the fabric's ack delay.
-  sim_.schedule_in(fabric_.config().ack_delay,
+  sim_.schedule_in(fabric::FabricConfig::ack_delay,
                    [this, qp = src_qp.num()] { on_cnp(qp); });
 }
 
@@ -92,31 +112,31 @@ void RateController::alpha_tick(Flow& f) {
   if (!f.capped) return;
   // A full timer period without a cut means the path stayed mark-free long
   // enough: decay the congestion estimate.
-  if (sim_.now() - f.last_cut >= cfg_.alpha_timer) {
+  if (sim_.now() - f.last_cut >= kAlphaTimer) {
     f.alpha *= 1.0 - cfg_.alpha_g;
   }
   f.alpha_tick = sim_.schedule_in(
-      cfg_.alpha_timer, [this, qp = f.qp->num()] { alpha_tick_for(qp); });
+      kAlphaTimer, [this, qp = f.qp->num()] { alpha_tick_for(qp); });
 }
 
 void RateController::increase_tick(Flow& f) {
   if (!f.capped) return;
   ++f.increase_rounds;
-  if (f.increase_rounds > cfg_.fast_recovery_rounds) {
+  if (f.increase_rounds > kFastRecoveryRounds) {
     const double step =
-        f.increase_rounds > cfg_.fast_recovery_rounds + cfg_.hyper_after
-            ? cfg_.hyper_increase
-            : cfg_.additive_increase;
+        f.increase_rounds > kFastRecoveryRounds + kHyperAfter
+            ? kHyperIncrease
+            : kAdditiveIncrease;
     f.rt = std::min(line_rate(f), f.rt + step);
   }
   f.rc = 0.5 * (f.rc + f.rt);
-  if (f.rc >= cfg_.uncap_fraction * line_rate(f)) {
+  if (f.rc >= kUncapFraction * line_rate(f)) {
     uncap(f);
     return;
   }
   apply(f);
   f.increase_tick = sim_.schedule_in(
-      cfg_.increase_period,
+      kIncreasePeriod,
       [this, qp = f.qp->num()] { increase_tick_for(qp); });
 }
 
@@ -128,9 +148,9 @@ void RateController::arm_timers(Flow& f) {
   const fabric::QpNum qp = f.qp->num();
   f.alpha_tick.cancel();
   f.alpha_tick =
-      sim_.schedule_in(cfg_.alpha_timer, [this, qp] { alpha_tick_for(qp); });
+      sim_.schedule_in(kAlphaTimer, [this, qp] { alpha_tick_for(qp); });
   f.increase_tick.cancel();
-  f.increase_tick = sim_.schedule_in(cfg_.increase_period,
+  f.increase_tick = sim_.schedule_in(kIncreasePeriod,
                                      [this, qp] { increase_tick_for(qp); });
 }
 

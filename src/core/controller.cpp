@@ -6,8 +6,7 @@ ResExController::ResExController(hv::Node& node, ibmon::IbMon& ibmon,
                                  std::unique_ptr<PricingPolicy> policy,
                                  ControllerConfig config)
     : node_(&node), ibmon_(&ibmon), policy_(std::move(policy)),
-      config_(config), xenstat_(node), ledger_(config_.resos),
-      detector_(config_.sla) {
+      xenstat_(node), ledger_(config.resos), detector_(config.sla) {
   if (!policy_) {
     throw std::invalid_argument("ResExController: policy required");
   }
@@ -41,7 +40,10 @@ sim::Task ResExController::run() {
     if (intervals_ != 0 && intervals_ % per_epoch == 0) {
       ledger_.replenish();
       policy_->on_epoch_start(ledger_);
-      sim.metrics().counter("core.epochs").add();
+      if (epochs_metric_ == nullptr) {
+        epochs_metric_ = &sim.metrics().counter("core.epochs");
+      }
+      epochs_metric_->add();
       RESEX_TRACE_INSTANT(
           sim.tracer(), "resex.epoch", "core",
           {"epoch",
@@ -56,7 +58,10 @@ void ResExController::run_interval() {
   auto& sim = node_->simulation();
   RESEX_TRACE_SPAN(sim.tracer(), "resex.interval", "core",
                    {"vms", static_cast<double>(tracked_.size())});
-  sim.metrics().counter("core.intervals").add();
+  if (intervals_metric_ == nullptr) {
+    intervals_metric_ = &sim.metrics().counter("core.intervals");
+  }
+  intervals_metric_->add();
   const auto per_epoch = ledger_.config().intervals_per_epoch();
   const double epoch_remaining =
       1.0 - static_cast<double>(intervals_ % per_epoch) /
@@ -109,7 +114,11 @@ void ResExController::run_interval() {
     if (decision.new_cap.has_value() &&
         *decision.new_cap != obs.current_cap) {
       xenstat_.set_cap(obs.id, *decision.new_cap);
-      sim.metrics().counter("core.cap_adjustments").add();
+      if (cap_adjustments_metric_ == nullptr) {
+        cap_adjustments_metric_ =
+            &sim.metrics().counter("core.cap_adjustments");
+      }
+      cap_adjustments_metric_->add();
       RESEX_TRACE_INSTANT(sim.tracer(), "resex.cap", "core",
                           {"vm", static_cast<double>(obs.id)},
                           {"cap_pct", *decision.new_cap});
@@ -117,20 +126,18 @@ void ResExController::run_interval() {
     RESEX_TRACE_INSTANT(sim.tracer(), "resex.price", "core",
                         {"vm", static_cast<double>(obs.id)},
                         {"charge_rate", ledger_.charge_rate(obs.id)});
-    if (config_.record_timeline) {
-      TimelineRecord rec;
-      rec.at = node_->simulation().now();
-      rec.vm = obs.id;
-      rec.resos_balance = ledger_.balance(obs.id);
-      rec.cap = xenstat_.cap(obs.id);
-      rec.charge_rate = ledger_.charge_rate(obs.id);
-      rec.cpu_pct = obs.cpu_pct;
-      rec.mtus = obs.mtus;
-      rec.intf_pct = obs.intf_pct;
-      rec.agent_mean_us =
-          tracked_[i].agent ? tracked_[i].agent->snapshot().mean_us : 0.0;
-      timeline_.push_back(rec);
-    }
+    TimelineRecord rec;
+    rec.at = node_->simulation().now();
+    rec.vm = obs.id;
+    rec.resos_balance = ledger_.balance(obs.id);
+    rec.cap = xenstat_.cap(obs.id);
+    rec.charge_rate = ledger_.charge_rate(obs.id);
+    rec.cpu_pct = obs.cpu_pct;
+    rec.mtus = obs.mtus;
+    rec.intf_pct = obs.intf_pct;
+    rec.agent_mean_us =
+        tracked_[i].agent ? tracked_[i].agent->snapshot().mean_us : 0.0;
+    timeline_.push_back(rec);
   }
 }
 

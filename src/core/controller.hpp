@@ -23,7 +23,6 @@ namespace resex::core {
 struct ControllerConfig {
   ResosConfig resos{};
   SlaConfig sla{};
-  bool record_timeline = true;
 };
 
 /// One interval's controller state for one VM, for the Figure 5-7 traces.
@@ -83,7 +82,6 @@ class ResExController {
   hv::Node* node_;
   ibmon::IbMon* ibmon_;
   std::unique_ptr<PricingPolicy> policy_;
-  ControllerConfig config_;
   hv::XenStat xenstat_;
   ResosLedger ledger_;
   InterferenceDetector detector_;
@@ -91,6 +89,10 @@ class ResExController {
   std::vector<TimelineRecord> timeline_;
   std::uint64_t intervals_ = 0;
   bool started_ = false;
+  // Resolved on first use, so each metric registers when it first counts.
+  obs::Counter* intervals_metric_ = nullptr;
+  obs::Counter* epochs_metric_ = nullptr;
+  obs::Counter* cap_adjustments_metric_ = nullptr;
 };
 
 }  // namespace resex::core

@@ -36,7 +36,7 @@ double InterferenceDetector::observe(
   if (base <= 0.0) return 0.0;
   const double pct = (s.mean_us - base) / base * 100.0;
   if (pct <= config_.threshold_pct) return 0.0;
-  return std::min(pct, config_.max_intf_pct);
+  return std::min(pct, SlaConfig::max_intf_pct);
 }
 
 double InterferenceDetector::baseline(hv::DomainId id) const {

@@ -24,7 +24,7 @@ struct SlaConfig {
   std::uint32_t learn_intervals = 100;
   /// Cap on the reported interference percentage (keeps the congestion
   /// price finite when the baseline is tiny).
-  double max_intf_pct = 400.0;
+  static constexpr double max_intf_pct = 400.0;
 };
 
 class InterferenceDetector {

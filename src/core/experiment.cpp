@@ -75,9 +75,9 @@ double measure_base_total_us(ScenarioConfig config) {
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
-  TestbedConfig tb_cfg;
-  apply_fabric(config, tb_cfg.fabric);
-  Testbed tb(tb_cfg);
+  fabric::FabricConfig fabric_config;
+  apply_fabric(config, fabric_config);
+  Testbed tb(fabric_config);
   ScenarioResult result;
   sim::Observer observer(
       tb.sim(),
@@ -92,8 +92,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // --- deploy the workloads --------------------------------------------------
   std::vector<benchex::Service*> reporting;
   for (std::uint32_t i = 0; i < config.reporting_count; ++i) {
-    auto cfg = reporting_config(config.reporting_buffer, config.reporting_rate,
-                                sim::derive(config.seed, i));
+    auto cfg = reporting_config(64 * 1024, 2000.0, sim::derive(config.seed, i));
     cfg.arrivals.kind = config.reporting_arrivals;
     cfg.metrics_start = config.warmup;
     reporting.push_back(

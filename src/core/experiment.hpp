@@ -28,9 +28,8 @@ enum class PolicyKind : std::uint8_t {
 [[nodiscard]] const char* to_string(PolicyKind k) noexcept;
 
 struct ScenarioConfig {
-  // Reporting (latency-sensitive) workload: "the 64KB VM(s)".
-  std::uint32_t reporting_buffer = 64 * 1024;
-  double reporting_rate = 2000.0;
+  // Reporting (latency-sensitive) workload: "the 64KB VM(s)" at 2000
+  // requests/s, core::reporting_config's defaults.
   std::uint32_t reporting_count = 1;  // Figure 2 sweeps 1..3 pairs
   /// Arrival process of the reporting feed. The controlled interference
   /// experiments use the near-deterministic default (the paper's Figure 1

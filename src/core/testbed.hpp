@@ -19,21 +19,12 @@
 
 namespace resex::core {
 
-struct TestbedConfig {
-  std::uint32_t node_a_pcpus = 8;  // dual-socket quad-core Xeon
-  // The paper's second machine has 4 cores; we default to 8 so the Figure 2
-  // configuration (3 client VMs + the interferer's client + dom0) keeps one
-  // PCPU per VM. Client-side CPU is never the measured resource.
-  std::uint32_t node_b_pcpus = 8;
-  fabric::FabricConfig fabric{};
-};
-
 class Testbed {
  public:
-  explicit Testbed(TestbedConfig config = {})
-      : node_a_(sim_, "A", config.node_a_pcpus),
-        node_b_(sim_, "B", config.node_b_pcpus),
-        fabric_(sim_, config.fabric),
+  explicit Testbed(fabric::FabricConfig fabric_config = {})
+      : node_a_(sim_, "A", kNodeAPcpus),
+        node_b_(sim_, "B", kNodeBPcpus),
+        fabric_(sim_, fabric_config),
         hca_a_(&fabric_.add_node(node_a_)),
         hca_b_(&fabric_.add_node(node_b_)) {}
 
@@ -55,6 +46,12 @@ class Testbed {
   }
 
  private:
+  static constexpr std::uint32_t kNodeAPcpus = 8;  // dual-socket quad-core Xeon
+  // The paper's second machine has 4 cores; we use 8 so the Figure 2
+  // configuration (3 client VMs + the interferer's client + dom0) keeps one
+  // PCPU per VM. Client-side CPU is never the measured resource.
+  static constexpr std::uint32_t kNodeBPcpus = 8;
+
   sim::Simulation sim_;
   hv::Node node_a_;
   hv::Node node_b_;

@@ -18,7 +18,7 @@ Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
   // Every packet posts its tx-complete one serialization time out (an
   // MTU's, for all but a message's last packet) and its delivery one
   // propagation delay after that.
-  sim_.declare_fixed_delay(config_.propagation_delay);
+  sim_.declare_fixed_delay(FabricConfig::propagation_delay);
   sim_.declare_fixed_delay(config_.serialization_time(config_.mtu_bytes));
   if (lanes_ > 1) {
     qos::VlArbiterConfig acfg;
@@ -204,7 +204,7 @@ void Channel::set_pause_upstream(std::uint8_t vl, bool pause) {
   // every channel feeding this port's switch gates (or resumes) this lane
   // only after the wire delay, in feeder order, as one event.
   const auto mask = static_cast<std::uint8_t>(1u << vl);
-  sim_.schedule_in(config_.propagation_delay, [this, mask, pause] {
+  sim_.schedule_in(FabricConfig::propagation_delay, [this, mask, pause] {
     for (Channel* up : *upstreams_) {
       if (pause) {
         up->pause_vls(mask);
@@ -548,7 +548,7 @@ void Channel::on_tx_done() {
   busy_ = false;
   if (tx_delivers_) {
     sim_.post_in(
-        config_.propagation_delay,
+        FabricConfig::propagation_delay,
         [](void* self) { static_cast<Channel*>(self)->deliver(); }, this);
   }
   try_start();

@@ -52,7 +52,7 @@ class CompletionQueue {
   [[nodiscard]] bool has_entry() const;
 
   /// Pop the next CQE if available. Pure memory operation; callers charge
-  /// their VCPU for the poll via FabricConfig::poll_check_cost.
+  /// their VCPU for the poll (Verbs::next_cqe).
   [[nodiscard]] std::optional<Cqe> poll();
 
   /// Number of CQEs consumed by the guest so far.

@@ -5,7 +5,8 @@
 // the implementation in src/fault — means the fabric never depends on the
 // fault subsystem, and a fabric without a hook behaves byte-identically to
 // the perfect-link model (reliability machinery included: it is gated on
-// `Fabric::reliable()`, which is true iff a hook is installed).
+// `Fabric::reliable()`, which is true iff a hook is installed or finite
+// switch buffers can drop packets).
 
 #include <cstdint>
 

@@ -8,6 +8,20 @@ namespace resex::fabric {
 namespace {
 /// Wire size of an RDMA-read request (header-only packet).
 constexpr std::uint32_t kReadRequestBytes = 64;
+/// Doorbell ring -> WQE picked up and parsed by the HCA.
+constexpr sim::SimDuration kWqePickup =
+    FabricConfig::doorbell_latency + FabricConfig::wqe_processing;
+/// CQE DMA write cost, ns.
+constexpr sim::SimDuration kCompletionDma = 100;
+/// Base RC ack timeout, armed while Fabric::reliable() holds (a fault hook
+/// is installed or finite switch buffers can drop). start_transfer adds
+/// queueing headroom; each retry doubles the RTO. 1 ms is ~5x the interfered
+/// round trip and well above the worst-case WRR queueing delay observed
+/// under a saturating 2MB neighbour (a few hundred us).
+constexpr sim::SimDuration kRetransmitTimeout = sim::kMillisecond;
+/// Transport retries before the QP transitions to the error state and the
+/// WR completes with kRetryExceeded (IB's transport retry_cnt analogue).
+constexpr std::uint32_t kTransportRetryLimit = 7;
 }  // namespace
 
 Hca::Hca(Fabric& fabric, hv::Node& node, std::uint32_t hca_id)
@@ -124,10 +138,8 @@ void Hca::post_send(QueuePair& qp, SendWr wr) {
     return;
   }
   validate_post(qp, wr);
-  const auto& cfg = fabric_->config();
   auto& sim = fabric_->simulation();
-  const sim::SimTime pickup = std::max(
-      sim.now() + cfg.doorbell_latency + cfg.wqe_processing, stall_until_);
+  const sim::SimTime pickup = std::max(sim.now() + kWqePickup, stall_until_);
   sim.schedule_at(pickup,
                   [this, &qp, wr = std::move(wr), rung = sim.now()]() mutable {
     auto& tracer = fabric_->simulation().tracer();
@@ -145,10 +157,8 @@ void Hca::ring_doorbell(QueuePair& qp) {
   // HCA reads the doorbell record and the announced WQEs out of guest
   // memory on its own. A stalled WQE-fetch pipeline (fault injection)
   // pushes the pickup out to stall_until_.
-  const auto& cfg = fabric_->config();
   auto& sim = fabric_->simulation();
-  const sim::SimTime pickup = std::max(
-      sim.now() + cfg.doorbell_latency + cfg.wqe_processing, stall_until_);
+  const sim::SimTime pickup = std::max(sim.now() + kWqePickup, stall_until_);
   sim.schedule_at(pickup, [this, &qp, rung = sim.now()] {
     const std::uint64_t announced = qp.doorbell_value();
     auto& tracer = fabric_->simulation().tracer();
@@ -233,7 +243,7 @@ void Hca::start_transfer(QueuePair& src, QueuePair& dst, SendWr wr,
     // Base timeout plus generous queueing headroom: a transfer stuck behind
     // several max-size neighbours on a shared port must not time out while
     // its packets are merely waiting for arbitration.
-    t->rto = cfg.retransmit_timeout + 8 * cfg.serialization_time(t->wire_length);
+    t->rto = kRetransmitTimeout + 8 * cfg.serialization_time(t->wire_length);
   }
   // One run entry for the whole message: the uplink cuts each packet as it
   // wins arbitration, from a PSN range reserved here.
@@ -251,7 +261,7 @@ void Hca::arm_retransmit(const std::shared_ptr<detail::Transfer>& t) {
 void Hca::on_retransmit_timeout(const std::shared_ptr<detail::Transfer>& t) {
   if (t->completed) return;
   const auto& cfg = fabric_->config();
-  if (t->transport_retries_used >= cfg.transport_retry_limit) {
+  if (t->transport_retries_used >= kTransportRetryLimit) {
     fail_qp(*t, CqeStatus::kRetryExceeded);
     return;
   }
@@ -284,7 +294,7 @@ void Hca::maybe_nak(const std::shared_ptr<detail::Transfer>& t) {
   t->nak_pending = true;
   t->nak_floor = t->max_rcv_index;
   fabric_->simulation().schedule_in(
-      fabric_->config().ack_delay,
+      FabricConfig::ack_delay,
       [sender = &t->src_qp->hca(), t] { sender->fast_retransmit(t); });
 }
 
@@ -333,7 +343,6 @@ void Hca::fail_qp(detail::Transfer& t, CqeStatus status) {
 }
 
 void Hca::flush_recv_queue(QueuePair& qp) {
-  const auto& cfg = fabric_->config();
   auto& sim = fabric_->simulation();
   while (auto recv = qp.consume_recv()) {
     wr_flushes_->add();
@@ -342,7 +351,7 @@ void Hca::flush_recv_queue(QueuePair& qp) {
     cqe.qp_num = qp.num();
     cqe.opcode = static_cast<std::uint8_t>(CqeOpcode::kRecv);
     cqe.status = static_cast<std::uint8_t>(CqeStatus::kWrFlushError);
-    sim.schedule_in(cfg.completion_dma,
+    sim.schedule_in(kCompletionDma,
                     [cq = &qp.recv_cq(), cqe] { cq->produce(cqe); });
   }
 }
@@ -360,7 +369,7 @@ void Hca::flush_send(QueuePair& qp, const SendWr& wr) {
   cqe.status = static_cast<std::uint8_t>(CqeStatus::kWrFlushError);
   // Flushes never touch the wire: only the CQE DMA cost applies.
   fabric_->simulation().schedule_in(
-      fabric_->config().completion_dma,
+      kCompletionDma,
       [cq = &qp.send_cq(), cqe] { cq->produce(cqe); });
 }
 
@@ -451,7 +460,7 @@ bool Hca::retry_rnr(const std::shared_ptr<detail::Transfer>& t) {
   RESEX_TRACE_INSTANT(fabric_->simulation().tracer(), "rnr.retry", "fabric",
                       {"qp", static_cast<double>(t->dst_qp->num())},
                       {"attempt", static_cast<double>(t->rnr_retries_used)});
-  fabric_->simulation().schedule_in(cfg.rnr_retry_delay,
+  fabric_->simulation().schedule_in(FabricConfig::rnr_retry_delay,
                                     [this, t] { deliver(t); });
   return true;
 }
@@ -568,7 +577,6 @@ void Hca::complete_send(detail::Transfer& t, CqeStatus status) {
   QueuePair* target = t.read_response ? t.dst_qp : t.src_qp;
   if (status == CqeStatus::kSuccess && !t.wr.signaled) return;
 
-  const auto& cfg = fabric_->config();
   Cqe cqe;
   cqe.wr_id = t.wr.wr_id;
   cqe.qp_num = target->num();
@@ -580,7 +588,7 @@ void Hca::complete_send(detail::Transfer& t, CqeStatus status) {
   cqe.status = static_cast<std::uint8_t>(status);
   // The ACK travels back to the sender before the CQE is DMA-written.
   fabric_->simulation().schedule_in(
-      cfg.ack_delay + cfg.completion_dma,
+      FabricConfig::ack_delay + kCompletionDma,
       [cq = &target->send_cq(), cqe] { cq->produce(cqe); });
 }
 

@@ -118,7 +118,7 @@ class Hca {
   void dma_header(hv::Domain& domain, mem::GuestAddr addr,
                   const std::vector<std::byte>& header);
 
-  // --- reliable transport (active only when the fabric has a fault hook) ----
+  // --- reliable transport (active while Fabric::reliable() holds) ----------
   /// Arm (or re-arm) `t`'s ack-timeout timer at the current RTO.
   void arm_retransmit(const std::shared_ptr<detail::Transfer>& t);
   /// Ack timeout fired: retransmit the missing packets with backoff, or —
@@ -241,7 +241,8 @@ class Fabric {
   /// Install (or clear) a fault hook on every channel of the fabric. While a
   /// hook is installed the fabric also runs its RC reliability machinery
   /// (per-transfer ack timers, retransmission, retry budgets) — without one,
-  /// links are perfect and the original fast path runs unchanged.
+  /// and with infinite switch buffers, links are perfect and the original
+  /// fast path runs unchanged.
   void set_fault_hook(FaultHook* hook) noexcept;
   [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_hook_; }
   /// True iff reliable-transport recovery is active: a fault hook is set, or

@@ -135,34 +135,19 @@ struct FabricConfig {
   std::uint32_t mtu_bytes = 1024;
   /// Effective data bandwidth per link direction, bytes per second.
   double link_bytes_per_sec = 1024.0 * 1024.0 * 1024.0;  // 1 GiB/s
-  sim::SimDuration propagation_delay = 200;     // cable + switch hop, ns
-  sim::SimDuration doorbell_latency = 150;      // UAR write -> HCA pickup
-  sim::SimDuration wqe_processing = 250;        // HCA WQE fetch/parse
-  sim::SimDuration ack_delay = 500;             // last packet -> ACK at sender
-  sim::SimDuration completion_dma = 100;        // CQE DMA write cost
+  /// Model constants (ns): cable + switch hop, UAR write -> HCA pickup, HCA
+  /// WQE fetch/parse, and last packet -> ACK at the sender.
+  static constexpr sim::SimDuration propagation_delay = 200;
+  static constexpr sim::SimDuration doorbell_latency = 150;
+  static constexpr sim::SimDuration wqe_processing = 250;
+  static constexpr sim::SimDuration ack_delay = 500;
   /// Receiver-not-ready handling (RC semantics): when a message needs a
   /// receive WQE and none is posted, the target NAKs and the sender retries
   /// after this delay, up to the retry limit. kInfiniteRnrRetry (IB's
   /// retry_count=7 convention) retries forever.
-  sim::SimDuration rnr_retry_delay = 100 * sim::kMicrosecond;
+  static constexpr sim::SimDuration rnr_retry_delay = 100 * sim::kMicrosecond;
   static constexpr std::uint32_t kInfiniteRnrRetry = ~std::uint32_t{0};
   std::uint32_t rnr_retry_limit = kInfiniteRnrRetry;
-  /// Reliable-transport (RC) retransmission. Only active when a fault hook
-  /// is installed on the fabric — the perfect-link fast path stays intact
-  /// otherwise. The effective initial RTO for a transfer is
-  /// `retransmit_timeout + 8 * serialization_time(wire_length)` so queueing
-  /// behind large neighbours does not trigger spurious retransmits; it then
-  /// doubles per retry (exponential backoff). 1 ms is ~5x the interfered
-  /// round trip and well above the worst-case WRR queueing delay observed
-  /// under a saturating 2MB neighbour (a few hundred us).
-  sim::SimDuration retransmit_timeout = sim::kMillisecond;
-  /// Transport retries before the QP transitions to the error state and the
-  /// WR completes with kRetryExceeded (IB's transport retry_cnt analogue).
-  std::uint32_t transport_retry_limit = 7;
-  /// CPU cost for the guest to notice/parse one CQE when polling.
-  sim::SimDuration poll_check_cost = 200;
-  /// CPU cost to build + post one WQE (doorbell write included).
-  sim::SimDuration post_cost = 300;
 
   // --- switch congestion (resex::congestion) -------------------------------
   /// Egress buffer capacity of each switch port, in packets. Applies to the
@@ -313,8 +298,9 @@ struct Transfer {
         std::min<std::uint64_t>(mtu, wire_length - offset));
   }
 
-  // --- reliable-transport state (used only when the fabric has a fault
-  // hook installed; empty/idle otherwise so the fast path is unchanged) ---
+  // --- reliable-transport state (used only while Fabric::reliable() holds:
+  // a fault hook is installed or switch buffers are finite; empty/idle
+  // otherwise so the fast path is unchanged) ---
   /// Per-packet arrival bitmap; duplicates from retransmission are ignored.
   std::vector<bool> received;
   /// Set once the message fully arrived (or the QP errored out); late

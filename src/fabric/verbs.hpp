@@ -29,9 +29,6 @@ class Verbs {
   [[nodiscard]] Hca& hca() noexcept { return *hca_; }
   [[nodiscard]] hv::Domain& domain() noexcept { return *domain_; }
   [[nodiscard]] hv::Vcpu& vcpu() noexcept { return domain_->vcpu(); }
-  [[nodiscard]] const FabricConfig& config() const noexcept {
-    return hca_->fabric().config();
-  }
 
   // --- control path ----------------------------------------------------------
 
@@ -62,10 +59,10 @@ class Verbs {
   // --- data path (VMM bypass) ------------------------------------------------
 
   /// Build the WQE in the SQ ring (guest memory), write the UAR doorbell
-  /// record, return. Costs post_cost of guest CPU; the HCA fetches the WQE
+  /// record, return. Costs kPostCost of guest CPU; the HCA fetches the WQE
   /// asynchronously.
   [[nodiscard]] sim::Task post_send(QueuePair& qp, SendWr wr) {
-    co_await vcpu().consume(config().post_cost);
+    co_await vcpu().consume(kPostCost);
     if (qp.state() == QpState::kError) {
       // The QP errored out (retry budget exhausted): the WR is flushed with
       // an error CQE instead of reaching the wire. Applications observe the
@@ -80,7 +77,7 @@ class Verbs {
 
   /// Post a receive WQE (cheap; same CPU cost as a send post).
   [[nodiscard]] sim::Task post_recv(QueuePair& qp, RecvWr wr) {
-    co_await vcpu().consume(config().post_cost);
+    co_await vcpu().consume(kPostCost);
     qp.post_recv(wr);
   }
 
@@ -89,7 +86,7 @@ class Verbs {
   [[nodiscard]] sim::ValueTask<Cqe> next_cqe(CompletionQueue& cq) {
     vcpu().begin_busy_poll();
     for (;;) {
-      co_await vcpu().consume(config().poll_check_cost);
+      co_await vcpu().consume(kPollCheckCost);
       if (auto cqe = cq.poll()) {
         vcpu().end_busy_poll();
         co_return *cqe;
@@ -99,6 +96,11 @@ class Verbs {
   }
 
  private:
+  /// Guest CPU cost to build + post one WQE (doorbell write included), and
+  /// to notice/parse one CQE when polling.
+  static constexpr sim::SimDuration kPostCost = 300;
+  static constexpr sim::SimDuration kPollCheckCost = 200;
+
   [[nodiscard]] sim::Task control_trip() {
     co_await vcpu().consume(costs_.guest_cpu);
     auto& sim = vcpu().simulation();

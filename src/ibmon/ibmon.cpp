@@ -45,7 +45,10 @@ void IbMon::sample_now() {
   RESEX_TRACE_SPAN(sim_.tracer(), "ibmon.sample", "ibmon",
                    {"cqs", static_cast<double>(watched_.size())});
   ++samples_;
-  sim_.metrics().gauge("ibmon.samples").set(static_cast<double>(samples_));
+  if (samples_metric_ == nullptr) {
+    samples_metric_ = &sim_.metrics().gauge("ibmon.samples");
+  }
+  samples_metric_->set(static_cast<double>(samples_));
   for (auto& w : watched_) scan(w);
 }
 

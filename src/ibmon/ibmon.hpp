@@ -147,6 +147,8 @@ class IbMon {
   std::unordered_map<hv::DomainId, sim::SimTime> last_activity_;
   std::uint64_t samples_ = 0;
   bool started_ = false;
+  // Resolved on first sample, so the gauge registers when it first counts.
+  obs::Gauge* samples_metric_ = nullptr;
 };
 
 }  // namespace resex::ibmon

@@ -1,10 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
+
+#include "obs/json.hpp"
 
 namespace resex::obs {
 
@@ -31,21 +32,6 @@ void Tracer::for_each(
 
 namespace {
 
-/// Shortest round-trip rendering of a double (deterministic across runs;
-/// same contract as sim::format_double, re-implemented here because sim
-/// depends on obs, not the other way around).
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, ec == std::errc{} ? end : buf);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, ec == std::errc{} ? end : buf);
-}
-
 /// Nanoseconds rendered as microseconds with three decimals ("12.345") —
 /// Chrome's ts/dur unit — without any floating-point rounding.
 void append_ns_as_us(std::string& out, std::uint64_t ns) {
@@ -55,29 +41,6 @@ void append_ns_as_us(std::string& out, std::uint64_t ns) {
   out.push_back(static_cast<char>('0' + frac / 100));
   out.push_back(static_cast<char>('0' + (frac / 10) % 10));
   out.push_back(static_cast<char>('0' + frac % 10));
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xf]);
-          out.push_back(hex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 void append_args(std::string& out, const TraceEvent& ev) {

@@ -1,11 +1,11 @@
 #include "sim/report.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace resex::sim {
 
@@ -25,32 +25,15 @@ std::string format_cell(const Cell& c, int precision) {
 }
 
 std::string format_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, end);
+  std::string out;
+  obs::append_double(out, v);
+  return out;
 }
 
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
+  obs::append_json_escaped(out, s);
   return out;
 }
 

@@ -72,6 +72,7 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
 }
 
 TEST(PrintHeading, ContainsTitle) {
