@@ -12,7 +12,7 @@
 #include "core/experiment.hpp"
 #include "fabric/channel.hpp"
 #include "fabric/endpoint.hpp"
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "fabric/types.hpp"
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
@@ -45,7 +45,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
-// The same cycle with a 56-byte `[self, flag, packet]` capture, larger than
+// The same cycle with a 48-byte `[self, flag, packet]` capture, larger than
 // the largest capture left on the hot path (Hca::complete_send's
 // `[cq, cqe]`, 40 B). It pins sim::Callback's inline buffer: if the capture
 // ever outgrows it, every push here allocates and this slows down.
@@ -56,7 +56,7 @@ void BM_EventQueuePushPopPacket(benchmark::State& state) {
   sim::EventQueue q;
   std::uint64_t t = 0;
   std::uint64_t delivered = 0;
-  auto transfer = std::make_shared<fabric::detail::Transfer>();
+  auto transfer = fabric::detail::TransferRef::make();
   transfer->total_packets = 64;
   for (auto _ : state) {
     for (std::uint32_t i = 0; i < 64; ++i) {
@@ -196,17 +196,19 @@ void BM_ChannelPacketCycle(benchmark::State& state) {
   hv::Domain& dom = node.create_domain({.name = "vm", .mem_pages = 2048});
   const std::uint32_t pd = hca.alloc_pd(dom);
   fabric::CompletionQueue& cq = hca.create_cq(dom, 16);
-  std::shared_ptr<fabric::detail::Transfer> transfers[2];
+  fabric::detail::TransferRef transfers[2];
   for (std::uint8_t i = 0; i < 2; ++i) {
-    transfers[i] = std::make_shared<fabric::detail::Transfer>();
+    transfers[i] = fabric::detail::TransferRef::make();
     transfers[i]->src_qp = &hca.create_qp(dom, pd, cq, cq);
     transfers[i]->vl = static_cast<std::uint8_t>(i % lanes);
   }
   fabric::Channel chan(sim, cfg, "bench");
   std::uint64_t delivered = 0;
-  chan.set_sink([&delivered](fabric::detail::Packet pkt) {
-    delivered += pkt.bytes;
-  });
+  chan.set_sink(
+      [](void* sum, fabric::detail::Packet&& pkt) {
+        *static_cast<std::uint64_t*>(sum) += pkt.bytes;
+      },
+      &delivered);
   for (auto _ : state) {
     for (std::uint32_t i = 0; i < 64; ++i) {
       chan.enqueue(fabric::detail::Packet{transfers[i % 2], i / 2,
@@ -252,6 +254,61 @@ void BM_ChannelPostCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_ChannelPostCycle)->Arg(0)->Arg(1);
+
+// The switch hop: 64 MTU packets of four QPs per iteration from a host
+// uplink on leaf 0, through a spine, to a host downlink on leaf 1 of a
+// 2-leaf, 2-spine fabric, so each packet makes three `Fabric::hop`s (leaf,
+// spine, leaf) between four channels. Arg = routing::RouteMode: static
+// takes the first spine, ECMP hashes each QP onto one, adaptive places each
+// flow on the less-backlogged spine. The transfers never complete, so the
+// destination HCA only counts arrivals. Items are packets; the difference to
+// BM_ChannelPacketCycle/1 is the hops and the extra channels.
+void BM_FabricHop(benchmark::State& state) {
+  constexpr std::uint32_t kQps = 4;
+  sim::Simulation sim;
+  fabric::FabricConfig cfg;
+  cfg.routing.mode = static_cast<routing::RouteMode>(state.range(0));
+  fabric::Fabric fab(sim, cfg);
+  const std::uint32_t leaf1 = fab.add_switch();
+  for (std::uint32_t spine = 0; spine < 2; ++spine) {
+    const std::uint32_t sw = fab.add_switch();
+    fab.add_trunk(0, sw);
+    fab.add_trunk(leaf1, sw);
+    fab.add_route_candidate(0, leaf1, sw);
+    fab.add_route_candidate(leaf1, 0, sw);
+  }
+  hv::Node node_a{sim, "A", 8};
+  hv::Node node_b{sim, "B", 8};
+  fabric::Hca& hca_a = fab.add_node(node_a, 0);
+  fabric::Hca& hca_b = fab.add_node(node_b, leaf1);
+  hv::Domain& dom_a = node_a.create_domain({.name = "a", .mem_pages = 2048});
+  hv::Domain& dom_b = node_b.create_domain({.name = "b", .mem_pages = 2048});
+  const std::uint32_t pd_a = hca_a.alloc_pd(dom_a);
+  const std::uint32_t pd_b = hca_b.alloc_pd(dom_b);
+  fabric::CompletionQueue& cq_a = hca_a.create_cq(dom_a, 16);
+  fabric::CompletionQueue& cq_b = hca_b.create_cq(dom_b, 16);
+  fabric::detail::TransferRef transfers[kQps];
+  for (auto& t : transfers) {
+    t = fabric::detail::TransferRef::make();
+    t->src_qp = &hca_a.create_qp(dom_a, pd_a, cq_a, cq_a);
+    t->dst_qp = &hca_b.create_qp(dom_b, pd_b, cq_b, cq_b);
+    t->total_packets = ~std::uint32_t{0};
+  }
+  std::uint32_t index = 0;
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < 64; ++i, ++index) {
+      hca_a.uplink().enqueue(fabric::detail::Packet{
+          transfers[i % kQps], index / kQps, cfg.mtu_bytes});
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(hca_b.downlink().packets_sent());
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_FabricHop)
+    ->Arg(static_cast<int>(routing::RouteMode::kStatic))
+    ->Arg(static_cast<int>(routing::RouteMode::kEcmp))
+    ->Arg(static_cast<int>(routing::RouteMode::kAdaptive));
 
 // One RDMA write of Arg bytes from post until Hca::start_transfer returns:
 // the WQE pickup event, validation and segmentation onto the uplink. The

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "benchex/messages.hpp"
+#include "fabric/fabric.hpp"
 #include "obs/trace.hpp"
 
 namespace resex::benchex {

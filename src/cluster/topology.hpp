@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "hv/node.hpp"
 #include "sim/simulation.hpp"
 

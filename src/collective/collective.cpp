@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "fabric/fabric.hpp"
 #include "obs/trace.hpp"
 #include "qos/config.hpp"
 

@@ -22,7 +22,7 @@
 
 #include "congestion/config.hpp"
 #include "fabric/congestion_hook.hpp"
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "sim/simulation.hpp"
 
 namespace resex::congestion {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "benchex/service.hpp"
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "hv/node.hpp"
 #include "sim/simulation.hpp"
 

@@ -330,8 +330,8 @@ sim::SimTime Channel::eligible_at(const Flow& f) const {
   return sim_.now() + static_cast<sim::SimDuration>(wait_ns) + 1;
 }
 
-void Channel::enqueue(detail::Packet pkt) {
-  if (!sink_) {
+void Channel::enqueue(detail::Packet&& pkt) {
+  if (sink_ == nullptr) {
     throw std::logic_error("Channel '" + name_ + "': no sink connected");
   }
   // The HCA resolved SL->VL at transfer start; clamp defensively so a stale
@@ -400,9 +400,9 @@ void Channel::enqueue(detail::Packet pkt) {
   if (!busy_) try_start();
 }
 
-void Channel::enqueue_run(std::shared_ptr<detail::Transfer> transfer,
-                          std::uint64_t psn, bool psn_step) {
-  if (!sink_) {
+void Channel::enqueue_run(detail::TransferRef transfer, std::uint64_t psn,
+                          bool psn_step) {
+  if (sink_ == nullptr) {
     throw std::logic_error("Channel '" + name_ + "': no sink connected");
   }
   // The queue entry keeps the transfer alive while packets remain in it.
@@ -468,17 +468,18 @@ void Channel::arm_rate_timer() {
 }
 
 void Channel::launch(Flow& f, std::size_t pos) {
-  detail::Packet pkt;
-  if (Queued& head = f.packets.front(); head.count > 1) {
-    // Cut the run's next packet; the entry keeps the rest.
-    pkt = head.next;
+  Queued& head = f.packets.front();
+  const bool cut = head.count > 1;
+  // A run entry keeps the rest: cut a copy of its next packet, then advance
+  // the entry. A last packet leaves with its entry.
+  detail::Packet pkt =
+      cut ? detail::Packet(head.next) : f.packets.pop_front().next;
+  if (cut) {
     --head.count;
     detail::Packet& next = head.next;
     ++next.index;
     if (head.psn_step) ++next.psn;
     next.bytes = next.transfer->packet_bytes(next.index, config_.mtu_bytes);
-  } else {
-    pkt = std::move(f.packets.pop_front().next);
   }
   --backlog_pkts_;
   backlog_bytes_ -= pkt.bytes;
@@ -554,7 +555,7 @@ void Channel::on_tx_done() {
   try_start();
 }
 
-void Channel::deliver() { sink_(in_flight_.pop_front()); }
+void Channel::deliver() { sink_(sink_ctx_, in_flight_.pop_front()); }
 
 void Channel::try_start() {
   if (busy_) return;

@@ -11,8 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,20 +87,27 @@ class SwitchBufferPool {
   std::uint64_t occupied_ = 0;
 };
 
+/// Where a channel hands each packet that reached its far end: a plain
+/// function called with the context it was installed with, the shape of
+/// sim::PostFn. The packet is the sink's to keep or drop.
+using PacketSink = void (*)(void* ctx, detail::Packet&& pkt);
+
 class Channel {
  public:
   Channel(sim::Simulation& sim, const FabricConfig& config, std::string name);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Where fully-serialized packets are delivered (after propagation delay).
-  void set_sink(std::function<void(detail::Packet)> sink) {
-    sink_ = std::move(sink);
+  /// Where fully-serialized packets are delivered (after propagation
+  /// delay): `sink(ctx, pkt)`. `ctx` must outlive the channel's deliveries.
+  void set_sink(PacketSink sink, void* ctx) noexcept {
+    sink_ = sink;
+    sink_ctx_ = ctx;
   }
 
   /// Queue one packet for transmission. Packets of the same QP stay FIFO;
   /// packets of different QPs are arbitrated round-robin, one MTU per grant.
-  void enqueue(detail::Packet pkt);
+  void enqueue(detail::Packet&& pkt);
 
   /// Queue every packet of `transfer` as one run entry (pull segmentation,
   /// host uplinks only: a run skips switch-port admission). Each packet is
@@ -111,8 +116,8 @@ class Channel {
   /// all when `psn_step` is false). Backlog counts, gauges, trace events,
   /// arbitration and the fault hook see exactly what `total_packets`
   /// enqueue() calls in index order would show them, at O(1) cost.
-  void enqueue_run(std::shared_ptr<detail::Transfer> transfer,
-                   std::uint64_t psn, bool psn_step);
+  void enqueue_run(detail::TransferRef transfer, std::uint64_t psn,
+                   bool psn_step);
 
   // --- hardware QoS (Section I: "Newer generation InfiniBand cards allow
   // controls such as setting a limit on bandwidth for different traffic
@@ -282,7 +287,8 @@ class Channel {
   sim::Simulation& sim_;
   const FabricConfig& config_;
   std::string name_;
-  std::function<void(detail::Packet)> sink_;
+  PacketSink sink_ = nullptr;
+  void* sink_ctx_ = nullptr;
   std::uint8_t lanes_;  // virtual lanes, fixed at construction
 
   std::vector<Flow> flows_;    // stable per-(QP, VL) state, created on first use

@@ -16,4 +16,8 @@ const char* to_string(CqeStatus s) noexcept {
   return "unknown";
 }
 
+namespace detail {
+void TransferRef::destroy(Transfer* t) noexcept { delete t; }
+}  // namespace detail
+
 }  // namespace resex::fabric

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/guest_memory.hpp"
@@ -267,7 +267,17 @@ class QueuePair;
 namespace detail {
 /// An in-flight message (one WQE's worth of data) being segmented into
 /// packets and reassembled at the destination.
+///
+/// Owned by the TransferRefs that point at it (the packets cut from it, the
+/// queue entries and in-flight FIFO slots holding them, and the captures of
+/// its pending timer, NAK and RNR events); deleted when the last one lets
+/// go. A late retransmitted duplicate is still routed by its transfer's
+/// fields after the transfer completed, so the transfer must outlive every
+/// packet of it.
 struct Transfer {
+  /// TransferRefs pointing here. A plain count: one simulation runs on one
+  /// thread, and no transfer crosses simulations.
+  std::uint32_t refs = 0;
   SendWr wr;
   QueuePair* src_qp = nullptr;
   QueuePair* dst_qp = nullptr;
@@ -327,9 +337,47 @@ struct Transfer {
   std::uint32_t nak_floor = 0;
 };
 
+/// An 8-byte intrusive reference to a heap-allocated Transfer, with a
+/// non-atomic count in `Transfer::refs`: copying increments it, destroying
+/// or reassigning decrements it, and the last reference deletes the
+/// transfer. Moving transfers the reference without touching the count.
+class TransferRef {
+ public:
+  TransferRef() noexcept = default;
+  /// A new, default-constructed transfer holding its first reference.
+  [[nodiscard]] static TransferRef make() { return TransferRef(new Transfer); }
+
+  TransferRef(const TransferRef& other) noexcept : t_(other.t_) {
+    if (t_ != nullptr) ++t_->refs;
+  }
+  TransferRef(TransferRef&& other) noexcept
+      : t_(std::exchange(other.t_, nullptr)) {}
+  TransferRef& operator=(TransferRef other) noexcept {
+    std::swap(t_, other.t_);
+    return *this;
+  }
+  ~TransferRef() {
+    if (t_ != nullptr && --t_->refs == 0) destroy(t_);
+  }
+
+  [[nodiscard]] Transfer* get() const noexcept { return t_; }
+  Transfer& operator*() const noexcept { return *t_; }
+  Transfer* operator->() const noexcept { return t_; }
+
+ private:
+  explicit TransferRef(Transfer* t) noexcept : t_(t) { ++t_->refs; }
+  /// Deletes `t`. Out of line: the last release is once per transfer, and
+  /// an inlined delete behind a count GCC cannot follow draws false
+  /// -Wuse-after-free warnings at every site holding several references.
+  static void destroy(Transfer* t) noexcept;
+
+  Transfer* t_ = nullptr;
+};
+static_assert(sizeof(TransferRef) == sizeof(Transfer*));
+
 /// One MTU on the wire.
 struct Packet {
-  std::shared_ptr<Transfer> transfer;
+  TransferRef transfer;
   std::uint32_t index = 0;  // 0-based packet number within the transfer
   std::uint32_t bytes = 0;
   /// Packet sequence number (per send QP), for trace fidelity.
@@ -345,6 +393,7 @@ struct Packet {
     return index + 1 == transfer->total_packets;
   }
 };
+static_assert(sizeof(Packet) == 32);
 }  // namespace detail
 
 }  // namespace resex::fabric

@@ -3,10 +3,10 @@
 //
 // Control-path operations (PD allocation, memory registration, CQ/QP
 // creation) traverse the paravirtual split driver: the guest traps to the
-// dom0 backend and back, so each costs `control_path_latency` of wall time
-// plus guest CPU. Data-path operations (post/poll) bypass the hypervisor and
-// only cost the guest the WQE build / CQE parse cycles — the VMM-bypass
-// asymmetry the paper's monitoring problem stems from.
+// dom0 backend and back, so each costs `hypercall_round_trip` of wall time
+// plus `guest_cpu` of guest CPU. Data-path operations (post/poll) bypass the
+// hypervisor and only cost the guest the WQE build / CQE parse cycles — the
+// VMM-bypass asymmetry the paper's monitoring problem stems from.
 
 #include <cstdint>
 
@@ -15,16 +15,15 @@
 
 namespace resex::fabric {
 
-/// Split-driver control-path parameters.
-struct ControlPathCosts {
-  sim::SimDuration hypercall_round_trip = 25 * sim::kMicrosecond;
-  sim::SimDuration guest_cpu = 2 * sim::kMicrosecond;
-};
-
 class Verbs {
  public:
-  Verbs(Hca& hca, hv::Domain& domain, ControlPathCosts costs = {})
-      : hca_(&hca), domain_(&domain), costs_(costs) {}
+  /// Split-driver control-path costs of one trap to the dom0 backend: the
+  /// wall-clock round trip, and the guest CPU it burns.
+  static constexpr sim::SimDuration hypercall_round_trip =
+      25 * sim::kMicrosecond;
+  static constexpr sim::SimDuration guest_cpu = 2 * sim::kMicrosecond;
+
+  Verbs(Hca& hca, hv::Domain& domain) : hca_(&hca), domain_(&domain) {}
 
   [[nodiscard]] Hca& hca() noexcept { return *hca_; }
   [[nodiscard]] hv::Domain& domain() noexcept { return *domain_; }
@@ -102,17 +101,16 @@ class Verbs {
   static constexpr sim::SimDuration kPollCheckCost = 200;
 
   [[nodiscard]] sim::Task control_trip() {
-    co_await vcpu().consume(costs_.guest_cpu);
+    co_await vcpu().consume(guest_cpu);
     auto& sim = vcpu().simulation();
     // Fault injection can slow the dom0 backend; any active control-path
     // delay window stretches the hypercall round trip.
-    co_await sim.delay(costs_.hypercall_round_trip +
+    co_await sim.delay(hypercall_round_trip +
                        hca_->node().control_path_extra(sim.now()));
   }
 
   Hca* hca_;
   hv::Domain* domain_;
-  ControlPathCosts costs_;
 };
 
 }  // namespace resex::fabric

@@ -14,7 +14,7 @@
 #include <unordered_map>
 
 #include "fabric/fault_hook.hpp"
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "fault/plan.hpp"
 #include "hv/node.hpp"
 #include "sim/rng.hpp"

@@ -26,6 +26,7 @@
 #include "fabric/channel.hpp"           // IWYU pragma: export
 #include "fabric/completion_queue.hpp"  // IWYU pragma: export
 #include "fabric/endpoint.hpp"          // IWYU pragma: export
+#include "fabric/fabric.hpp"            // IWYU pragma: export
 #include "fabric/hca.hpp"               // IWYU pragma: export
 #include "fabric/queue_pair.hpp"        // IWYU pragma: export
 #include "fabric/types.hpp"             // IWYU pragma: export

@@ -7,10 +7,12 @@
 // costs are covered by dedicated tests.
 
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "fabric/endpoint.hpp"
-#include "fabric/hca.hpp"
+#include "fabric/fabric.hpp"
 #include "hv/node.hpp"
 #include "sim/simulation.hpp"
 
@@ -34,6 +36,26 @@ inline Endpoint make_endpoint_on(hv::Node& node, Hca& hca,
       hca, node.create_domain({.name = name, .mem_pages = 2048}),  // 8 MiB
       buf_bytes, cq_entries);
 }
+
+/// A Channel sink that hands each delivered packet to `fn`, so a test can
+/// sink into a capturing lambda (the channel itself takes a plain function
+/// and a context). Attach it to a channel, then set or replace `fn`; it must
+/// outlive the channel's deliveries.
+struct TestSink {
+  std::function<void(detail::Packet&&)> fn;
+
+  TestSink() = default;
+  TestSink(const TestSink&) = delete;  // channels hold its address
+  TestSink& operator=(const TestSink&) = delete;
+
+  void attach(Channel& chan) {
+    chan.set_sink(
+        [](void* self, detail::Packet&& p) {
+          static_cast<TestSink*>(self)->fn(std::move(p));
+        },
+        this);
+  }
+};
 
 struct TwoNodeWorld {
   sim::Simulation sim;

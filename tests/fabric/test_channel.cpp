@@ -20,15 +20,17 @@ struct ChannelFixture : ::testing::Test {
   Endpoint ep_b = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src2");
 
+  testing::TestSink sink;
+
   void SetUp() override {
-    chan.set_sink([this](detail::Packet p) {
+    sink.attach(chan);
+    sink.fn = [this](detail::Packet&& p) {
       delivered.emplace_back(world.sim.now(), p.transfer->src_qp->num());
-    });
+    };
   }
 
-  std::shared_ptr<detail::Transfer> make_transfer(QueuePair& qp,
-                                                  std::uint32_t bytes) {
-    auto t = std::make_shared<detail::Transfer>();
+  detail::TransferRef make_transfer(QueuePair& qp, std::uint32_t bytes) {
+    auto t = detail::TransferRef::make();
     t->wr.length = bytes;
     t->src_qp = &qp;
     t->dst_qp = ep_b.qp;
@@ -204,10 +206,10 @@ TEST_F(ChannelFixture, WrrIsWorkConservingUnderMixedMtuWithRateLimiters) {
   Endpoint ep_c = world.make_endpoint(world.node_a, *world.hca_a,
                                                "src3");
   std::vector<std::uint32_t> sizes;  // bytes of each delivered packet
-  chan.set_sink([this, &sizes](detail::Packet p) {
+  sink.fn = [this, &sizes](detail::Packet&& p) {
     delivered.emplace_back(world.sim.now(), p.transfer->src_qp->num());
     sizes.push_back(p.bytes);
-  });
+  };
   chan.set_flow_rate_limit(ep_c.qp->num(), 200e6);  // 0.2 B/ns, 1/5 line rate
 
   std::uint64_t total_bytes = 0;
@@ -354,9 +356,9 @@ TEST_F(ChannelFixture, InFlightFifoDeliversSurvivorsInLaunchOrder) {
     bool operator==(const Arrival&) const = default;
   };
   std::vector<Arrival> got;
-  chan.set_sink([&](detail::Packet p) {
+  sink.fn = [&](detail::Packet&& p) {
     got.push_back({world.sim.now(), p.index, p.psn});
-  });
+  };
   auto t = make_transfer(*ep_a.qp, kPackets * kBytes);
   for (std::uint32_t i = 0; i < kPackets; ++i) {
     chan.enqueue(detail::Packet{t, i, kBytes, 1000 + i});

@@ -75,6 +75,7 @@ struct OneMessage {
   Endpoint a, b;
   LaunchProbe probe;
   std::vector<Seen> seen;
+  testing::TestSink forward;
 
   OneMessage(std::uint32_t buf_bytes, bool reliable, bool read)
       : probe(read ? w.hca_b->uplink() : w.hca_a->uplink()) {
@@ -86,10 +87,11 @@ struct OneMessage {
     } else {
       from.uplink().set_fault_hook(&probe);
     }
-    from.uplink().set_sink([this, &to](detail::Packet p) {
+    forward.attach(from.uplink());
+    forward.fn = [this, &to](detail::Packet&& p) {
       seen.push_back({p.index, p.bytes, p.psn});
       to.downlink().enqueue(std::move(p));
-    });
+    };
   }
 
   /// Post one write (or read) of `length` bytes and run until quiet.

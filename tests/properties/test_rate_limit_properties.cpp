@@ -35,16 +35,19 @@ struct RateLimitWorld {
   // (delivery time, packet bytes) in delivery order.
   std::vector<std::pair<sim::SimTime, std::uint32_t>> delivered;
 
+  testing::TestSink sink;
+
   RateLimitWorld() {
-    chan.set_sink([this](detail::Packet p) {
+    sink.attach(chan);
+    sink.fn = [this](detail::Packet&& p) {
       delivered.emplace_back(world.sim.now(), p.bytes);
-    });
+    };
   }
 
   void enqueue_packets(const std::vector<std::uint32_t>& sizes) {
     std::uint32_t total = 0;
     for (const auto s : sizes) total += s;
-    auto t = std::make_shared<detail::Transfer>();
+    auto t = detail::TransferRef::make();
     t->wr.length = total;
     t->src_qp = src.qp;
     t->dst_qp = dst.qp;
