@@ -1,5 +1,7 @@
 #include "cluster/topology.hpp"
 
+#include <utility>
+
 namespace resex::cluster {
 
 const char* to_string(TopologyKind k) noexcept {
@@ -17,8 +19,12 @@ Cluster::Cluster(ClusterConfig config)
   }
   nodes_.reserve(config_.nodes);
   for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    nodes_.push_back(std::make_unique<hv::Node>(
-        sim_, "n" + std::to_string(i), config_.pcpus_per_node));
+    // Appended, not `"n" + std::to_string(i)`: at -O3 GCC 12 inlines that
+    // operator+ into a memcpy it wrongly flags as overlapping (-Wrestrict).
+    std::string name(1, 'n');
+    name += std::to_string(i);
+    nodes_.push_back(std::make_unique<hv::Node>(sim_, std::move(name),
+                                                config_.pcpus_per_node));
   }
   switch (config_.topology) {
     case TopologyKind::kStar: build_star(); break;

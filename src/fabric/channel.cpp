@@ -540,6 +540,13 @@ void Channel::launch(Flow& f, std::size_t pos) {
   // The packet waits in the in-flight FIFO, not in the events: they are
   // posts of `this`.
   tx_delivers_ = fate != PacketFate::kDrop;
+  detail::Transfer& t = *pkt.transfer;
+  if (tx_delivers_ && final_hop_ && t.count_only && !pkt.ecn && !pkt.last()) {
+    // Its arrival would only bump this count, and nothing reads the count
+    // before the transfer's last packet arrives, behind this one.
+    ++t.delivered_packets;
+    tx_delivers_ = false;
+  }
   if (tx_delivers_) in_flight_.push_back(std::move(pkt));
   sim_.post_in(
       tx, [](void* self) { static_cast<Channel*>(self)->on_tx_done(); }, this);

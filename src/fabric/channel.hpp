@@ -105,6 +105,12 @@ class Channel {
     sink_ctx_ = ctx;
   }
 
+  /// This channel is a host downlink, whose sink is the destination HCA: a
+  /// packet of a count-only transfer that is neither its transfer's last nor
+  /// ECN-marked is counted into the transfer when it launches, and its
+  /// tx-complete posts no delivery (DESIGN.md §5). Set by the owning Hca.
+  void mark_final_hop() noexcept { final_hop_ = true; }
+
   /// Queue one packet for transmission. Packets of the same QP stay FIFO;
   /// packets of different QPs are arbitrated round-robin, one MTU per grant.
   void enqueue(detail::Packet&& pkt);
@@ -301,6 +307,7 @@ class Channel {
   std::uint64_t backlog_pkts_ = 0;  // packets across all flows' queues
   bool busy_ = false;
   bool tx_delivers_ = false;  // the packet on the wire reaches the sink
+  bool final_hop_ = false;    // the sink is the destination HCA
   // Launched packets that will reach the sink, in launch order. Every
   // delivery trails its tx-complete by the same propagation delay, so
   // deliveries fire in launch order and each pops the front.

@@ -44,6 +44,7 @@ Hca::Hca(Fabric& fabric, hv::Node& node, std::uint32_t hca_id)
         static_cast<Hca*>(self)->on_packet(std::move(p));
       },
       this);
+  downlink_->mark_final_hop();
   // The downlink is a switch egress port (finite buffer, ECN and PFC apply
   // there); the uplink is this HCA's own transmit queue and never drops.
   // Fabric::add_node configures the downlink as a switch port — the switch
@@ -248,6 +249,10 @@ void Hca::start_transfer(QueuePair& src, QueuePair& dst, SendWr wr,
   src.account_sent(t->wire_length);
 
   const bool reliable = fabric_->reliable();
+  // Without drops or adaptive re-placement, a transfer's packets reach its
+  // destination in index order, so the last one completes it.
+  t->count_only =
+      !reliable && cfg.routing.mode != routing::RouteMode::kAdaptive;
   if (reliable) {
     t->received.assign(t->total_packets, false);
     // Base timeout plus generous queueing headroom: a transfer stuck behind

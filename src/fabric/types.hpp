@@ -288,6 +288,12 @@ struct Transfer {
   std::uint32_t delivered_packets = 0;
   /// True for the data-bearing half of an RDMA read (target -> requester).
   bool read_response = false;
+  /// Decided once at start: no packet of this transfer can be dropped (the
+  /// fabric was not reliable) or overtaken by a later one of it (routing was
+  /// not adaptive), so only its last packet and ECN-marked ones do anything
+  /// at the destination. The final hop counts every other packet into
+  /// delivered_packets at launch and never delivers it (DESIGN.md §5).
+  bool count_only = false;
   /// Effective service level (WR override or the source QP's SL) and the
   /// virtual lane the SL->VL map assigned. Every packet of the transfer —
   /// first transmission and retransmits alike — travels this VL; both stay
@@ -389,6 +395,7 @@ struct Packet {
   /// in the header through every remaining store-and-forward hop (never
   /// cleared), so the destination HCA sees congestion anywhere on the path.
   bool ecn = false;
+  /// The transfer's final packet by index.
   [[nodiscard]] bool last() const noexcept {
     return index + 1 == transfer->total_packets;
   }
