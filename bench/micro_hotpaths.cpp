@@ -17,6 +17,7 @@
 #include "finance/binomial.hpp"
 #include "finance/black_scholes.hpp"
 #include "hv/node.hpp"
+#include "ibmon/ibmon.hpp"
 #include "qos/config.hpp"
 #include "routing/config.hpp"
 #include "routing/table.hpp"
@@ -349,6 +350,93 @@ void BM_HcaStartTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HcaStartTransfer)->Arg(4096)->Arg(2 << 20)->Iterations(64);
+
+// One RDMA write of Arg bytes on an idle two-host star, from post_send to
+// its send CQE: the WQE pickup, both link hops and the completion. On this
+// lossless star the message crosses as a packet train (DESIGN.md §5), so
+// its events do not grow with its packets. Items are packets.
+void BM_FabricStarWrite(benchmark::State& state) {
+  const auto bytes = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulation sim;
+  const fabric::FabricConfig cfg;
+  fabric::Fabric fab(sim, cfg);
+  hv::Node node_a{sim, "A", 8};
+  hv::Node node_b{sim, "B", 8};
+  fabric::Hca& hca_a = fab.add_node(node_a);
+  fabric::Hca& hca_b = fab.add_node(node_b);
+  const auto endpoint = [](hv::Node& node, fabric::Hca& hca, std::size_t len) {
+    return fabric::make_endpoint(
+        hca, node.create_domain({.name = "vm", .mem_pages = 2048}), len, 64);
+  };
+  fabric::Endpoint a = endpoint(node_a, hca_a, bytes);
+  fabric::Endpoint b = endpoint(node_b, hca_b, bytes);
+  fabric::Fabric::connect(*a.qp, *b.qp);
+  fabric::SendWr wr;
+  wr.opcode = fabric::Opcode::kRdmaWrite;
+  wr.local_addr = a.buf;
+  wr.lkey = a.mr.lkey;
+  wr.length = bytes;
+  wr.remote_addr = b.buf;
+  wr.rkey = b.mr.rkey;
+  for (auto _ : state) {
+    hca_a.post_send(*a.qp, wr);
+    sim.run();
+    benchmark::DoNotOptimize(a.send_cq->poll());
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.packets_for(bytes));
+}
+BENCHMARK(BM_FabricStarWrite)->Arg(4096)->Arg(64 << 10)->Arg(2 << 20);
+
+// IBMon's scan of one full 4096-entry CQ ring (BenchEx's ring size) through
+// the foreign mapping: IbMon::sample_now after the HCA wrote 4096 CQEs.
+// Refilling the ring is untimed. Items are CQEs.
+void BM_IbMonScan(benchmark::State& state) {
+  constexpr std::uint32_t kEntries = 4096;
+  sim::Simulation sim;
+  fabric::Fabric fab(sim);
+  hv::Node node(sim, "A", 4);
+  fabric::Hca& hca = fab.add_node(node);
+  hv::Domain& dom = node.create_domain({.name = "vm"});
+  dom.memory().set_foreign_mappable(true);
+  fabric::CompletionQueue& cq = hca.create_cq(dom, kEntries);
+  ibmon::IbMon mon(sim);
+  mon.watch_domain(dom, hca.domain_cqs(dom.id()));
+  for (auto _ : state) {
+    state.PauseTiming();
+    while (cq.poll()) {
+    }
+    for (std::uint32_t i = 0; i < kEntries; ++i) {
+      fabric::Cqe cqe;
+      cqe.wr_id = i;
+      cqe.qp_num = cq.id();
+      cqe.byte_len = 64 * 1024;
+      cqe.opcode =
+          static_cast<std::uint8_t>(fabric::CqeOpcode::kSendComplete);
+      cq.produce(cqe);
+    }
+    state.ResumeTiming();
+    mon.sample_now();
+  }
+  state.SetItemsProcessed(state.iterations() * kEntries);
+}
+BENCHMARK(BM_IbMonScan);
+
+// CreditScheduler::set_cap on the testbed's server node (8 PCPUs, dom0 and
+// two guests): the cap change and the window re-layout it triggers, the
+// work behind every IOShares adjustment. Items are calls.
+void BM_CreditSchedulerSetCap(benchmark::State& state) {
+  sim::Simulation sim;
+  hv::Node node(sim, "A", 8);
+  (void)node.create_domain({.name = "rep"});
+  hv::Domain& intf = node.create_domain({.name = "intf"});
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    node.scheduler().set_cap(intf.vcpu(), 10.0 + static_cast<double>(i % 90));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CreditSchedulerSetCap);
 
 void BM_RngNextU64(benchmark::State& state) {
   sim::Rng rng(1);

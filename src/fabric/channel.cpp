@@ -1,11 +1,363 @@
 #include "fabric/channel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <stdexcept>
 
 #include "fabric/queue_pair.hpp"
 
 namespace resex::fabric {
+
+namespace detail {
+
+/// One open packet train (DESIGN.md §5): a run of one count-only transfer,
+/// alone on a host uplink `up`, crossing one switch into the idle downlink
+/// `down`. From packet `first` (launched when the train opened, at
+/// `start`) to `last`, every packet is a full MTU but the last, so:
+///   uplink tx-complete of p   C(p) = start + (p - first + 1) * mtu_time
+///   uplink delivery of p      A(p) = C(p) + propagation_delay
+///                             (the downlink launches p inside it)
+///   downlink tx-complete of p A(p) + mtu_time
+/// for first <= p < last. Those events are virtual: settle_to() applies the
+/// ones before a cutoff in closed form. The uplink tx-complete of `last`
+/// is the train's one real event (`end`): it ends the train, and every
+/// later event of the transfer runs in packet mode.
+///
+/// Same-instant order. A virtual event's key lies in the gap of drawn seqs
+/// its poster's draw fell in: the seq counter when its poster ran. For a
+/// poster that ran at an instant no real event shares, that is the counter
+/// at the first later dispatch in the simulation's dispatch log; otherwise
+/// the poster's own draw decides which of the instant's dispatches it
+/// preceded. Within the train, the downlink tx-complete of p - 1 and the
+/// uplink delivery of p share A(p); the former was drawn a full MTU time
+/// minus one propagation delay earlier, so it runs first. Opening refuses
+/// a train whose event times could meet another open train's (the same
+/// instants modulo mtu_time), so no two trains' virtual events ever need
+/// ordering against each other.
+struct Train final : sim::Rekey {
+  enum Kind : std::uint8_t { kUpTx, kUpDeliver, kDownTx };
+
+  Channel* up = nullptr;
+  Channel* down = nullptr;
+  TrainSet* set = nullptr;
+  TransferRef transfer;
+  QpNum qp = 0;
+  std::size_t up_pos = 0;  // the flow's index in up->flows_
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  std::uint64_t psn = 0;
+  std::uint32_t mtu = 0;
+  std::uint32_t last_bytes = 0;
+  sim::SimTime start = 0;
+  sim::SimDuration mtu_time = 0;
+  sim::SimDuration last_time = 0;
+  std::array<sim::SimTime, 3> phases{};  // event instants modulo mtu_time
+  std::uint64_t open_counter = 0;  // seq counter at the opening launch
+  sim::EventHandle end;            // uplink tx-complete of `last`
+  std::uint64_t end_key = 0;
+  bool end_exact = false;
+  // Virtual events applied so far, counted from `first`.
+  std::uint32_t up_txs = 0;
+  std::uint32_t deliveries = 0;  // = downlink launches
+  std::uint32_t down_txs = 0;
+  Packet last_pkt;  // held from the launch of `last` until the train ends
+
+  [[nodiscard]] sim::Simulation& sim() const { return up->sim_; }
+
+  [[nodiscard]] sim::SimTime time(Kind k, std::uint32_t p) const {
+    const sim::SimTime c = start + sim::SimTime{p - first + 1} * mtu_time;
+    switch (k) {
+      case kUpTx:
+        return c;
+      case kUpDeliver:
+        return c + FabricConfig::propagation_delay;
+      case kDownTx:
+        break;
+    }
+    return c + FabricConfig::propagation_delay + mtu_time;
+  }
+  [[nodiscard]] sim::SimTime end_time() const {
+    return start + sim::SimTime{last - first} * mtu_time + last_time;
+  }
+
+  /// The seq counter when virtual event (k, p) was posted.
+  [[nodiscard]] std::uint64_t drawn(Kind k, std::uint32_t p) const {
+    switch (k) {
+      case kUpTx:
+        return p == first ? open_counter : seen(kUpTx, p - 1);
+      case kUpDeliver:
+        return seen(kUpTx, p);
+      case kDownTx:
+        break;
+    }
+    return seen(kUpDeliver, p);
+  }
+
+  /// The seq counter while virtual event (k, p) ran.
+  [[nodiscard]] std::uint64_t seen(Kind k, std::uint32_t p) const {
+    const sim::SimTime t = time(k, p);
+    const sim::Simulation& s = sim();
+    return s.counter_after(t, s.logged_at(t) ? drawn(k, p) : 0);
+  }
+
+  /// Events (k, first..last-1) before the cutoff (now, key).
+  [[nodiscard]] std::uint32_t done(Kind k, sim::SimTime now,
+                                   std::uint64_t key) const {
+    const sim::SimTime t0 = time(k, first);
+    const std::uint32_t n_max = last - first;
+    std::uint64_t n = now > t0 ? (now - t0 - 1) / mtu_time + 1 : 0;
+    if (n >= n_max) return n_max;
+    // A virtual event at the cutoff instant ran before the cutoff event iff
+    // its poster drew before that event's key.
+    if (t0 + n * mtu_time == now && drawn(k, first + n) <= key) ++n;
+    return static_cast<std::uint32_t>(n);
+  }
+
+  void settle_to(sim::SimTime now, std::uint64_t key) {
+    const std::uint32_t txs = done(kUpTx, now, key);
+    const std::uint32_t dl = done(kUpDeliver, now, key);
+    if (txs > up_txs) apply_launches(txs);
+    if (dl > deliveries) apply_deliveries(dl);
+    down_txs = done(kDownTx, now, key);
+    if (deliveries > 0) down->busy_ = deliveries > down_txs;
+  }
+
+  /// Uplink tx-completes up to `txs`: each launched the next packet.
+  void apply_launches(std::uint32_t txs) {
+    Channel& u = *up;
+    const std::uint32_t n = txs - up_txs;
+    const bool with_last = first + txs == last;
+    const std::uint32_t full = with_last ? n - 1 : n;
+    const std::uint64_t bytes =
+        std::uint64_t{full} * mtu + (with_last ? last_bytes : 0);
+    auto& entries = u.flows_[up_pos].packets;
+    if (with_last) {
+      last_pkt = entries.pop_front().next;
+      last_pkt.index = last;
+      last_pkt.bytes = last_bytes;
+    } else {
+      Channel::Queued& head = entries.front();
+      head.count -= n;
+      head.next.index += n;
+      head.next.bytes = head.next.index == last ? last_bytes : mtu;
+    }
+    u.backlog_pkts_ -= n;
+    u.backlog_bytes_ -= bytes;
+    u.vl_backlog_pkts_[0] -= n;
+    u.vl_backlog_bytes_[0] -= bytes;
+    u.packets_sent_ += n;
+    u.bytes_sent_ += bytes;
+    u.busy_time_ += full * mtu_time + (with_last ? last_time : 0);
+    u.vl_grants_[0] += n;
+    u.tx_end_ = with_last ? end_time() : time(kUpTx, first + txs);
+    up_txs = txs;
+  }
+
+  /// Uplink deliveries up to `dl`: each hopped the switch, and the idle
+  /// downlink launched the packet and counted it into its transfer.
+  void apply_deliveries(std::uint32_t dl) {
+    Channel& d = *down;
+    const std::uint32_t n = dl - deliveries;
+    set->switch_hops_->add(n);
+    if (deliveries == 0) {
+      // The first arrival creates the flow, as enqueue() would.
+      (void)d.flow_for(qp);
+      d.vl_cursor_[0] = d.flow_index_[std::size_t{qp} * qos::kMaxVls];
+    }
+    d.packets_sent_ += n;
+    d.bytes_sent_ += std::uint64_t{n} * mtu;
+    d.busy_time_ += n * mtu_time;
+    d.vl_grants_[0] += n;
+    d.tx_end_ = time(kDownTx, first + dl - 1);
+    transfer->delivered_packets += n;
+    deliveries = dl;
+  }
+
+  /// Settle to now, then give the channels the in-flight packets and the
+  /// pending events packet mode would hold, each under the key it was
+  /// posted with, and close. `closing`: called from `end` itself.
+  void finish(bool closing) {
+    sim::Simulation& s = sim();
+    settle_to(s.now(), s.order_key());
+    Channel& u = *up;
+    Channel& d = *down;
+    const auto post = [&s](sim::SimTime t, std::uint64_t drawn_at,
+                           sim::Callback fn) {
+      s.schedule_keyed(t, s.explicit_key(t, drawn_at), std::move(fn));
+    };
+    // Downlink first: its tx-complete of p runs before the uplink delivery
+    // of p + 1 at the same instant.
+    if (deliveries > down_txs) {
+      const std::uint32_t m = first + down_txs;
+      d.busy_ = true;
+      d.tx_delivers_ = false;
+      post(time(kDownTx, m), drawn(kDownTx, m), [&d] { d.on_tx_done(); });
+    }
+    for (std::uint32_t p = first + deliveries; p < first + up_txs; ++p) {
+      u.in_flight_.push_back(Packet{transfer, p, mtu, psn, false, false});
+      post(time(kUpDeliver, p), drawn(kUpDeliver, p), [&u] { u.deliver(); });
+    }
+    const std::uint32_t w = first + up_txs;  // on the uplink's wire
+    if (w < last) {
+      u.in_flight_.push_back(Packet{transfer, w, mtu, psn, false, false});
+      post(time(kUpTx, w), drawn(kUpTx, w), [&u] { u.on_tx_done(); });
+      end.cancel();
+    } else {
+      u.in_flight_.push_back(std::move(last_pkt));
+      if (!closing) {
+        const std::uint64_t key = end_exact ? end_key : exact_key(end_time());
+        end.cancel();
+        s.schedule_keyed(end_time(), key, [&u] { u.on_tx_done(); });
+      }
+    }
+    u.tx_delivers_ = true;
+    u.train_ = nullptr;
+    d.train_ = nullptr;
+    set->close(*this);
+  }
+
+  std::uint64_t exact_key(sim::SimTime t) override {
+    end_key = sim().explicit_key(t, drawn(kUpTx, last));
+    end_exact = true;
+    return end_key;
+  }
+};
+
+}  // namespace detail
+
+TrainSet::TrainSet(obs::Counter& switch_hops) : switch_hops_(&switch_hops) {}
+
+TrainSet::~TrainSet() = default;
+
+detail::Train& TrainSet::acquire() {
+  for (auto& t : pool_) {
+    if (t->up == nullptr) return *t;
+  }
+  pool_.push_back(std::make_unique<detail::Train>());
+  return *pool_.back();
+}
+
+void TrainSet::close(detail::Train& t) {
+  std::erase(open_, &t);
+  sim::SimTime keep_from = ~sim::SimTime{0};
+  for (const detail::Train* o : open_) keep_from = std::min(keep_from, o->start);
+  sim::Simulation& s = t.sim();
+  t.up = nullptr;
+  t.down = nullptr;
+  t.transfer = {};
+  t.last_pkt = {};
+  t.end = {};
+  s.release_order_log(keep_from);
+}
+
+void TrainSet::settle_all() {
+  for (detail::Train* t : open_) {
+    t->settle_to(t->sim().now(), t->sim().order_key());
+  }
+}
+
+void Channel::settle_train() {
+  train_->settle_to(sim_.now(), sim_.order_key());
+}
+
+void Channel::finish_train() { train_->finish(false); }
+
+bool Channel::try_open_train(std::size_t pos, sim::SimTime prev_end) {
+  const Flow& f = flows_[pos];
+  // The run entry already points past the launched packet.
+  const detail::Packet& next = f.packets.front().next;
+  const detail::Transfer& t = *next.transfer;
+  // The uplink: one lane, no bucket, hook, pause or tracer, and the run of
+  // a count-only transfer the only thing queued but its own followers.
+  if (f.packets.front().psn_step || lanes_ != 1 ||
+      fault_hook_ != nullptr || limited_flows_ != 0 ||
+      vl_pause_refs_[0] != 0 || sim_.tracer().enabled() ||
+      in_flight_.size() > 1 ||
+      (!in_flight_.empty() && in_flight_.front().transfer->src_qp != t.src_qp)) {
+    return false;
+  }
+  for (const Flow& g : flows_) {
+    if (&g != &f && !g.packets.empty()) return false;
+  }
+  // The downlink one hop away: idle but for its own tail, no congestion
+  // control, no train of its own.
+  Channel* down = route_(route_ctx_, t);
+  if (down == nullptr || down->train_ != nullptr || down->lanes_ != 1 ||
+      down->fault_hook_ != nullptr || down->limited_flows_ != 0 ||
+      down->vl_pause_refs_[0] != 0 || down->config_.congestion_enabled() ||
+      down->backlog_pkts_ != 0) {
+    return false;
+  }
+  constexpr sim::SimDuration kProp = FabricConfig::propagation_delay;
+  const sim::SimDuration mtu_time =
+      config_.serialization_time(config_.mtu_bytes);
+  const std::uint32_t last = t.total_packets - 1;
+  const std::uint32_t last_bytes = t.packet_bytes(last, config_.mtu_bytes);
+  const sim::SimDuration last_time = config_.serialization_time(last_bytes);
+  // An MTU outlasts a propagation delay, so the downlink's tx-complete of p
+  // and the uplink delivery of p + 1 always tie in that order; the last
+  // packet's tx-complete falls on no other train instant.
+  if (mtu_time <= kProp || last_time == 0 || last_time == kProp ||
+      down->config_.serialization_time(config_.mtu_bytes) != mtu_time) {
+    return false;
+  }
+  // Predecessors stay real: the flow's packet still in flight up here, and
+  // the downlink's current packet. Both must have left the downlink's wire
+  // before the first train packet reaches it.
+  const sim::SimTime now = sim_.now();
+  const sim::SimTime arrive = now + mtu_time + kProp;
+  sim::SimTime down_free = down->busy_ ? down->tx_end_ : 0;
+  if (!in_flight_.empty()) {
+    const sim::SimTime x_launch = std::max(prev_end + kProp, down_free);
+    down_free =
+        x_launch + down->config_.serialization_time(in_flight_.front().bytes);
+    if (down_free == arrive && x_launch >= now + mtu_time) return false;
+  }
+  if (down_free > arrive) return false;
+  const std::array<sim::SimTime, 3> phases{now % mtu_time,
+                                           (now + kProp) % mtu_time,
+                                           (now + last_time) % mtu_time};
+  for (const detail::Train* o : trains_->open_) {
+    for (const sim::SimTime a : o->phases) {
+      for (const sim::SimTime b : phases) {
+        if (a == b) return false;
+      }
+    }
+  }
+
+  detail::Train& tr = trains_->acquire();
+  tr.up = this;
+  tr.down = down;
+  tr.set = trains_;
+  tr.transfer = next.transfer;
+  tr.qp = f.qp;
+  tr.up_pos = pos;
+  tr.first = next.index - 1;
+  tr.last = last;
+  tr.psn = next.psn;
+  tr.mtu = config_.mtu_bytes;
+  tr.last_bytes = last_bytes;
+  tr.start = now;
+  tr.mtu_time = mtu_time;
+  tr.last_time = last_time;
+  tr.phases = phases;
+  tr.open_counter = sim_.seq_counter();
+  tr.end_exact = false;
+  tr.up_txs = 0;
+  tr.deliveries = 0;
+  tr.down_txs = 0;
+  train_ = &tr;
+  down->train_ = &tr;
+  trains_->open_.push_back(&tr);
+  sim_.hold_order_log();
+  // Posted under a lower bound: the exact key depends on dispatches still
+  // to come, and is named when the entry reaches the heap top.
+  tr.end = sim_.schedule_keyed(
+      tr.end_time(), tr.open_counter - sim::EventQueue::kSeqStep + 1,
+      [this] { on_tx_done(); }, &tr);
+  return true;
+}
 
 Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
                  std::string name)
@@ -55,6 +407,7 @@ Channel::Channel(sim::Simulation& sim, const FabricConfig& config,
 
 void Channel::configure_switch_port(SwitchBufferPool* pool,
                                     const std::vector<Channel*>* upstreams) {
+  end_train();
   switch_port_ = true;
   pool_ = pool;
   upstreams_ = upstreams;
@@ -155,6 +508,7 @@ sim::SimDuration Channel::paused_time() const noexcept {
 }
 
 void Channel::pause_vls(std::uint8_t mask) {
+  end_train();
   for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
     if ((mask & (1u << vl)) == 0) continue;
     if (vl_pause_refs_[vl]++ == 0) vl_paused_since_[vl] = sim_.now();
@@ -162,6 +516,7 @@ void Channel::pause_vls(std::uint8_t mask) {
 }
 
 void Channel::resume_vls(std::uint8_t mask) {
+  end_train();
   bool freed = false;
   for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
     if ((mask & (1u << vl)) == 0) continue;
@@ -292,6 +647,7 @@ void Channel::set_flow_rate_limit(QpNum qp, double bytes_per_sec,
   if (bytes_per_sec < 0.0) {
     throw std::invalid_argument("Channel: negative rate limit");
   }
+  end_train();
   // The limit is per-QP: every lane the QP rides gets the same parameters
   // (each lane keeps its own bucket), matching how DCQCN throttles a QP.
   bool found = false;
@@ -333,6 +689,12 @@ sim::SimTime Channel::eligible_at(const Flow& f) const {
 void Channel::enqueue(detail::Packet&& pkt) {
   if (sink_ == nullptr) {
     throw std::logic_error("Channel '" + name_ + "': no sink connected");
+  }
+  // A train's own predecessors reach its downlink as real packets; any
+  // other packet on either channel ends the train first.
+  if (train_ != nullptr &&
+      (this != train_->down || pkt.transfer->src_qp->num() != train_->qp)) {
+    end_train();
   }
   // The HCA resolved SL->VL at transfer start; clamp defensively so a stale
   // transfer can never index past the configured lanes.
@@ -409,6 +771,10 @@ void Channel::enqueue_run(detail::TransferRef transfer, std::uint64_t psn,
   const detail::Transfer& t = *transfer;
   const std::uint8_t vl = t.vl < lanes_ ? t.vl : 0;
   const QpNum qp = t.src_qp->num();
+  // The train's own flow only queues behind it; another flow ends it.
+  if (train_ != nullptr && (this != train_->up || qp != train_->qp)) {
+    end_train();
+  }
   const std::uint32_t count = t.total_packets;
   const std::uint32_t first = t.packet_bytes(0, config_.mtu_bytes);
   const bool traced = sim_.tracer().enabled();
@@ -521,6 +887,8 @@ void Channel::launch(Flow& f, std::size_t pos) {
 
   busy_ = true;
   const sim::SimDuration tx = config_.serialization_time(pkt.bytes);
+  const sim::SimTime prev_end = tx_end_;
+  tx_end_ = sim_.now() + tx;
   busy_time_ += tx;
   ++packets_sent_;
   bytes_sent_ += pkt.bytes;
@@ -536,6 +904,10 @@ void Channel::launch(Flow& f, std::size_t pos) {
                           {"bytes", static_cast<double>(pkt.bytes)});
     sim_.tracer().counter(name_.c_str(), "backlog",
                           static_cast<double>(backlog_packets()));
+  }
+  if (trains_ != nullptr && cut && pkt.transfer->count_only &&
+      try_open_train(pos, prev_end)) {
+    return;
   }
   // The packet waits in the in-flight FIFO, not in the events: they are
   // posts of `this`.
@@ -553,6 +925,8 @@ void Channel::launch(Flow& f, std::size_t pos) {
 }
 
 void Channel::on_tx_done() {
+  // On a train's uplink this is the tx-complete of its last packet.
+  if (train_ != nullptr && train_->up == this) train_->finish(true);
   busy_ = false;
   if (tx_delivers_) {
     sim_.post_in(

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,41 @@ class SwitchBufferPool {
 /// sim::PostFn. The packet is the sink's to keep or drop.
 using PacketSink = void (*)(void* ctx, detail::Packet&& pkt);
 
+class Channel;
+
+/// The downlink a transfer's packets reach in one switch hop from the
+/// host uplink it was given to, or nullptr (another switch).
+using OneHopRoute = Channel* (*)(void* ctx, const detail::Transfer& t);
+
+namespace detail {
+struct Train;
+}
+
+/// A fabric's packet trains (DESIGN.md §5): the open ones, a pool of closed
+/// ones to reuse, and the switch-hop counter every train delivery bumps.
+/// Owned by the Fabric; host uplinks open trains through it.
+class TrainSet {
+ public:
+  explicit TrainSet(obs::Counter& switch_hops);
+  TrainSet(const TrainSet&) = delete;
+  TrainSet& operator=(const TrainSet&) = delete;
+  ~TrainSet();
+
+  /// Bring every open train's channels and counters up to the current
+  /// instant (a metrics snapshot reads them next).
+  void settle_all();
+
+ private:
+  friend class Channel;
+  friend struct detail::Train;
+  detail::Train& acquire();
+  void close(detail::Train& t);
+
+  obs::Counter* switch_hops_;
+  std::vector<std::unique_ptr<detail::Train>> pool_;
+  std::vector<detail::Train*> open_;
+};
+
 class Channel {
  public:
   Channel(sim::Simulation& sim, const FabricConfig& config, std::string name);
@@ -110,6 +146,18 @@ class Channel {
   /// ECN-marked is counted into the transfer when it launches, and its
   /// tx-complete posts no delivery (DESIGN.md §5). Set by the owning Hca.
   void mark_final_hop() noexcept { final_hop_ = true; }
+
+  /// This channel is a host uplink that may open packet trains in `trains`
+  /// (DESIGN.md §5): `route(ctx, transfer)` names the downlink one switch
+  /// hop away. Set by the owning Hca.
+  void enable_trains(TrainSet& trains, OneHopRoute route, void* ctx) noexcept {
+    trains_ = &trains;
+    route_ = route;
+    route_ctx_ = ctx;
+  }
+  /// A train runs on this channel: its packet events are computed, not
+  /// queued.
+  [[nodiscard]] bool in_train() const noexcept { return train_ != nullptr; }
 
   /// Queue one packet for transmission. Packets of the same QP stay FIFO;
   /// packets of different QPs are arbitrated round-robin, one MTU per grant.
@@ -135,25 +183,37 @@ class Channel {
                            std::uint32_t burst_bytes = 0);
   [[nodiscard]] double flow_rate_limit(QpNum qp) const;
 
-  [[nodiscard]] bool busy() const noexcept { return busy_; }
+  // Readers of state a train advances settle it to the current instant
+  // first, so they read what packet mode would show.
+  [[nodiscard]] bool busy() const {
+    settle();
+    return busy_;
+  }
   /// Packets queued but not yet on the wire.
-  [[nodiscard]] std::uint64_t backlog_packets() const noexcept {
+  [[nodiscard]] std::uint64_t backlog_packets() const {
+    settle();
     return backlog_pkts_;
   }
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    settle();
     return packets_sent_;
   }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
+  [[nodiscard]] std::uint64_t bytes_sent() const {
+    settle();
     return bytes_sent_;
   }
   /// Cumulative time the transmitter was serializing (utilization numerator).
-  [[nodiscard]] sim::SimDuration busy_time() const noexcept {
+  [[nodiscard]] sim::SimDuration busy_time() const {
+    settle();
     return busy_time_;
   }
 
   /// Install (or clear, with nullptr) a fault hook consulted once per packet
   /// at transmission time. Normally set fabric-wide via Fabric::set_fault_hook.
-  void set_fault_hook(FaultHook* hook) noexcept { fault_hook_ = hook; }
+  void set_fault_hook(FaultHook* hook) {
+    end_train();
+    fault_hook_ = hook;
+  }
   [[nodiscard]] std::uint64_t packets_dropped() const noexcept {
     return packets_dropped_;
   }
@@ -181,7 +241,8 @@ class Channel {
   /// Packets ECN-marked at this port.
   [[nodiscard]] std::uint64_t ecn_marks() const noexcept { return ecn_marks_; }
   /// Bytes queued but not yet on the wire (byte-mode occupancy).
-  [[nodiscard]] std::uint64_t backlog_bytes() const noexcept {
+  [[nodiscard]] std::uint64_t backlog_bytes() const {
+    settle();
     return backlog_bytes_;
   }
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }
@@ -213,18 +274,23 @@ class Channel {
   [[nodiscard]] sim::SimDuration vl_paused_time(std::uint8_t vl) const noexcept;
   /// Sum of vl_paused_time over the lanes.
   [[nodiscard]] sim::SimDuration paused_time() const noexcept;
-  [[nodiscard]] std::uint64_t vl_backlog_packets(std::uint8_t vl) const noexcept {
+  [[nodiscard]] std::uint64_t vl_backlog_packets(std::uint8_t vl) const {
+    settle();
     return vl < qos::kMaxVls ? vl_backlog_pkts_[vl] : 0;
   }
-  [[nodiscard]] std::uint64_t vl_backlog_bytes(std::uint8_t vl) const noexcept {
+  [[nodiscard]] std::uint64_t vl_backlog_bytes(std::uint8_t vl) const {
+    settle();
     return vl < qos::kMaxVls ? vl_backlog_bytes_[vl] : 0;
   }
   /// Packet grants the egress awarded to lane `vl`.
-  [[nodiscard]] std::uint64_t vl_grants(std::uint8_t vl) const noexcept {
+  [[nodiscard]] std::uint64_t vl_grants(std::uint8_t vl) const {
+    settle();
     return vl < qos::kMaxVls ? vl_grants_[vl] : 0;
   }
 
  private:
+  friend struct detail::Train;
+
   /// One entry of a flow's queue: a single packet (count 1), or a run of
   /// `count` consecutive packets of one transfer that launch() cuts one at
   /// a time.
@@ -265,6 +331,25 @@ class Channel {
   void on_tx_done();
   /// The oldest in-flight packet reached the far end: hand it to the sink.
   void deliver();
+
+  // --- packet trains (DESIGN.md §5) ----------------------------------------
+  /// The packet just launched from flows_[pos] was cut from the head of a
+  /// count-only run that still holds the rest: open a train for that rest
+  /// if the flow and its path qualify, and return whether it did (the train
+  /// then owns the launch). `prev_end` is the end of the serialization
+  /// before this one.
+  bool try_open_train(std::size_t pos, sim::SimTime prev_end);
+  /// Bring an open train up to the current instant. Const because readers
+  /// call it; a Channel is never a const object.
+  void settle() const {
+    if (train_ != nullptr) const_cast<Channel*>(this)->settle_train();
+  }
+  void settle_train();
+  /// Turn an open train back into packet-mode state and events now.
+  void end_train() {
+    if (train_ != nullptr) finish_train();
+  }
+  void finish_train();
   /// Port-wide occupancy in this port's accounting unit (bytes or packets).
   [[nodiscard]] std::uint64_t occupancy_units() const noexcept;
   /// Occupancy of lane `vl` in this port's accounting unit.
@@ -350,6 +435,16 @@ class Channel {
   std::array<std::size_t, qos::kMaxVls> vl_cursor_{};  // per-lane QP cursor
   std::array<std::uint64_t, qos::kMaxVls> vl_grants_{};
   std::array<EcnMarker, qos::kMaxVls> vl_ecn_{};
+
+  // Packet trains.
+  detail::Train* train_ = nullptr;  // open train using this channel
+  // End of the last serialization started here (trains derive their
+  // predecessors' timing from it).
+  sim::SimTime tx_end_ = 0;
+  // Host uplinks only.
+  TrainSet* trains_ = nullptr;
+  OneHopRoute route_ = nullptr;
+  void* route_ctx_ = nullptr;
 };
 
 }  // namespace resex::fabric

@@ -58,6 +58,11 @@ Fabric::Fabric(sim::Simulation& sim, FabricConfig config)
   }
   switch_hops_ = &sim_.metrics().counter("fabric.switch_hops");
   route_rehash_ = &sim_.metrics().counter("fabric.route_rehash");
+  trains_ = std::make_shared<TrainSet>(*switch_hops_);
+  // Snapshots read channel gauges and switch_hops: trains settle first.
+  sim_.metrics().on_read([trains = std::weak_ptr<TrainSet>(trains_)] {
+    if (const auto t = trains.lock()) t->settle_all();
+  });
 }
 
 SwitchBufferPool* Fabric::switch_pool(std::uint32_t sw) {

@@ -186,6 +186,9 @@ class Fabric {
   std::unordered_map<std::uint64_t, std::uint32_t> flow_port_;
   obs::Counter* switch_hops_ = nullptr;
   obs::Counter* route_rehash_ = nullptr;
+  /// Packet trains of the host uplinks (DESIGN.md §5). Shared so that the
+  /// metrics registry's read hook, which may outlive the fabric, can tell.
+  std::shared_ptr<TrainSet> trains_;
   QpNum next_qp_ = 1;
   std::uint32_t next_cq_ = 1;
   FaultHook* fault_hook_ = nullptr;

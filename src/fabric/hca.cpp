@@ -45,6 +45,19 @@ Hca::Hca(Fabric& fabric, hv::Node& node, std::uint32_t hca_id)
       },
       this);
   downlink_->mark_final_hop();
+  // A transfer to a host on this HCA's own switch may cross it as a packet
+  // train: the uplink needs that host's downlink.
+  uplink_->enable_trains(
+      *fabric.trains_,
+      [](void* self, const detail::Transfer& t) -> Channel* {
+        const auto& hca = *static_cast<Hca*>(self);
+        Hca& dst = t.dst_qp->hca();
+        return hca.fabric_->switch_of(hca.id_) ==
+                       hca.fabric_->switch_of(dst.id_)
+                   ? &dst.downlink()
+                   : nullptr;
+      },
+      this);
   // The downlink is a switch egress port (finite buffer, ECN and PFC apply
   // there); the uplink is this HCA's own transmit queue and never drops.
   // Fabric::add_node configures the downlink as a switch port — the switch

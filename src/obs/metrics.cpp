@@ -57,6 +57,7 @@ void MetricsRegistry::gauge_fn(std::string_view name,
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(sim::SimTime at) const {
+  for (const auto& fn : refresh_) fn();
   MetricsSnapshot snap;
   snap.at = at;
   snap.samples.reserve(entries_.size());
@@ -97,6 +98,7 @@ MetricsSnapshot MetricsRegistry::snapshot(sim::SimTime at) const {
 
 void MetricsRegistry::emit_to_tracer(Tracer& tracer) const {
   if (!tracer.enabled()) return;
+  for (const auto& fn : refresh_) fn();
   std::vector<const Entry*> sorted;
   sorted.reserve(entries_.size());
   for (const auto& e : entries_) sorted.push_back(e.get());

@@ -134,6 +134,11 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Run `fn` before every snapshot or tracer emission: a component whose
+  /// counters lag behind simulated time (a fabric's open packet trains)
+  /// brings them up to date there. `fn` must outlive those reads.
+  void on_read(std::function<void()> fn) { refresh_.push_back(std::move(fn)); }
+
   /// Snapshot every metric, samples sorted by name. `at` stamps the
   /// simulated time (callers pass sim.now()).
   [[nodiscard]] MetricsSnapshot snapshot(sim::SimTime at = 0) const;
@@ -160,6 +165,7 @@ class MetricsRegistry {
   Entry& entry_for(std::string_view name, MetricKind kind);
 
   std::vector<std::unique_ptr<Entry>> entries_;
+  std::vector<std::function<void()>> refresh_;
   std::unordered_map<std::string_view, Entry*> index_;  // keys point into entries_
 };
 

@@ -29,6 +29,17 @@
 // counter at push or post time, by heap and lanes alike, so where an event
 // waits cannot change when it fires: the global order is exactly the order
 // of a heap holding every event.
+//
+// Explicit order keys. Every push and post draws its seq from the counter in
+// steps of kSeqStep, so the values strictly between two drawn seqs are free.
+// push_keyed() puts a heap entry under a caller-chosen seq, typically one of
+// those free values: at equal time it sorts after every event drawn before
+// the gap and before every event drawn after it, without drawing a seq
+// itself. Packet trains (fabric::Channel, DESIGN.md §5) place the events
+// they re-materialise this way. An entry pushed with a Rekey holds a lower
+// bound: when it reaches the top of the heap, its owner names the exact key
+// and it waits again under that one, in the same slot, so its handle stays
+// valid.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -171,10 +182,24 @@ class EventHandle {
 /// A post's function: run as `fn(ctx)`.
 using PostFn = void (*)(void*);
 
-/// A popped event, owned by the caller: its time and either a heap event's
-/// callback or a post's function and argument (then `fn` is empty).
+/// Owner of a lower-bound heap entry (EventQueue::push_keyed with a rekey).
+class Rekey {
+ public:
+  /// The entry's exact seq, no smaller than its bound. Called once, when the
+  /// entry first reaches the heap top with time `t`: every event with a
+  /// smaller key has been popped, and the queue must not be changed here.
+  virtual std::uint64_t exact_key(SimTime t) = 0;
+
+ protected:
+  ~Rekey() = default;
+};
+
+/// A popped event, owned by the caller: its time and order key, and either
+/// a heap event's callback or a post's function and argument (then `fn` is
+/// empty).
 struct Event {
   SimTime time = 0;
+  std::uint64_t seq = 0;
   Callback fn;
   PostFn post = nullptr;
   void* ctx = nullptr;
@@ -189,6 +214,9 @@ class EventQueue {
   /// Most fixed delays one queue gives a lane; later declarations are
   /// ignored and their posts go to the heap.
   static constexpr std::size_t kMaxLanes = 8;
+  /// Distance between two consecutive drawn seqs; the values in between are
+  /// explicit keys (push_keyed).
+  static constexpr std::uint64_t kSeqStep = std::uint64_t{1} << 16;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -198,6 +226,21 @@ class EventQueue {
   EventHandle push(SimTime t, Callback fn) {
     return push_heap(t, std::move(fn));
   }
+
+  /// Schedule `fn` at `t` under the explicit order key `seq`, drawing no
+  /// seq. With a `rekey`, `seq` is a lower bound that the owner replaces
+  /// when the entry reaches the top (see Rekey).
+  EventHandle push_keyed(SimTime t, std::uint64_t seq, Callback fn,
+                         Rekey* rekey = nullptr) {
+    const std::uint32_t slot = acquire(std::move(fn));
+    slots_[slot].rekey = rekey;
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{t, seq, slot});
+    return EventHandle{this, slot, slots_[slot].gen};
+  }
+
+  /// The seq the next push or post draws.
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
 
   /// Give posts of delay `delay` their own FIFO lane. Declaring a delay
   /// twice, or more than kMaxLanes delays, changes nothing.
@@ -217,7 +260,8 @@ class EventQueue {
                                    void* ctx) {
     for (std::size_t i = 0; i < lane_count_; ++i) {
       if (lane_delay_[i] == delay) {
-        lanes_[i].push_back(Post{now + delay, next_seq_++, fn, ctx});
+        lanes_[i].push_back(Post{now + delay, next_seq_, fn, ctx});
+        next_seq_ += kSeqStep;
         nonempty_ |= 1u << i;
         ++posted_;
         return;
@@ -244,37 +288,45 @@ class EventQueue {
   /// If the earliest pending event is due at or before `limit`, move it into
   /// `out` and return true; otherwise leave `out` alone and return false.
   [[gnu::always_inline]] bool pop_due(SimTime limit, Event& out) {
-    if (nonempty_ != 0) {
-      // The earliest lane front, then the heap top if it is earlier still.
-      std::uint32_t m = nonempty_;
-      std::uint32_t best = std::countr_zero(m);
-      for (m &= m - 1; m != 0; m &= m - 1) {
-        const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
-        if (before(lanes_[i].front(), lanes_[best].front())) best = i;
+    for (;;) {
+      if (nonempty_ != 0) {
+        // The earliest lane front, then the heap top if it is earlier still.
+        std::uint32_t m = nonempty_;
+        std::uint32_t best = std::countr_zero(m);
+        for (m &= m - 1; m != 0; m &= m - 1) {
+          const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+          if (before(lanes_[i].front(), lanes_[best].front())) best = i;
+        }
+        Ring<Post>& lane = lanes_[best];
+        const Post& front = lane.front();
+        if (heap_.empty() || before(front, heap_.front())) {
+          if (front.time > limit) return false;
+          out.time = front.time;
+          out.seq = front.seq;
+          out.post = front.fn;
+          out.ctx = front.ctx;
+          (void)lane.pop_front();
+          if (lane.empty()) nonempty_ &= ~(1u << best);
+          --posted_;
+          return true;
+        }
       }
-      Ring<Post>& lane = lanes_[best];
-      const Post& front = lane.front();
-      if (heap_.empty() || before(front, heap_.front())) {
-        if (front.time > limit) return false;
-        out.time = front.time;
-        out.post = front.fn;
-        out.ctx = front.ctx;
-        (void)lane.pop_front();
-        if (lane.empty()) nonempty_ &= ~(1u << best);
-        --posted_;
-        return true;
+      if (heap_.empty() || heap_.front().time > limit) return false;
+      const Key top = heap_.front();
+      if (slots_[top.slot].rekey != nullptr) [[unlikely]] {
+        rekey_top();
+        continue;
       }
+      const Key last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(0, last);
+      out.time = top.time;
+      out.seq = top.seq;
+      out.fn = std::move(fns_[top.slot]);
+      out.post = nullptr;
+      release(top.slot);
+      return true;
     }
-    if (heap_.empty() || heap_.front().time > limit) return false;
-    const Key top = heap_.front();
-    const Key last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
-    out.time = top.time;
-    out.fn = std::move(fns_[top.slot]);
-    out.post = nullptr;
-    release(top.slot);
-    return true;
   }
 
   /// Remove and return the earliest pending event, a post wrapped as its
@@ -305,6 +357,7 @@ class EventQueue {
   struct Slot {
     std::uint32_t gen = 0;
     std::uint32_t pos = 0;  // while pending: the index of its key in heap_
+    Rekey* rekey = nullptr;  // while its key is a lower bound
   };
   struct Post {
     SimTime time;
@@ -343,8 +396,18 @@ class EventQueue {
   [[gnu::always_inline]] EventHandle push_heap(SimTime t, Callback&& fn) {
     const std::uint32_t slot = acquire(std::move(fn));
     heap_.emplace_back();
-    sift_up(heap_.size() - 1, Key{t, next_seq_++, slot});
+    sift_up(heap_.size() - 1, Key{t, next_seq_, slot});
+    next_seq_ += kSeqStep;
     return EventHandle{this, slot, slots_[slot].gen};
+  }
+
+  /// The heap top holds a lower bound: ask its owner for the exact key and
+  /// move the entry down to it.
+  [[gnu::noinline]] void rekey_top() {
+    Key top = heap_.front();
+    Rekey* owner = std::exchange(slots_[top.slot].rekey, nullptr);
+    top.seq = owner->exact_key(top.time);
+    sift_down(0, top);
   }
 
   void place(std::size_t i, const Key& k) noexcept {
@@ -409,6 +472,7 @@ class EventQueue {
     // The queue is consistent before the capture dies: its destructor may
     // run arbitrary code (release captured state) that cancels or pushes.
     Callback dead = std::move(fns_[slot]);
+    slots_[slot].rekey = nullptr;
     release(slot);
   }
 

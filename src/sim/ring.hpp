@@ -28,6 +28,16 @@ class Ring {
   /// Remove the oldest element and return it. Precondition: !empty().
   T pop_front() noexcept { return std::move(buf_[head_++ & mask_]); }
 
+  /// The element `i` places behind the oldest. Precondition: i < size().
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    return buf_[(head_ + i) & mask_];
+  }
+
+  /// Remove every element.
+  void clear() noexcept {
+    while (!empty()) (void)pop_front();
+  }
+
  private:
   static constexpr std::size_t kInitialSize = 8;
 

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -74,9 +75,61 @@ class Simulation {
   bool step();
 
   /// Number of events processed so far (for perf tests / sanity checks).
+  /// Not an invariant of a model: on a lossless star a packet train
+  /// (DESIGN.md §5) stands in for most per-packet channel events, so the
+  /// `# runner:` events of lossless benches fall by design. A traced run
+  /// opens no train and keeps every one, which is also why tracing now
+  /// costs more (`obs.trace_overhead_pct`).
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return events_processed_;
   }
+
+  // --- same-instant order, for events kept out of the queue ----------------
+  // A packet train computes channel events instead of queueing them. To
+  // place such a virtual event against real ones at one instant, it needs
+  // the seq its poster would have drawn, and it re-materialises events
+  // under explicit keys (EventQueue::push_keyed).
+
+  /// Order key of the event being dispatched: its seq, or an explicit key.
+  /// kOutside between dispatches, where every event at now() has run.
+  static constexpr std::uint64_t kOutside = ~std::uint64_t{0};
+  [[nodiscard]] std::uint64_t order_key() const noexcept { return key_; }
+
+  /// The seq the next schedule or post draws: a virtual post made now would
+  /// sort before every event drawn from here on.
+  [[nodiscard]] std::uint64_t seq_counter() const noexcept {
+    return queue_.next_seq();
+  }
+
+  /// Schedule `fn` at `t` (>= now()) under the explicit order key `key`; see
+  /// EventQueue::push_keyed.
+  EventHandle schedule_keyed(SimTime t, std::uint64_t key, Callback fn,
+                             Rekey* rekey = nullptr);
+
+  /// The explicit key of an event drawn while the counter stood at `counter`
+  /// (a seq_counter() value) and due at `t`: between the seqs drawn before
+  /// and after it, and after every explicit key handed out before for the
+  /// same (t, counter).
+  [[nodiscard]] std::uint64_t explicit_key(SimTime t, std::uint64_t counter);
+
+  /// The dispatch log: while held, every dispatched event appends (time,
+  /// key, seq counter at its start), and each run()/run_until()/step() ends
+  /// with a boundary entry (its time, kOutside, counter) for the draws made
+  /// between runs. Holds nest; the last release empties the log, a partial
+  /// one drops entries before `keep_from`.
+  void hold_order_log() { ++log_holds_; }
+  void release_order_log(SimTime keep_from);
+  [[nodiscard]] std::size_t order_log_size() const noexcept {
+    return log_.size();
+  }
+  /// True if some logged event was dispatched at exactly `t`.
+  [[nodiscard]] bool logged_at(SimTime t) const;
+  /// The seq counter a virtual event at `t`, drawn while the counter stood
+  /// at `drawn`, saw when it ran: the counter at the start of the first
+  /// logged dispatch after it (at a later time, or at `t` with a key >=
+  /// `drawn`), or the live counter if there is none yet.
+  [[nodiscard]] std::uint64_t counter_after(SimTime t,
+                                            std::uint64_t drawn) const;
 
   /// Number of detached tasks still alive.
   [[nodiscard]] std::size_t live_tasks() const noexcept {
@@ -128,7 +181,20 @@ class Simulation {
   /// ran.
   std::uint64_t dispatch(SimTime limit, std::uint64_t budget);
 
+  struct LogEntry {
+    SimTime time;
+    std::uint64_t key;
+    std::uint64_t counter;
+  };
+  /// First log index with time >= t.
+  [[nodiscard]] std::size_t log_lower(SimTime t) const;
+  void log_boundary() {
+    if (log_holds_ != 0) log_.push_back({now_, kOutside, queue_.next_seq()});
+  }
+
   SimTime now_ = 0;  // must precede tracer_, which captures &now_
+  std::uint64_t key_ = kOutside;
+  std::uint32_t log_holds_ = 0;
   EventQueue queue_;
   obs::Tracer tracer_{&now_};
   obs::MetricsRegistry metrics_;
@@ -138,6 +204,14 @@ class Simulation {
   std::unordered_map<void*, Task::Handle> detached_;
   std::exception_ptr task_error_{};
   std::uint64_t events_processed_ = 0;
+  Ring<LogEntry> log_;
+  // Explicit keys handed out per (time, counter), pruned of past times.
+  struct KeyGap {
+    SimTime time;
+    std::uint64_t counter;
+    std::uint64_t sub;
+  };
+  std::vector<KeyGap> key_gaps_;
 };
 
 /// Broadcast condition: coroutines wait on it, `fire()` wakes all waiters at

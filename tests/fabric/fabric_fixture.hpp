@@ -6,10 +6,14 @@
 // can wire a world without running the simulation; the Verbs control-path
 // costs are covered by dedicated tests.
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "fabric/endpoint.hpp"
 #include "fabric/fabric.hpp"
@@ -86,5 +90,36 @@ struct TwoNodeWorld {
     return {std::move(a), std::move(b)};
   }
 };
+
+/// Every channel of `fabric` is idle, with no backlog (port-wide or per
+/// lane) and no open packet train, and every switch pool is back at 0.
+/// Channel::launch subtracts without clamping, so a count that drifts shows
+/// here as non-zero or wrapped around.
+inline void expect_drained(Fabric& fabric) {
+  std::vector<const Channel*> channels;
+  for (std::size_t i = 0; i < fabric.hca_count(); ++i) {
+    channels.push_back(&fabric.hca(i).uplink());
+    channels.push_back(&fabric.hca(i).downlink());
+  }
+  fabric.for_each_trunk([&](std::uint32_t, std::uint32_t, Channel& c) {
+    channels.push_back(&c);
+  });
+  for (const Channel* c : channels) {
+    SCOPED_TRACE(c->name());
+    EXPECT_FALSE(c->in_train());
+    EXPECT_FALSE(c->busy());
+    EXPECT_EQ(c->backlog_packets(), 0u);
+    EXPECT_EQ(c->backlog_bytes(), 0u);
+    for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
+      EXPECT_EQ(c->vl_backlog_packets(vl), 0u);
+      EXPECT_EQ(c->vl_backlog_bytes(vl), 0u);
+    }
+  }
+  for (const auto& s : fabric.simulation().metrics().snapshot().samples) {
+    if (s.name.ends_with(".pool_occupied_bytes")) {
+      EXPECT_EQ(s.value, 0.0) << s.name;
+    }
+  }
+}
 
 }  // namespace resex::fabric::testing

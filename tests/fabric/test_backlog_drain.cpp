@@ -18,33 +18,8 @@
 namespace resex::fabric {
 namespace {
 
+using testing::expect_drained;
 using testing::TwoNodeWorld;
-
-/// Every channel of `fabric` and every switch pool of `sim` is empty.
-void expect_drained(Fabric& fabric, const sim::Simulation& sim) {
-  std::vector<const Channel*> channels;
-  for (std::size_t i = 0; i < fabric.hca_count(); ++i) {
-    channels.push_back(&fabric.hca(i).uplink());
-    channels.push_back(&fabric.hca(i).downlink());
-  }
-  fabric.for_each_trunk([&](std::uint32_t, std::uint32_t, Channel& c) {
-    channels.push_back(&c);
-  });
-  for (const Channel* c : channels) {
-    SCOPED_TRACE(c->name());
-    EXPECT_EQ(c->backlog_packets(), 0u);
-    EXPECT_EQ(c->backlog_bytes(), 0u);
-    for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
-      EXPECT_EQ(c->vl_backlog_packets(vl), 0u);
-      EXPECT_EQ(c->vl_backlog_bytes(vl), 0u);
-    }
-  }
-  for (const auto& s : sim.metrics().snapshot().samples) {
-    if (s.name.ends_with(".pool_occupied_bytes")) {
-      EXPECT_EQ(s.value, 0.0) << s.name;
-    }
-  }
-}
 
 SendWr make_wr(Opcode op, const Endpoint& a, const Endpoint& b,
                std::uint32_t length) {
@@ -74,7 +49,7 @@ TEST(BacklogDrain, TwoMegabyteWrite) {
   w.hca_a->post_send(*a.qp, make_wr(Opcode::kRdmaWrite, a, b, k2M));
   w.sim.run();
   expect_success(*a.send_cq, 1);
-  expect_drained(w.fabric, w.sim);
+  expect_drained(w.fabric);
 }
 
 TEST(BacklogDrain, TwoMegabyteRead) {
@@ -83,7 +58,7 @@ TEST(BacklogDrain, TwoMegabyteRead) {
   w.hca_a->post_send(*a.qp, make_wr(Opcode::kRdmaRead, a, b, k2M));
   w.sim.run();
   expect_success(*a.send_cq, 1);
-  expect_drained(w.fabric, w.sim);
+  expect_drained(w.fabric);
 }
 
 TEST(BacklogDrain, DropsAndRetransmitsUnderAFaultPlan) {
@@ -98,7 +73,7 @@ TEST(BacklogDrain, DropsAndRetransmitsUnderAFaultPlan) {
   expect_success(*a.send_cq, 1);
   EXPECT_GT(injector.drops_injected(), 0u);
   EXPECT_GT(w.sim.metrics().counter("fabric.retransmits").value(), 0u);
-  expect_drained(w.fabric, w.sim);
+  expect_drained(w.fabric);
 }
 
 TEST(BacklogDrain, SixteenToOnePfcIncastOnASharedPool) {
@@ -136,7 +111,7 @@ TEST(BacklogDrain, SixteenToOnePfcIncastOnASharedPool) {
   sim.run();
   for (auto& src : sources) expect_success(*src.send_cq, kMessages);
   EXPECT_GT(sim.metrics().counter("fabric.pfc_pauses").value(), 0u);
-  expect_drained(fabric, sim);
+  expect_drained(fabric);
 }
 
 }  // namespace

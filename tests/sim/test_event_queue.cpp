@@ -334,5 +334,60 @@ TEST(EventQueue, ManyInterleavedPushesPopsStaySorted) {
   }
 }
 
+TEST(EventQueue, ExplicitKeySortsStrictlyBetweenTheRealEntriesAroundIt) {
+  EventQueue q;
+  std::vector<int> order;
+  (void)q.push(5, [&] { order.push_back(1); });
+  const std::uint64_t gap = q.next_seq();  // the seq the next push draws
+  (void)q.push(5, [&] { order.push_back(3); });
+  // Lowest and highest free values of the gap before that push's seq.
+  (void)q.push_keyed(5, gap - 1, [&] { order.push_back(2); });
+  (void)q.push_keyed(5, gap - EventQueue::kSeqStep + 1,
+                     [&] { order.push_back(2); });
+  // An explicit key draws nothing: the next push still gets the next seq.
+  EXPECT_EQ(q.next_seq(), gap + EventQueue::kSeqStep);
+  (void)q.push(4, [&] { order.push_back(0); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 2, 3}));
+}
+
+/// Names the exact key of a lower-bound entry, and counts the calls.
+struct FixedKey final : Rekey {
+  std::uint64_t key = 0;
+  int calls = 0;
+  std::uint64_t exact_key(SimTime /*t*/) override {
+    ++calls;
+    return key;
+  }
+};
+
+TEST(EventQueue, LowerBoundEntryIsRekeyedOnceInItsSlot) {
+  EventQueue q;
+  std::vector<int> order;
+  (void)q.push(1, [] {});  // draws seq 0, so 0 is a strict lower bound below
+  (void)q.push(5, [&] { order.push_back(1); });
+  FixedKey exact;
+  exact.key = q.next_seq() - 1;  // between the push above and the next one
+  const EventHandle h =
+      q.push_keyed(5, 0, [&] { order.push_back(2); }, &exact);
+  (void)q.push(5, [&] { order.push_back(3); });
+  q.pop().fn();
+  EXPECT_EQ(exact.calls, 0);
+  q.pop().fn();  // the bound sorts first: re-keyed, then the real minimum
+  EXPECT_EQ(exact.calls, 1);
+  EXPECT_TRUE(h.pending());
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(exact.calls, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  // Cancelled before it reaches the top, its owner is never asked.
+  FixedKey unused;
+  EventHandle gone = q.push_keyed(7, 0, [&] { order.push_back(9); }, &unused);
+  (void)q.push(8, [] {});
+  gone.cancel();
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(unused.calls, 0);
+}
+
 }  // namespace
 }  // namespace resex::sim

@@ -325,5 +325,58 @@ TEST(Simulation, DeterministicEventOrderAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Simulation, DispatchLogRecordsOnlyWhileHeld) {
+  Simulation sim;
+  std::uint64_t keys[2] = {};
+  std::uint64_t counters[2] = {};
+  sim.schedule_at(1, [] {});
+  sim.schedule_at(2, [&] {
+    keys[0] = sim.order_key();
+    counters[0] = sim.seq_counter();
+    sim.schedule_at(5, [] {});  // draws a seq
+  });
+  sim.schedule_at(2, [&] {
+    keys[1] = sim.order_key();
+    counters[1] = sim.seq_counter();
+  });
+  sim.run_until(1);
+  EXPECT_EQ(sim.order_log_size(), 0u);
+  sim.hold_order_log();
+  sim.run_until(2);
+  // Two events at 2, then the run's boundary.
+  EXPECT_EQ(sim.order_log_size(), 3u);
+  EXPECT_LT(keys[0], keys[1]);
+  EXPECT_EQ(sim.order_key(), Simulation::kOutside);
+  EXPECT_TRUE(sim.logged_at(2));
+  EXPECT_FALSE(sim.logged_at(1));
+  // A virtual event at 2 sees the counter of the first dispatch after it:
+  // drawn before the first event's key, the first event's start; drawn
+  // between the two keys, the second's; drawn after both, the boundary's.
+  EXPECT_EQ(sim.counter_after(2, keys[0]), counters[0]);
+  EXPECT_EQ(sim.counter_after(2, keys[0] + 1), counters[1]);
+  EXPECT_EQ(sim.counter_after(2, keys[1] + 1), sim.seq_counter());
+  EXPECT_EQ(sim.counter_after(3, 0), sim.seq_counter());
+  EXPECT_NE(counters[0], counters[1]);
+  sim.hold_order_log();
+  sim.release_order_log(3);  // a partial release prunes before `keep_from`
+  EXPECT_FALSE(sim.logged_at(2));
+  EXPECT_EQ(sim.order_log_size(), 0u);
+  sim.release_order_log(0);  // the last release empties the log
+  sim.run();
+  EXPECT_EQ(sim.order_log_size(), 0u);
+}
+
+TEST(Simulation, ExplicitKeysOfOneGapKeepTheOrderHandedOut) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(9, [&] { order.push_back(0); });
+  const std::uint64_t gap = sim.seq_counter();
+  sim.schedule_at(9, [&] { order.push_back(3); });
+  sim.schedule_keyed(9, sim.explicit_key(9, gap), [&] { order.push_back(1); });
+  sim.schedule_keyed(9, sim.explicit_key(9, gap), [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 }  // namespace
 }  // namespace resex::sim
