@@ -1,5 +1,7 @@
 #include "cluster/scenario.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -12,6 +14,14 @@
 namespace resex::cluster {
 
 namespace {
+
+/// Percentage of `samples` that violated the SLA; NaN without samples, so a
+/// service that completed nothing in the window does not read as meeting it.
+double violation_pct(std::uint64_t violations, std::uint64_t samples) {
+  if (samples == 0) return std::numeric_limits<double>::quiet_NaN();
+  return 100.0 * static_cast<double>(violations) /
+         static_cast<double>(samples);
+}
 
 struct Calibration {
   double client_mean_us = 0.0;
@@ -49,9 +59,7 @@ ClusterServiceSummary summarize(benchex::Service& svc, double sla_limit_us) {
       if (v > sla_limit_us) ++s.violations;
     }
   }
-  s.violation_pct = s.samples == 0 ? 0.0
-                                   : 100.0 * static_cast<double>(s.violations) /
-                                         static_cast<double>(s.samples);
+  s.violation_pct = violation_pct(s.violations, s.samples);
   s.migrations = svc.migrations();
   s.final_node = svc.server_node_id();
   return s;
@@ -150,10 +158,7 @@ ClusterScenarioResult run_cluster_scenario(
   for (auto& svc : interferers) {
     result.interferers.push_back(summarize(*svc, 0.0));
   }
-  result.violation_pct =
-      pooled_samples == 0 ? 0.0
-                          : 100.0 * static_cast<double>(pooled_violations) /
-                                static_cast<double>(pooled_samples);
+  result.violation_pct = violation_pct(pooled_violations, pooled_samples);
   if (engine != nullptr) result.migration = engine->stats();
   if (cluster.sim().tracer().enabled()) {
     cluster.sim().tracer().complete(

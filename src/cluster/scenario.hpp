@@ -86,6 +86,7 @@ struct ClusterServiceSummary {
   double server_total_us = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t violations = 0;
+  /// NaN when samples is 0: no sample, no verdict.
   double violation_pct = 0.0;
   std::uint32_t migrations = 0;
   std::uint32_t final_node = 0;
@@ -96,7 +97,7 @@ struct ClusterScenarioResult {
   std::vector<ClusterServiceSummary> interferers;  // SLA fields unused
   double sla_limit_us = 0.0;
   double baseline_total_us = 0.0;
-  /// Pooled over every reporting sample.
+  /// Pooled over every reporting sample; NaN when there is none.
   double violation_pct = 0.0;
   MigrationStats migration;
   obs::MetricsSnapshot metrics;

@@ -4,14 +4,6 @@
 
 namespace resex::cluster {
 
-const char* to_string(TopologyKind k) noexcept {
-  switch (k) {
-    case TopologyKind::kStar: return "star";
-    case TopologyKind::kFatTree: return "fat-tree";
-  }
-  return "unknown";
-}
-
 Cluster::Cluster(ClusterConfig config)
     : config_(config), fabric_(sim_, config.fabric) {
   if (config_.nodes == 0) {

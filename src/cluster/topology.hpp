@@ -25,8 +25,6 @@ namespace resex::cluster {
 
 enum class TopologyKind : std::uint8_t { kStar, kFatTree };
 
-[[nodiscard]] const char* to_string(TopologyKind k) noexcept;
-
 struct ClusterConfig {
   std::uint32_t nodes = 8;
   std::uint32_t pcpus_per_node = 4;

@@ -406,12 +406,9 @@ sim::Task CollectiveGroup::rank_main(std::uint32_t r) {
       const std::uint32_t g = iter * steps_ + s;
       const std::uint32_t nchunks = chunks_for(op.elem_count);
       for (std::uint32_t c = 0; c < nchunks; ++c) {
-        fabric::RecvWr rwr;
-        rwr.wr_id = (std::uint64_t{g} << kImmStepShift) | c;
-        rwr.addr = rk.mr.addr;
-        rwr.lkey = rk.mr.lkey;
-        rwr.length = 0;
-        co_await verbs.post_recv(*rk.qp_to.at(op.peer), rwr);
+        co_await verbs.post_recv(
+            *rk.qp_to.at(op.peer),
+            fabric::RecvWr{.wr_id = (std::uint64_t{g} << kImmStepShift) | c});
       }
     }
   }

@@ -8,16 +8,6 @@
 
 namespace resex::core {
 
-const char* to_string(PolicyKind k) noexcept {
-  switch (k) {
-    case PolicyKind::kNone: return "none";
-    case PolicyKind::kFreeMarket: return "FreeMarket";
-    case PolicyKind::kIOShares: return "IOShares";
-    case PolicyKind::kStaticReservation: return "StaticReservation";
-  }
-  return "unknown";
-}
-
 namespace {
 
 VmSummary summarize(const std::string& name, benchex::Service& pair) {

@@ -25,8 +25,6 @@ enum class PolicyKind : std::uint8_t {
   kStaticReservation,  // worst-case caps baseline (ablation)
 };
 
-[[nodiscard]] const char* to_string(PolicyKind k) noexcept;
-
 struct ScenarioConfig {
   // Reporting (latency-sensitive) workload: "the 64KB VM(s)" at 2000
   // requests/s, core::reporting_config's defaults.

@@ -62,12 +62,4 @@ const ResosLedger::Account& ResosLedger::account(hv::DomainId id) const {
   return it->second;
 }
 
-std::vector<hv::DomainId> ResosLedger::vms() const {
-  std::vector<hv::DomainId> out;
-  out.reserve(accounts_.size());
-  for (const auto& [id, a] : accounts_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace resex::core

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
-#include <vector>
 
 #include "hv/domain.hpp"
 #include "sim/time.hpp"
@@ -72,7 +71,6 @@ class ResosLedger {
   }
 
   [[nodiscard]] const ResosConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::vector<hv::DomainId> vms() const;
 
  private:
   struct Account {

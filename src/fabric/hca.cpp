@@ -8,8 +8,6 @@
 namespace resex::fabric {
 
 namespace {
-/// Wire size of an RDMA-read request (header-only packet).
-constexpr std::uint32_t kReadRequestBytes = 64;
 /// Doorbell ring -> WQE picked up and parsed by the HCA.
 constexpr sim::SimDuration kWqePickup =
     FabricConfig::doorbell_latency + FabricConfig::wqe_processing;
@@ -209,14 +207,11 @@ void Hca::process_wqe(QueuePair& qp, SendWr wr) {
     flush_send(qp, wr);
     return;
   }
-  // Local buffer validation. RDMA-read needs local *write* rights (response
-  // data lands in the local buffer); everything else only needs a valid,
-  // in-bounds registration.
-  const mem::Access required = wr.opcode == Opcode::kRdmaRead
-                                   ? mem::Access::kLocalWrite
-                                   : mem::Access::kNone;
-  const auto status = tpt_.validate(wr.lkey, qp.pd(), wr.local_addr,
-                                    wr.length, required, /*check_pd=*/true);
+  // Local buffer validation: a write only reads its source, so it needs a
+  // valid, in-bounds registration and no access right.
+  const auto status =
+      tpt_.validate(wr.lkey, qp.pd(), wr.local_addr, wr.length,
+                    mem::Access::kNone, /*check_pd=*/true);
   if (status != mem::TptStatus::kOk) {
     detail::Transfer failed;
     failed.wr = std::move(wr);
@@ -225,26 +220,20 @@ void Hca::process_wqe(QueuePair& qp, SendWr wr) {
     complete_send(failed, CqeStatus::kLocalProtectionError);
     return;
   }
-  start_transfer(qp, *qp.peer(), std::move(wr), /*read_response=*/false);
+  start_transfer(qp, std::move(wr));
 }
 
-void Hca::start_transfer(QueuePair& src, QueuePair& dst, SendWr wr,
-                         bool read_response) {
+void Hca::start_transfer(QueuePair& src, SendWr wr) {
   const auto& cfg = fabric_->config();
+  QueuePair& dst = *src.peer();
   auto t = detail::TransferRef::make();
-  const bool is_read_request =
-      wr.opcode == Opcode::kRdmaRead && !read_response;
-  t->wire_length = is_read_request ? kReadRequestBytes
-                                   : std::max<std::uint32_t>(wr.length, 1);
+  t->wire_length = std::max<std::uint32_t>(wr.length, 1);
   t->wr = std::move(wr);
   t->src_qp = &src;
   t->dst_qp = &dst;
   t->total_packets = cfg.packets_for(t->wire_length);
-  t->read_response = read_response;
   // SL resolution happens once per transfer: the WR's explicit SL wins,
-  // otherwise the sending QP's. A read response re-resolves at the serving
-  // QP, so give both ends of a connection the same SL (connect() callers
-  // here always do) to keep a read's two directions in one class.
+  // otherwise the sending QP's.
   t->sl = t->wr.sl == kInheritSl ? src.service_level()
                                  : static_cast<std::uint8_t>(
                                        t->wr.sl % FabricConfig::kMaxSls);
@@ -349,17 +338,17 @@ void Hca::fast_retransmit(const detail::TransferRef& t) {
 void Hca::fail_qp(detail::Transfer& t, CqeStatus status) {
   t.completed = true;
   t.retx_timer.cancel();
-  QueuePair* origin = t.read_response ? t.dst_qp : t.src_qp;
-  origin->set_error();
+  QueuePair& origin = *t.src_qp;
+  origin.set_error();
   qp_fatal_errors_->add();
   RESEX_TRACE_INSTANT(fabric_->simulation().tracer(), "qp.error", "fault",
-                      {"qp", static_cast<double>(origin->num())},
+                      {"qp", static_cast<double>(origin.num())},
                       {"status", static_cast<double>(
                                      static_cast<std::uint8_t>(status))});
   // The congestion controller must drop its per-flow state (timers, rate
   // cap) for a dead QP — its references would dangle otherwise.
   if (fabric_->congestion_hook() != nullptr) {
-    fabric_->congestion_hook()->on_qp_error(*origin);
+    fabric_->congestion_hook()->on_qp_error(origin);
   }
   complete_send(t, status);
   // A QP entering the error state flushes its receive queue too: without
@@ -367,7 +356,7 @@ void Hca::fail_qp(detail::Transfer& t, CqeStatus status) {
   // no longer deliver would wedge forever (observed as a stuck step barrier
   // in bulk-synchronous collectives under stall/flap faults). Flushed after
   // the originating error completion so the root cause surfaces first.
-  flush_recv_queue(*origin);
+  flush_recv_queue(origin);
 }
 
 void Hca::flush_recv_queue(QueuePair& qp) {
@@ -391,9 +380,7 @@ void Hca::flush_send(QueuePair& qp, const SendWr& wr) {
   cqe.qp_num = qp.num();
   cqe.byte_len = wr.length;
   cqe.imm_data = wr.imm_data;
-  cqe.opcode = static_cast<std::uint8_t>(
-      wr.opcode == Opcode::kRdmaRead ? CqeOpcode::kRdmaReadComplete
-                                     : CqeOpcode::kSendComplete);
+  cqe.opcode = static_cast<std::uint8_t>(CqeOpcode::kSendComplete);
   cqe.status = static_cast<std::uint8_t>(CqeStatus::kWrFlushError);
   // Flushes never touch the wire: only the CQE DMA cost applies.
   fabric_->simulation().schedule_in(
@@ -440,8 +427,7 @@ void Hca::on_packet(detail::Packet&& pkt) {
   wire_latency_ns_->observe(sim.now() - t.started_at);
   if (sim.tracer().enabled()) {
     sim.tracer().complete(
-        t.read_response ? "transfer.read_resp" : "transfer", "fabric",
-        t.started_at, sim.now() - t.started_at,
+        "transfer", "fabric", t.started_at, sim.now() - t.started_at,
         {"qp", static_cast<double>(t.src_qp->num())},
         {"bytes", static_cast<double>(t.wire_length)});
   }
@@ -449,11 +435,6 @@ void Hca::on_packet(detail::Packet&& pkt) {
 }
 
 void Hca::deliver(const detail::TransferRef& t) {
-  if (t->read_response) {
-    // Response data arrived at the requester: local DMA done, complete.
-    complete_send(*t, CqeStatus::kSuccess);
-    return;
-  }
   if (t->dst_qp->state() == QpState::kError) {
     // The target QP died (or was torn down) while this message was in
     // flight: its receive queue is flushed, so an RNR loop would never
@@ -461,20 +442,7 @@ void Hca::deliver(const detail::TransferRef& t) {
     complete_send(*t, CqeStatus::kRemoteOperationError);
     return;
   }
-  switch (t->wr.opcode) {
-    case Opcode::kRdmaWrite:
-      deliver_write(t, /*with_imm=*/false);
-      break;
-    case Opcode::kRdmaWriteWithImm:
-      deliver_write(t, /*with_imm=*/true);
-      break;
-    case Opcode::kSend:
-      deliver_send(t);
-      break;
-    case Opcode::kRdmaRead:
-      serve_read(*t);
-      break;
-  }
+  deliver_write(t, t->wr.opcode == Opcode::kRdmaWriteWithImm);
 }
 
 bool Hca::retry_rnr(const detail::TransferRef& t) {
@@ -536,87 +504,20 @@ void Hca::deliver_write(const detail::TransferRef& t, bool with_imm) {
   complete_send(*t, CqeStatus::kSuccess);
 }
 
-void Hca::deliver_send(const detail::TransferRef& tp) {
-  detail::Transfer& t = *tp;
-  const auto recv = t.dst_qp->consume_recv();
-  if (!recv) {
-    if (!retry_rnr(tp)) {
-      if (fabric_->reliable()) {
-        fail_qp(t, CqeStatus::kRnrRetryExceeded);
-      } else {
-        complete_send(t, CqeStatus::kRnrRetryExceeded);
-      }
-    }
-    return;
-  }
-  if (recv->length < t.wr.length) {
-    // Receive buffer too small: both sides see the failure.
-    Cqe cqe;
-    cqe.wr_id = recv->wr_id;
-    cqe.qp_num = t.dst_qp->num();
-    cqe.byte_len = t.wr.length;
-    cqe.opcode = static_cast<std::uint8_t>(CqeOpcode::kRecv);
-    cqe.status = static_cast<std::uint8_t>(CqeStatus::kLocalLengthError);
-    t.dst_qp->recv_cq().produce(cqe);
-    complete_send(t, CqeStatus::kLocalLengthError);
-    return;
-  }
-  const auto status =
-      tpt_.validate(recv->lkey, t.dst_qp->pd(), recv->addr, t.wr.length,
-                    mem::Access::kLocalWrite, /*check_pd=*/true);
-  if (status != mem::TptStatus::kOk) {
-    complete_send(t, CqeStatus::kRemoteAccessError);
-    return;
-  }
-  const auto owner = mr_owner_.find(recv->lkey);
-  if (owner != mr_owner_.end()) {
-    dma_header(*owner->second, recv->addr, t.wr.header);
-  }
-  Cqe cqe;
-  cqe.wr_id = recv->wr_id;
-  cqe.qp_num = t.dst_qp->num();
-  cqe.byte_len = t.wr.length;
-  cqe.imm_data = t.wr.imm_data;
-  cqe.opcode = static_cast<std::uint8_t>(CqeOpcode::kRecv);
-  cqe.status = static_cast<std::uint8_t>(CqeStatus::kSuccess);
-  t.dst_qp->recv_cq().produce(cqe);
-  complete_send(t, CqeStatus::kSuccess);
-}
-
-void Hca::serve_read(detail::Transfer& t) {
-  // We are the read target: validate and autonomously stream the response —
-  // zero CPU on this node, the defining RDMA property.
-  const auto status =
-      tpt_.validate(t.wr.rkey, /*pd=*/0, t.wr.remote_addr, t.wr.length,
-                    mem::Access::kRemoteRead, /*check_pd=*/false);
-  if (status != mem::TptStatus::kOk) {
-    complete_send(t, CqeStatus::kRemoteAccessError);
-    return;
-  }
-  start_transfer(*t.dst_qp, *t.src_qp, t.wr, /*read_response=*/true);
-}
-
 void Hca::complete_send(detail::Transfer& t, CqeStatus status) {
-  // For read responses the "sender" to complete is the original requester
-  // (dst of the response transfer is the requester's QP and the CQE must
-  // land there). For everything else it is the transfer's source QP on the
-  // origin node.
-  QueuePair* target = t.read_response ? t.dst_qp : t.src_qp;
   if (status == CqeStatus::kSuccess && !t.wr.signaled) return;
 
   Cqe cqe;
   cqe.wr_id = t.wr.wr_id;
-  cqe.qp_num = target->num();
+  cqe.qp_num = t.src_qp->num();
   cqe.byte_len = t.wr.length;
   cqe.imm_data = t.wr.imm_data;
-  cqe.opcode = static_cast<std::uint8_t>(
-      t.wr.opcode == Opcode::kRdmaRead ? CqeOpcode::kRdmaReadComplete
-                                       : CqeOpcode::kSendComplete);
+  cqe.opcode = static_cast<std::uint8_t>(CqeOpcode::kSendComplete);
   cqe.status = static_cast<std::uint8_t>(status);
   // The ACK travels back to the sender before the CQE is DMA-written.
   fabric_->simulation().schedule_in(
       FabricConfig::ack_delay + kCompletionDma,
-      [cq = &target->send_cq(), cqe] { cq->produce(cqe); });
+      [cq = &t.src_qp->send_cq(), cqe] { cq->produce(cqe); });
 }
 
 void Hca::dma_header(hv::Domain& domain, mem::GuestAddr addr,

@@ -100,13 +100,10 @@ class Hca {
 
  private:
   void process_wqe(QueuePair& qp, SendWr wr);
-  void start_transfer(QueuePair& src, QueuePair& dst, SendWr wr,
-                      bool read_response);
+  void start_transfer(QueuePair& src, SendWr wr);
   void complete_send(detail::Transfer& t, CqeStatus status);
   void deliver(const detail::TransferRef& t);
   void deliver_write(const detail::TransferRef& t, bool with_imm);
-  void deliver_send(const detail::TransferRef& t);
-  void serve_read(detail::Transfer& t);
   /// Schedule an RNR retry for `t` if budget remains; returns true if a
   /// retry was scheduled (the caller must not complete the transfer).
   bool retry_rnr(const detail::TransferRef& t);

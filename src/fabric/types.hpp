@@ -17,35 +17,33 @@ namespace resex::fabric {
 /// Fabric-unique queue pair number.
 using QpNum = std::uint32_t;
 
-/// Verb opcodes supported by the model.
+/// Verb opcodes supported by the model: the paper's traffic is one-sided
+/// writes only (BenchEx and the interferers write into a peer's ring, and
+/// IBMon counts the CQEs those writes produce), so RDMA READ and SEND are not
+/// modelled (DESIGN.md §6, "Verb set"). The values are the WQE wire bytes.
 enum class Opcode : std::uint8_t {
   kRdmaWrite = 1,
   kRdmaWriteWithImm = 2,
-  kSend = 3,
-  kRdmaRead = 4,
 };
 
-/// Completion opcodes as they appear in CQEs.
+/// Completion opcodes as they appear in CQEs. IBMon parses the raw bytes, so
+/// the values are part of the wire format.
 enum class CqeOpcode : std::uint8_t {
   kSendComplete = 1,   // local completion of any send-side verb
-  kRecv = 2,           // incoming SEND consumed a receive WQE
+  kRecv = 2,           // a receive WQE flushed by a QP in the error state
   kRecvRdmaWithImm = 3,  // incoming RDMA-write-with-immediate
-  kRdmaReadComplete = 4,
 };
 
-/// Completion status codes (subset of ibv_wc_status).
+/// Completion status codes (subset of ibv_wc_status; values as in the CQE).
 enum class CqeStatus : std::uint8_t {
   kSuccess = 0,
   kLocalProtectionError = 1,  // lkey validation failed
   kRemoteAccessError = 2,     // rkey validation failed at the target
   kRnrRetryExceeded = 3,      // no receive WQE posted at the target
-  kLocalLengthError = 4,      // receive buffer too small for incoming data
   kRetryExceeded = 5,         // transport retry budget exhausted (lost acks)
   kWrFlushError = 6,          // WR flushed: QP was in the error state
   kRemoteOperationError = 7,  // message arrived at a QP in the error state
 };
-
-[[nodiscard]] const char* to_string(CqeStatus s) noexcept;
 
 /// Completion Queue Entry — the exact 32-byte wire format the HCA DMA-writes
 /// into guest memory. IBMon parses these bytes through a foreign mapping, so
@@ -120,12 +118,11 @@ struct SendWr {
   std::vector<std::byte> header;
 };
 
-/// A receive-side work request.
+/// A receive-side work request. Only an RDMA-write-with-immediate consumes
+/// one, and its data lands at the writer's remote address, so the WQE names
+/// no buffer: it carries the wr_id the receive CQE reports.
 struct RecvWr {
   std::uint64_t wr_id = 0;
-  mem::GuestAddr addr = 0;
-  std::uint32_t lkey = 0;
-  std::uint32_t length = 0;
 };
 
 /// Fabric timing/geometry parameters. Defaults model the paper's testbed:
@@ -281,13 +278,11 @@ struct Transfer {
   SendWr wr;
   QueuePair* src_qp = nullptr;
   QueuePair* dst_qp = nullptr;
-  /// Bytes on the wire: equals wr.length for data-carrying ops, but a small
-  /// constant for RDMA-read *requests* (the data flows in the response).
+  /// Bytes on the wire: wr.length, but at least 1 (a zero-byte write still
+  /// sends one packet).
   std::uint32_t wire_length = 0;
   std::uint32_t total_packets = 0;
   std::uint32_t delivered_packets = 0;
-  /// True for the data-bearing half of an RDMA read (target -> requester).
-  bool read_response = false;
   /// Decided once at start: no packet of this transfer can be dropped (the
   /// fabric was not reliable) or overtaken by a later one of it (routing was
   /// not adaptive), so only its last packet and ECN-marked ones do anything

@@ -2,15 +2,6 @@
 
 namespace resex::finance {
 
-const char* to_string(RequestKind k) noexcept {
-  switch (k) {
-    case RequestKind::kQuote: return "quote";
-    case RequestKind::kTrade: return "trade";
-    case RequestKind::kRiskReport: return "risk-report";
-  }
-  return "unknown";
-}
-
 sim::SimDuration CostModel::cost(RequestKind kind,
                                  std::uint32_t instruments) const {
   switch (kind) {

@@ -22,8 +22,6 @@ enum class RequestKind : std::uint8_t {
   kRiskReport = 2,  // binomial revaluation (heaviest)
 };
 
-[[nodiscard]] const char* to_string(RequestKind k) noexcept;
-
 /// Simulated-CPU cost model, loosely calibrated to the math each kind runs
 /// on the paper's 1.86 GHz Xeons.
 struct CostModel {

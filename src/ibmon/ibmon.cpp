@@ -94,8 +94,7 @@ void IbMon::scan(WatchedCq& w) {
       if (cqe.status ==
           static_cast<std::uint8_t>(fabric::CqeStatus::kSuccess)) {
         const auto bytes = static_cast<double>(cqe.byte_len);
-        if (op == fabric::CqeOpcode::kSendComplete ||
-            op == fabric::CqeOpcode::kRdmaReadComplete) {
+        if (op == fabric::CqeOpcode::kSendComplete) {
           ++w.seen_send;
           w.ewma_send_bytes = w.ewma_send_bytes == 0.0
                                   ? bytes
@@ -235,8 +234,7 @@ void IbMon::account(hv::DomainId dom, const fabric::Cqe& cqe) {
     return;
   }
   const auto op = static_cast<fabric::CqeOpcode>(cqe.opcode);
-  if (op == fabric::CqeOpcode::kSendComplete ||
-      op == fabric::CqeOpcode::kRdmaReadComplete) {
+  if (op == fabric::CqeOpcode::kSendComplete) {
     ++st.send_completions;
     st.send_bytes += cqe.byte_len;
     const std::uint32_t mtu = config_.mtu_bytes;

@@ -2,17 +2,6 @@
 
 namespace resex::mem {
 
-const char* to_string(TptStatus s) noexcept {
-  switch (s) {
-    case TptStatus::kOk: return "ok";
-    case TptStatus::kBadKey: return "bad-key";
-    case TptStatus::kOutOfBounds: return "out-of-bounds";
-    case TptStatus::kAccessDenied: return "access-denied";
-    case TptStatus::kWrongDomain: return "wrong-domain";
-  }
-  return "unknown";
-}
-
 RegisteredRegion Tpt::register_region(std::uint32_t pd, GuestAddr addr,
                                       std::size_t length, Access access) {
   if (length == 0) {
@@ -64,14 +53,6 @@ TptStatus Tpt::validate(MemKey key, std::uint32_t pd, GuestAddr addr,
   }
   if (!has_access(e.access, required)) return TptStatus::kAccessDenied;
   return TptStatus::kOk;
-}
-
-std::optional<RegisteredRegion> Tpt::lookup(MemKey key) const {
-  const std::uint32_t index = index_of(key);
-  if (index >= entries_.size()) return std::nullopt;
-  const Entry& e = entries_[index];
-  if (!e.valid || e.generation != tag_of(key)) return std::nullopt;
-  return RegisteredRegion{key, key, e.addr, e.length};
 }
 
 }  // namespace resex::mem

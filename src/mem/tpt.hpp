@@ -8,7 +8,6 @@
 // keys from deregistered regions are rejected.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "mem/guest_memory.hpp"
@@ -53,8 +52,6 @@ enum class TptStatus {
   kWrongDomain,   // key belongs to a different protection domain
 };
 
-[[nodiscard]] const char* to_string(TptStatus s) noexcept;
-
 class Tpt {
  public:
   /// Register [addr, addr+length) owned by protection domain `pd` with the
@@ -73,9 +70,6 @@ class Tpt {
   [[nodiscard]] TptStatus validate(MemKey key, std::uint32_t pd,
                                    GuestAddr addr, std::size_t len,
                                    Access required, bool check_pd = true) const;
-
-  /// Look up the entry for a key (for diagnostics/tests).
-  [[nodiscard]] std::optional<RegisteredRegion> lookup(MemKey key) const;
 
   [[nodiscard]] std::size_t live_regions() const noexcept { return live_; }
 

@@ -13,6 +13,10 @@ namespace resex::runner {
 using sim::format_double;
 using sim::json_escape;
 
+namespace {
+
+/// Two-sided 95% Student-t critical value for `df` degrees of freedom
+/// (tabulated to df=30, 1.96 asymptote beyond).
 double student_t95(std::size_t df) {
   // Two-sided 95% critical values; df >= 31 is within 3% of the normal 1.96.
   static constexpr double kTable[] = {
@@ -23,6 +27,8 @@ double student_t95(std::size_t df) {
   if (df <= 30) return kTable[df - 1];
   return 1.96;
 }
+
+}  // namespace
 
 Aggregate aggregate(const std::vector<double>& values) {
   Aggregate a;

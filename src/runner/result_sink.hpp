@@ -27,10 +27,6 @@ struct Aggregate {
 
 [[nodiscard]] Aggregate aggregate(const std::vector<double>& values);
 
-/// Two-sided 95% Student-t critical value for `df` degrees of freedom
-/// (tabulated to df=30, 1.96 asymptote beyond).
-[[nodiscard]] double student_t95(std::size_t df);
-
 class ResultSink {
  public:
   /// One name per trial value, in value order.

@@ -30,11 +30,6 @@ void ThreadPool::submit(std::function<void()> job) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> job;
@@ -46,14 +41,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

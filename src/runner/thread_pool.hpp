@@ -39,17 +39,12 @@ class ThreadPool {
   /// waiting, nobody is left to run the queue.
   void submit(std::function<void()> job);
 
-  /// Block until every job submitted so far has finished.
-  void wait_idle();
-
  private:
   void worker_loop();
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // signalled when a job is queued
-  std::condition_variable idle_cv_;  // signalled when the pool may be idle
   std::deque<std::function<void()>> queue_;
-  std::size_t active_ = 0;  // jobs currently executing
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

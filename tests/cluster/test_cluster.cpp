@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string_view>
 #include <vector>
 
@@ -290,6 +291,25 @@ TEST(ClusterScenario, RepeatedRunsAreBitIdentical) {
   const auto second = run_cluster_scenario(cfg);
   expect_same_result(first, second);
   EXPECT_GT(first.services.at(0).samples, 0u);
+}
+
+TEST(ClusterScenario, NoSampleIsNoVerdict) {
+  // The window closes before the first 64 KB request completes: no service
+  // has a sample, so none has a violation rate (NaN, not 0%), per service
+  // and pooled.
+  ClusterScenarioConfig cfg;
+  cfg.nodes = 4;
+  cfg.warmup = 0;
+  cfg.duration = 10 * sim::kMicrosecond;
+  cfg.sla_limit_us = 100.0;
+  cfg.baseline_total_us = 50.0;
+  const auto r = run_cluster_scenario(cfg);
+  ASSERT_FALSE(r.services.empty());
+  for (const auto& s : r.services) {
+    EXPECT_EQ(s.samples, 0u) << s.name;
+    EXPECT_TRUE(std::isnan(s.violation_pct)) << s.name;
+  }
+  EXPECT_TRUE(std::isnan(r.violation_pct));
 }
 
 TEST(ClusterRunner, ResultsAreIndependentOfJobCount) {

@@ -98,6 +98,7 @@ TEST(Evaluation, NoInterferenceCasesStayNearBase) {
   const double baseline_total = base.reporting[0].total_us;
 
   for (const auto policy : {PolicyKind::kFreeMarket, PolicyKind::kIOShares}) {
+    SCOPED_TRACE(policy == PolicyKind::kFreeMarket ? "FreeMarket" : "IOShares");
     // Case 1: a second identical 64KB VM.
     auto twin = cfg;
     twin.with_interferer = true;
@@ -107,7 +108,7 @@ TEST(Evaluation, NoInterferenceCasesStayNearBase) {
     twin.baseline_mean_us = baseline_total;
     const auto r1 = run_scenario(twin);
     EXPECT_LT(r1.reporting[0].client_mean_us, 1.25 * base_us)
-        << to_string(policy) << " 64KB-64KB";
+        << "64KB-64KB";
 
     // Case 2: the 2MB VM sending only ~10 requests/s.
     auto slow = cfg;
@@ -117,7 +118,7 @@ TEST(Evaluation, NoInterferenceCasesStayNearBase) {
     slow.baseline_mean_us = baseline_total;
     const auto r2 = run_scenario(slow);
     EXPECT_LT(r2.reporting[0].client_mean_us, 1.25 * base_us)
-        << to_string(policy) << " 64KB-2MB-nointf";
+        << "64KB-2MB-nointf";
   }
 }
 

@@ -107,13 +107,14 @@ TEST(ResosLedger, LateVmReducesOthersShareAtReplenish) {
   EXPECT_DOUBLE_EQ(ledger.balance(1), ledger.allocation(1));
 }
 
-TEST(ResosLedger, VmsListedSorted) {
+TEST(ResosLedger, TracksOnlyAddedVms) {
   ResosLedger ledger;
   ledger.add_vm(5);
   ledger.add_vm(2);
   ledger.add_vm(9);
-  EXPECT_EQ(ledger.vms(), (std::vector<hv::DomainId>{2, 5, 9}));
+  EXPECT_TRUE(ledger.tracks(2));
   EXPECT_TRUE(ledger.tracks(5));
+  EXPECT_TRUE(ledger.tracks(9));
   EXPECT_FALSE(ledger.tracks(4));
 }
 

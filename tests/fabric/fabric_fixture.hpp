@@ -92,10 +92,18 @@ struct TwoNodeWorld {
 };
 
 /// Every channel of `fabric` is idle, with no backlog (port-wide or per
-/// lane) and no open packet train, and every switch pool is back at 0.
-/// Channel::launch subtracts without clamping, so a count that drifts shows
-/// here as non-zero or wrapped around.
-inline void expect_drained(Fabric& fabric) {
+/// lane), no open packet train and no paused lane, and every switch pool is
+/// back at 0. Channel::launch subtracts without clamping, so a count that
+/// drifts shows here as non-zero or wrapped around; an empty port has sent
+/// XON for every XOFF, so a lane still paused is an unbalanced pause count.
+/// `lossless`: the world runs PFC without a fault hook, its ports provisioned
+/// to the headroom bound (DESIGN.md §8.1), so no channel tail-dropped. An
+/// undersized PFC port drops its overshoot by design, hence the caller says.
+inline void expect_drained(Fabric& fabric, bool lossless = false) {
+  if (lossless) {
+    EXPECT_TRUE(fabric.config().pfc_enabled);
+    EXPECT_EQ(fabric.fault_hook(), nullptr);
+  }
   std::vector<const Channel*> channels;
   for (std::size_t i = 0; i < fabric.hca_count(); ++i) {
     channels.push_back(&fabric.hca(i).uplink());
@@ -108,6 +116,10 @@ inline void expect_drained(Fabric& fabric) {
     SCOPED_TRACE(c->name());
     EXPECT_FALSE(c->in_train());
     EXPECT_FALSE(c->busy());
+    EXPECT_FALSE(c->paused());
+    if (lossless) {
+      EXPECT_EQ(c->buf_drops(), 0u);
+    }
     EXPECT_EQ(c->backlog_packets(), 0u);
     EXPECT_EQ(c->backlog_bytes(), 0u);
     for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {

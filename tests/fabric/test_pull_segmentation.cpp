@@ -66,10 +66,10 @@ std::uint32_t eager_bytes(std::uint32_t wire, std::uint32_t mtu,
       std::min<std::uint64_t>(mtu, wire - std::uint64_t{i} * mtu));
 }
 
-/// One message alone on `from`'s uplink: a world, a probe on that uplink
+/// One message alone on A's uplink: a world, a probe on that uplink
 /// (fabric-wide when reliable, so the fabric runs its RC machinery), and
 /// the uplink's sink wrapped to record each packet before forwarding it to
-/// the peer's downlink, as the switch would.
+/// B's downlink, as the switch would.
 struct OneMessage {
   TwoNodeWorld w;
   Endpoint a, b;
@@ -77,27 +77,25 @@ struct OneMessage {
   std::vector<Seen> seen;
   testing::TestSink forward;
 
-  OneMessage(std::uint32_t buf_bytes, bool reliable, bool read)
-      : probe(read ? w.hca_b->uplink() : w.hca_a->uplink()) {
+  OneMessage(std::uint32_t buf_bytes, bool reliable)
+      : probe(w.hca_a->uplink()) {
     std::tie(a, b) = w.make_connected_pair(buf_bytes);
-    Hca& from = read ? *w.hca_b : *w.hca_a;
-    Hca& to = read ? *w.hca_a : *w.hca_b;
     if (reliable) {
       w.fabric.set_fault_hook(&probe);
     } else {
-      from.uplink().set_fault_hook(&probe);
+      w.hca_a->uplink().set_fault_hook(&probe);
     }
-    forward.attach(from.uplink());
-    forward.fn = [this, &to](detail::Packet&& p) {
+    forward.attach(w.hca_a->uplink());
+    forward.fn = [this](detail::Packet&& p) {
       seen.push_back({p.index, p.bytes, p.psn});
-      to.downlink().enqueue(std::move(p));
+      w.hca_b->downlink().enqueue(std::move(p));
     };
   }
 
-  /// Post one write (or read) of `length` bytes and run until quiet.
-  void run(Opcode op, std::uint32_t length) {
+  /// Post one write of `length` bytes and run until quiet.
+  void run(std::uint32_t length) {
     SendWr wr;
-    wr.opcode = op;
+    wr.opcode = Opcode::kRdmaWrite;
     wr.local_addr = a.buf;
     wr.lkey = a.mr.lkey;
     wr.length = length;
@@ -146,9 +144,9 @@ TEST(PullSegmentation, RunsCutTheEagerPacketsAndBacklog) {
        {1u, mtu, mtu + 1, 64u * 1024, 2u * 1024 * 1024 + 100}) {
     for (const bool reliable : {false, true}) {
       SCOPED_TRACE(::testing::Message() << len << " B, reliable " << reliable);
-      OneMessage m(len, reliable, /*read=*/false);
+      OneMessage m(len, reliable);
       const std::uint64_t psn0 = m.a.qp->send_psn();
-      m.run(Opcode::kRdmaWrite, len);
+      m.run(len);
       if (::testing::Test::HasFatalFailure()) return;
       expect_eager(m, len, psn0, reliable);
       EXPECT_EQ(m.seen.size(), (len + mtu - 1) / mtu);
@@ -158,26 +156,11 @@ TEST(PullSegmentation, RunsCutTheEagerPacketsAndBacklog) {
   }
 }
 
-TEST(PullSegmentation, TwoMegabyteReadResponseIsARun) {
-  // serve_read -> start_transfer: the response leaves the target's uplink
-  // as one run, numbered from the serving QP's PSNs when reliable.
-  constexpr std::uint32_t kLen = 2u * 1024 * 1024;
-  for (const bool reliable : {false, true}) {
-    SCOPED_TRACE(reliable);
-    OneMessage m(kLen, reliable, /*read=*/true);
-    const std::uint64_t psn0 = m.b.qp->send_psn();
-    m.run(Opcode::kRdmaRead, kLen);
-    if (::testing::Test::HasFatalFailure()) return;
-    expect_eager(m, kLen, psn0, reliable);
-    EXPECT_EQ(m.seen.size(), 2048u);
-  }
-}
-
 TEST(PullSegmentation, NakRetransmitResendsOnlyTheHolesWithFreshPsns) {
   constexpr std::uint32_t kLen = 64 * 1024;
-  OneMessage m(kLen, /*reliable=*/true, /*read=*/false);
+  OneMessage m(kLen, /*reliable=*/true);
   m.probe.drop_once = {3, 7};
-  m.run(Opcode::kRdmaWrite, kLen);
+  m.run(kLen);
   if (::testing::Test::HasFatalFailure()) return;
   expect_eager(m, kLen, 0, true, {3, 7});
   // 64 first transmissions, then one single-packet resend per hole, each
@@ -195,9 +178,9 @@ TEST(PullSegmentation, TimeoutRetransmitResendsTheShortLastPacket) {
   // Nothing arrives after a lost last packet to reveal the hole: the ack
   // timeout resends it alone.
   constexpr std::uint32_t kLen = 64 * 1024 + 100;
-  OneMessage m(kLen, /*reliable=*/true, /*read=*/false);
+  OneMessage m(kLen, /*reliable=*/true);
   m.probe.drop_once = {64};
-  m.run(Opcode::kRdmaWrite, kLen);
+  m.run(kLen);
   if (::testing::Test::HasFatalFailure()) return;
   expect_eager(m, kLen, 0, true, {64});
   ASSERT_EQ(m.probe.launches.size(), 66u);

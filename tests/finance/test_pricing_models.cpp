@@ -84,11 +84,5 @@ TEST(RequestProcessor, CostComesFromModel) {
             m.cost(RequestKind::kRiskReport, 3));
 }
 
-TEST(RequestKindNames, AllCovered) {
-  EXPECT_STREQ(to_string(RequestKind::kQuote), "quote");
-  EXPECT_STREQ(to_string(RequestKind::kTrade), "trade");
-  EXPECT_STREQ(to_string(RequestKind::kRiskReport), "risk-report");
-}
-
 }  // namespace
 }  // namespace resex::finance

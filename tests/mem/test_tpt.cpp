@@ -111,16 +111,6 @@ TEST(Tpt, StaleKeyAfterSlotReuseRejected) {
             TptStatus::kOk);
 }
 
-TEST(Tpt, LookupReturnsRegionOrNullopt) {
-  Tpt tpt;
-  const auto mr = tpt.register_region(kPd, 0x40, 128, Access::kRemoteWrite);
-  const auto found = tpt.lookup(mr.lkey);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->addr, 0x40u);
-  EXPECT_EQ(found->length, 128u);
-  EXPECT_FALSE(tpt.lookup(0xABCD00).has_value());
-}
-
 TEST(Tpt, ManyRegionsIndependent) {
   Tpt tpt;
   std::vector<RegisteredRegion> mrs;
@@ -134,14 +124,6 @@ TEST(Tpt, ManyRegionsIndependent) {
                            Access::kLocalWrite),
               TptStatus::kOk);
   }
-}
-
-TEST(TptStatus, ToStringCoversAll) {
-  EXPECT_STREQ(to_string(TptStatus::kOk), "ok");
-  EXPECT_STREQ(to_string(TptStatus::kBadKey), "bad-key");
-  EXPECT_STREQ(to_string(TptStatus::kOutOfBounds), "out-of-bounds");
-  EXPECT_STREQ(to_string(TptStatus::kAccessDenied), "access-denied");
-  EXPECT_STREQ(to_string(TptStatus::kWrongDomain), "wrong-domain");
 }
 
 }  // namespace

@@ -22,12 +22,13 @@ TEST(ThreadPool, StartupAndImmediateShutdown) {
 }
 
 TEST(ThreadPool, ExecutesEverySubmittedJob) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // the destructor drains the queue
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -38,33 +39,28 @@ TEST(ThreadPool, DestructorDrainsPendingJobs) {
     for (int i = 0; i < 64; ++i) {
       pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     }
-  }  // no wait_idle: the destructor must still run everything
+  }  // the destructor must run everything still queued
   EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ThreadPool, WaitIdleWithNoJobsReturnsImmediately) {
-  ThreadPool pool(3);
-  pool.wait_idle();
-  pool.wait_idle();  // idempotent
-}
-
 TEST(ThreadPool, NoDeadlockUnderContention) {
-  // Many producers hammering a small pool with tiny jobs; wait_idle
-  // interleaved. Guarded by the test timeout: a deadlock fails the run.
-  ThreadPool pool(2);
+  // Many producers hammering a small pool with tiny jobs. Guarded by the
+  // test timeout: a deadlock fails the run.
   std::atomic<int> count{0};
-  std::vector<std::thread> producers;
-  producers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&pool, &count] {
-      for (int i = 0; i < 500; ++i) {
-        pool.submit(
-            [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
+  {
+    ThreadPool pool(2);
+    std::vector<std::thread> producers;
+    producers.reserve(4);
+    for (int t = 0; t < 4; ++t) {
+      producers.emplace_back([&pool, &count] {
+        for (int i = 0; i < 500; ++i) {
+          pool.submit(
+              [&count] { count.fetch_add(1, std::memory_order_relaxed); });
+        }
+      });
+    }
+    for (auto& p : producers) p.join();
   }
-  for (auto& p : producers) p.join();
-  pool.wait_idle();
   EXPECT_EQ(count.load(), 2000);
 }
 

@@ -12,7 +12,7 @@ TEST(Umbrella, ExposesEveryLayer) {
   EXPECT_EQ(memory.page_count(), 1u);
   EXPECT_GT(resex::finance::price(resex::finance::OptionSpec{}), 0.0);
   resex::core::ScenarioConfig cfg;
-  EXPECT_EQ(resex::core::to_string(cfg.policy), std::string("none"));
+  EXPECT_EQ(cfg.policy, resex::core::PolicyKind::kNone);
   resex::fabric::FabricConfig fabric_cfg;
   EXPECT_EQ(fabric_cfg.mtu_bytes, 1024u);
   EXPECT_EQ(resex::hv::kDefaultSlice, 10 * resex::sim::kMillisecond);
